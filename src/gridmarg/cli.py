@@ -24,11 +24,10 @@ from pathlib import Path
 from .errors import GridmargError, InfeasibleModel, UnboundedModel
 from .flex import ScheduleSource
 from .grid import CostMultipliers, GridModel, resolve_scenario
-from .metrics import (average_emission_rate, consequential_report, icev_comparison,
-                      long_run_mer, report_to_dict, srme_dual, srme_uniform,
-                      write_consequential_json, write_srme_csv)
+from .metrics import (average_emission_rate, icev_comparison, long_run_mer, report_to_dict,
+                      srme_dual, srme_uniform, write_consequential_json, write_srme_csv)
 from .planner import (ScaleEV, atomic_write_text, build_expansion_lp, build_operational_lp,
-                      perturb_demand, solve_model, write_dispatch_outputs)
+                      solve_model, write_dispatch_outputs)
 from .scenario_io import load_scenario
 from .scheduler import (evaluate_fixed_schedule, schedule_from_result, schedule_min_srme,
                         write_schedule_csv, write_trace_csv)
@@ -248,14 +247,11 @@ def _run_sweep_cell(payload) -> dict:
                       cost_multipliers=CostMultipliers(renewable_capex=cell["renewable_capex"],
                                                        gas_price=cell["gas_price"]))
         grid = _apply_flex_mode(resolve_scenario(replace(raw_grid, config=cfg)), cell["flex"])
-        base = solve_model(build_expansion_lp(grid))
-        pert_grid = perturb_demand(grid, cell["target_zone"],
-                                   ScaleEV(grid.config.perturbation_fraction))
-        pert = solve_model(build_expansion_lp(pert_grid))
-        report = consequential_report(base, pert, grid=grid)
+        report = long_run_mer(grid, ScaleEV(grid.config.perturbation_fraction),
+                              target_zones=cell["target_zone"])
         metrics = {
             "lr_mer_tco2_per_mwh": report.lr_mer,
-            "aer_system_tco2_per_mwh": average_emission_rate(base),
+            "aer_system_tco2_per_mwh": average_emission_rate(report.base),
             "base_total_emissions_tco2": report.base_total_emissions,
             "pert_total_emissions_tco2": report.pert_total_emissions,
             "delta_demand_mwh": report.delta_demand_mwh,

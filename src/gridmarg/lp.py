@@ -14,8 +14,17 @@ Dual sign convention (used throughout the toolkit):
   * reduced_costs = c - A_eq'.eq_duals + A_ub'.ineq_duals; nonnegative at a
                     lower bound, nonpositive at an upper bound, ~0 elsewhere.
 
-Solves are stateless: an LpProblem is immutable once built and may be shared
-read-only across concurrent solves.
+The backend is HiGHS dual simplex, called through scipy's bundled bindings
+with the same model layout and options as ``linprog(method="highs-ds")``, so
+a cold solve returns the same vertex bit for bit. An optimal solution also
+carries its final simplex basis; passing it as ``warm_start`` to the solve of
+another LP of the same shape (typically the same matrix with a few bounds
+moved) starts dual simplex from that basis instead of from scratch.
+
+Solves are stateless: every solve builds a fresh HiGHS instance, an
+LpProblem is immutable once built, and both may be shared read-only across
+concurrent solves. A warm start only changes where the simplex starts; the
+optimum it reaches is an optimum of the problem passed in.
 """
 
 from __future__ import annotations
@@ -25,7 +34,15 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+# Unused here; kept because the benchmark's tracer (bench/tracing.py) rebinds gridmarg.lp.linprog.
+from scipy.optimize import linprog  # noqa: F401
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # a private scipy module: its layout may change between releases
+    raise ImportError(
+        "gridmarg needs scipy 1.17.x: it solves through scipy's bundled HiGHS bindings "
+        "(scipy.optimize._highspy._core), which this scipy does not provide") from exc
 
 from .errors import NumericalFailure
 
@@ -189,7 +206,12 @@ class LpBuilder:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Primal/dual solution. Dual and primal arrays are None unless OPTIMAL."""
+    """Primal/dual solution. Dual, primal and basis arrays are None unless OPTIMAL.
+
+    col_status / row_status are the final simplex basis as HiGHS basis status
+    codes, rows ordered <=-rows first, then equality rows; they are what
+    ``solve(..., warm_start=)`` reads.
+    """
 
     status: SolveStatus
     x: np.ndarray | None = None
@@ -197,6 +219,9 @@ class LpSolution:
     eq_duals: np.ndarray | None = None
     ineq_duals: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
+    col_status: np.ndarray | None = None
+    row_status: np.ndarray | None = None
+    iterations: int = 0       # simplex iterations this solve took
 
 
 def with_extra_le_row(problem: LpProblem, idx, coef, rhs: float,
@@ -222,48 +247,102 @@ def with_extra_le_row(problem: LpProblem, idx, coef, rhs: float,
     )
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """Solve to a vertex with exact basis duals (dual simplex backend).
+# linprog(method="highs-ds")'s settings: presolve, dual simplex, no log.
+_OPTIONS = (("output_flag", False), ("presolve", "on"), ("solver", "simplex"),
+            ("simplex_strategy",
+             int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)))
+_BASIS_STATUS = tuple(_highs.HighsBasisStatus(code) for code in range(5))
 
-    Raises NumericalFailure if the backend reports numerical breakdown on
-    both the default path and a presolve-disabled restart.
-    """
-    A_eq = problem.A_eq if problem.num_eq else None
-    b_eq = problem.b_eq if problem.num_eq else None
-    A_ub = problem.A_ub if problem.num_ub else None
-    b_ub = problem.b_ub if problem.num_ub else None
-    bounds = np.column_stack([problem.lb, problem.ub])
 
-    res = None
-    for options in ({"presolve": True}, {"presolve": False}):
-        res = linprog(problem.c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs-ds", options=options)
-        if res.status in (0, 2, 3):
-            break
-    if res.status == 2:
-        return LpSolution(status=SolveStatus.INFEASIBLE)
-    if res.status == 3:
-        return LpSolution(status=SolveStatus.UNBOUNDED)
-    if res.status != 0:
-        raise NumericalFailure(f"LP backend failed after restart: {res.message}")
+def _highs_lp(problem: LpProblem):
+    """The problem as one HiGHS row block [A_ub; A_eq], column-wise, as linprog lays it out."""
+    A = sp.csc_array(sp.vstack((sp.coo_array(problem.A_ub), sp.coo_array(problem.A_eq))))
+    model = _highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = problem.num_vars
+    model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
+    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = A.indptr
+    model.a_matrix_.index_ = A.indices
+    model.a_matrix_.value_ = A.data
+    model.col_cost_ = problem.c
+    model.col_lower_ = problem.lb
+    model.col_upper_ = problem.ub
+    model.row_lower_ = np.concatenate((np.full(problem.num_ub, -np.inf), problem.b_eq))
+    model.row_upper_ = np.concatenate((problem.b_ub, problem.b_eq))
+    return model
 
-    x = np.asarray(res.x, dtype=float)
-    mu = np.asarray(res.eqlin.marginals, dtype=float) if problem.num_eq else np.zeros(0)
-    gamma = -np.asarray(res.ineqlin.marginals, dtype=float) if problem.num_ub else np.zeros(0)
-    # Recompute reduced costs from the reported row duals so the reported
-    # triple (x, duals, reduced costs) is internally consistent by construction.
+
+def _highs_basis(problem: LpProblem, warm_start: LpSolution):
+    if warm_start.col_status is None or warm_start.row_status is None:
+        raise ValueError("warm_start must be an OPTIMAL solution carrying a basis")
+    have = (warm_start.col_status.size, warm_start.row_status.size)
+    want = (problem.num_vars, problem.num_ub + problem.num_eq)
+    if have != want:
+        raise ValueError(f"warm_start basis has {have[0]} columns and {have[1]} rows; "
+                         f"the problem has {want[0]} and {want[1]}")
+    basis = _highs.HighsBasis()
+    basis.col_status = [_BASIS_STATUS[code] for code in warm_start.col_status.tolist()]
+    basis.row_status = [_BASIS_STATUS[code] for code in warm_start.row_status.tolist()]
+    return basis
+
+
+def _status_codes(statuses) -> np.ndarray:
+    return np.fromiter(map(int, statuses), dtype=np.int8, count=len(statuses))
+
+
+def _reduced_costs(problem: LpProblem, eq_duals: np.ndarray,
+                  ineq_duals: np.ndarray) -> np.ndarray:
+    """c - A_eq'.eq_duals + A_ub'.ineq_duals, from the row duals alone."""
     rc = problem.c.copy()
     if problem.num_eq:
-        rc -= problem.A_eq.T @ mu
+        rc -= problem.A_eq.T @ eq_duals
     if problem.num_ub:
-        rc += problem.A_ub.T @ gamma
+        rc += problem.A_ub.T @ ineq_duals
+    return rc
+
+
+def solve(problem: LpProblem, warm_start: LpSolution | None = None) -> LpSolution:
+    """Solve to a vertex with exact basis duals (HiGHS dual simplex).
+
+    warm_start, an OPTIMAL solution of an LP with the same number of
+    variables, <=-rows and equality rows, seeds the simplex with its final
+    basis; ValueError if the shapes differ. Raises NumericalFailure if the
+    backend ends in any state other than optimal, infeasible or unbounded.
+    """
+    highs = _highs._Highs()
+    for option, value in _OPTIONS:
+        highs.setOptionValue(option, value)
+    highs.passModel(_highs_lp(problem))
+    if warm_start is not None:
+        if highs.setBasis(_highs_basis(problem, warm_start)) == _highs.HighsStatus.kError:
+            raise ValueError("LP backend rejected the warm_start basis")
+    highs.run()
+    status = highs.getModelStatus()
+    iterations = int(highs.getInfo().simplex_iteration_count)
+    if status == _highs.HighsModelStatus.kInfeasible:
+        return LpSolution(status=SolveStatus.INFEASIBLE, iterations=iterations)
+    if status == _highs.HighsModelStatus.kUnbounded:
+        return LpSolution(status=SolveStatus.UNBOUNDED, iterations=iterations)
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise NumericalFailure(f"LP backend ended with status {highs.modelStatusToString(status)}")
+
+    solution = highs.getSolution()
+    basis = highs.getBasis()
+    x = np.array(solution.col_value)
+    row_dual = np.array(solution.row_dual)
+    mu = row_dual[problem.num_ub:]
+    gamma = -row_dual[:problem.num_ub]
     return LpSolution(
         status=SolveStatus.OPTIMAL,
         x=x,
         objective_value=float(problem.c @ x),
         eq_duals=mu,
         ineq_duals=gamma,
-        reduced_costs=rc,
+        # Recomputed from the row duals so (x, duals, reduced costs) agree by construction.
+        reduced_costs=_reduced_costs(problem, mu, gamma),
+        col_status=_status_codes(basis.col_status),
+        row_status=_status_codes(basis.row_status),
+        iterations=iterations,
     )
 
 
@@ -319,11 +398,7 @@ def verify_kkt(problem: LpProblem, solution: LpSolution,
         primal = max(primal, float(np.max((x - problem.ub)[finite_ub], initial=0.0)))
 
     # Dual feasibility via recomputed reduced costs.
-    rc = problem.c.copy()
-    if problem.num_eq:
-        rc -= problem.A_eq.T @ mu
-    if problem.num_ub:
-        rc += problem.A_ub.T @ gamma
+    rc = _reduced_costs(problem, mu, gamma)
     at_lb = np.abs(x - problem.lb) <= 1e-9 * np.maximum(1.0, np.abs(problem.lb))
     at_ub = finite_ub & (np.abs(x - problem.ub) <= 1e-9 * np.maximum(1.0, np.abs(problem.ub)))
     dual = float(np.max(-gamma, initial=0.0))  # <=-row duals must be nonnegative

@@ -16,7 +16,9 @@ Short-run rates hold installed capacity fixed:
     emissions shadow-price of holding cost at its minimum.
 
 Long-run rates re-optimize capacity: two full expansion solves (base and
-EV-scaled) differenced over annual totals.
+EV-scaled) differenced over annual totals. The EV-scaled LP differs from the
+base only in the bounds of the EV charging columns, so its solve starts from
+the base solve's optimal basis.
 
 All emissions quantities are recomputed from primal generation; duals are
 used only where they are the estimator itself (SRME2).
@@ -72,6 +74,7 @@ class ConsequentialReport:
     sr_attributed: float | None = None      # SR-rate-weighted EV energy delta, tCO2
     aer_attributed: float | None = None
     per_ev_normalization: dict[str, float] | None = None
+    base: DispatchResult | None = field(default=None, repr=False, compare=False)
 
 
 def average_emission_rate(result: DispatchResult, scope: str = "system") -> float:
@@ -261,18 +264,24 @@ def consequential_report(base: DispatchResult, pert: DispatchResult,
         capacity_deltas=capacity_deltas,
         sr_attributed=sr_attributed,
         aer_attributed=aer_attributed,
+        base=base,
     )
 
 
 def long_run_mer(grid: GridModel, perturbation: ScaleEV | None = None,
                  target_zones="all", sr_rates: EmissionRateSeries | None = None,
                  aer_value: float | None = None) -> ConsequentialReport:
-    """LR-MER: two full capacity-expansion solves differenced over annual totals."""
+    """LR-MER: two full capacity-expansion solves differenced over annual totals.
+
+    The EV-scaled solve is warm-started from the base solve's basis. The
+    report keeps the base result (``report.base``) for callers that need more
+    of it than the totals.
+    """
     if perturbation is None:
         perturbation = ScaleEV(grid.config.perturbation_fraction)
     base = solve_model(build_expansion_lp(grid))
     pert_grid = perturb_demand(grid, target_zones, perturbation)
-    pert = solve_model(build_expansion_lp(pert_grid))
+    pert = solve_model(build_expansion_lp(pert_grid), warm_start=base.solution)
     return consequential_report(base, pert, grid=grid, sr_rates=sr_rates,
                                 aer_value=aer_value)
 

@@ -437,9 +437,13 @@ class DispatchResult:
         )
 
 
-def solve_model(model: ExpansionModel) -> DispatchResult:
-    """Solve and decode; emissions are recomputed from primal generation, never duals."""
-    sol = lp.solve(model.problem)
+def solve_model(model: ExpansionModel, warm_start: lp.LpSolution | None = None) -> DispatchResult:
+    """Solve and decode; emissions are recomputed from primal generation, never duals.
+
+    warm_start is handed to lp.solve: the solution of a same-shaped LP whose
+    basis seeds this solve.
+    """
+    sol = lp.solve(model.problem, warm_start=warm_start)
     if sol.status is lp.SolveStatus.INFEASIBLE:
         raise InfeasibleModel(f"{model.mode} model infeasible", mode=model.mode)
     if sol.status is lp.SolveStatus.UNBOUNDED:

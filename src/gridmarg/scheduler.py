@@ -27,7 +27,7 @@ from .grid import GridModel
 from .metrics import (SRME1, SRME2, ConsequentialReport, EmissionRateSeries, long_run_mer,
                       srme_dual, srme_uniform)
 from .planner import (DispatchResult, FixedCapacities, ScaleEV, atomic_write_text,
-                      build_operational_lp, decode_solution, solve_model)
+                      build_operational_lp, solve_model)
 from . import lp
 
 
@@ -48,17 +48,25 @@ class IterationTrace:
     iterations_used: int
 
 
+# Served charging this far below zero is solver round-off and is pinned as 0.
+PIN_SNAP_TOL = lp.FEAS_TOL
+
+
 def pin_schedule(grid: GridModel, per_load: dict[str, np.ndarray]) -> GridModel:
     """Replace each flexible load with a rigid profile equal to its served schedule.
 
     The pinned loads drop their explicit rate cap (a fixed profile cannot
     exceed itself), so EV-scaling perturbations of a pinned grid stay valid.
+    Entries in [-PIN_SNAP_TOL, 0) are snapped to 0; anything more negative is
+    kept and rejected when the pinned grid is built.
     """
     loads = []
     for load in grid.flexible_loads:
         if load.id not in per_load:
             raise ScheduleMismatch(f"schedule missing profile for load {load.id!r}")
-        loads.append(replace(load, baseline_profile=per_load[load.id].copy(),
+        profile = per_load[load.id]
+        profile = np.where((profile < 0) & (profile >= -PIN_SNAP_TOL), 0.0, profile)
+        loads.append(replace(load, baseline_profile=profile,
                              max_advance_hours=0, max_delay_hours=0,
                              max_charge_rate_mw=None, penetration_scale=1.0))
     return replace(grid, flexible_loads=tuple(loads))
@@ -130,10 +138,7 @@ def schedule_min_srme(grid: GridModel, fixed_capacities: FixedCapacities,
         for load in grid.flexible_loads:
             zi = zone_ids.index(load.zone_id)
             c2[model.index.served[load.id]] += penalty * rates.rates[zi]
-        sol = lp.solve(replace(model.problem, c=c2))
-        if sol.status is not lp.SolveStatus.OPTIMAL:
-            raise RuntimeError(f"penalty re-solve unexpectedly {sol.status.value}")
-        new_result = decode_solution(model, sol)
+        new_result = solve_model(replace(model, problem=replace(model.problem, c=c2)))
         new_per_load = {fid: arr.copy() for fid, arr in new_result.flex_served.items()}
 
         def proxy(profiles: dict[str, np.ndarray]) -> float:

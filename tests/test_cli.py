@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridmarg import lp, scheduler
 from gridmarg.cli import build_parser, main
 from gridmarg.grid import Generator, GridModel, ScenarioConfig, Zone
 from gridmarg.scenario_io import write_scenario
@@ -163,6 +164,29 @@ def test_schedule_srme2_delta_sign_recorded(tmp_path):
     comparison = json.loads((out / "comparison.json").read_text())
     # No a-priori sign: just recorded for comparison.
     assert "base_total_emissions_tco2" in comparison["deltas_vs_cost_reference"]
+
+
+@pytest.mark.parametrize("status, code", [(lp.SolveStatus.INFEASIBLE, 2),
+                                          (lp.SolveStatus.UNBOUNDED, 3)])
+def test_schedule_penalty_resolve_failure_exit_code(tmp_path, monkeypatch, status, code):
+    real_solve_model = scheduler.solve_model
+    failed = []
+
+    def solve_model(model, warm_start=None):
+        served = np.concatenate(list(model.index.served.values()))
+        if np.any(model.problem.c[served] != 0):  # only the penalty re-solve prices charging
+            failed.append(model)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lp, "solve", lambda problem, warm_start=None:
+                              lp.LpSolution(status=status))
+                return real_solve_model(model, warm_start)
+        return real_solve_model(model, warm_start)
+
+    monkeypatch.setattr(scheduler, "solve_model", solve_model)
+    scenario = scenario_file(tmp_path, backfire())
+    assert main(["schedule", scenario, "--signal", "srme1", "--flex", "window24",
+                 "--out", str(tmp_path / "out")]) == code
+    assert len(failed) == 1
 
 
 def test_sweep_single_cell_matches_metrics(tmp_path, capsys):

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from gridmarg.lp import (LpBuilder, LpProblem, LpSolution, SolveStatus, solve, verify_kkt,
                          with_extra_le_row, write_lp_text)
+from gridmarg.planner import build_expansion_lp, build_operational_lp, solve_model
+from gridmarg.scenario_io import load_scenario
 
 from oracles import random_feasible_lp, vertex_enumeration_minimum
+from test_scenario_io import TUTORIAL
+from toys import backfire, breakeven_wind, merit_stack, storage_coupled
 
 
 def merit_order_problem() -> "LpProblem":
@@ -155,3 +160,81 @@ def test_lp_text_dump_is_deterministic():
     assert "e0: + 1 v0 + 1 v1 = 3" in text
     assert "i0: + 2 v0 - 1 v1 <= 1" in text
     assert "0 <= v1 <= 4" in text
+
+
+# --- the HiGHS front-end against linprog, cold and warm -----------------------------
+
+def linprog_reference(problem: LpProblem):
+    """scipy's own linprog on the same problem: (x, eq_duals, ineq_duals)."""
+    res = linprog(problem.c,
+                  A_ub=problem.A_ub if problem.num_ub else None,
+                  b_ub=problem.b_ub if problem.num_ub else None,
+                  A_eq=problem.A_eq if problem.num_eq else None,
+                  b_eq=problem.b_eq if problem.num_eq else None,
+                  bounds=np.column_stack([problem.lb, problem.ub]), method="highs-ds")
+    assert res.status == 0, res.message
+    eq = np.asarray(res.eqlin.marginals, dtype=float) if problem.num_eq else np.zeros(0)
+    ineq = -np.asarray(res.ineqlin.marginals, dtype=float) if problem.num_ub else np.zeros(0)
+    return np.asarray(res.x, dtype=float), eq, ineq
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_matches_linprog(problem: LpProblem):
+    sol = solve(problem)
+    assert sol.status is SolveStatus.OPTIMAL
+    x, eq, ineq = linprog_reference(problem)
+    assert_same_bits(sol.x, x)
+    assert_same_bits(sol.eq_duals, eq)
+    assert_same_bits(sol.ineq_duals, ineq)
+
+
+def test_cold_solve_matches_linprog_bit_for_bit_on_random_lps():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n = int(rng.integers(3, 20))
+        assert_matches_linprog(random_feasible_lp(rng, n, n_eq=int(rng.integers(0, 3)),
+                                                  n_ub=int(rng.integers(1, 6))))
+
+
+@pytest.mark.parametrize("make_grid", [lambda: load_scenario(TUTORIAL), merit_stack,
+                                       storage_coupled, breakeven_wind, backfire])
+def test_cold_solve_matches_linprog_bit_for_bit_on_toy_grids(make_grid):
+    grid = make_grid()
+    expansion = build_expansion_lp(grid)
+    assert_matches_linprog(expansion.problem)
+    caps = solve_model(expansion).fixed_capacities()
+    assert_matches_linprog(build_operational_lp(grid, caps).problem)
+
+
+def _two_var(cost, ub, row_coef, row_rhs) -> LpProblem:
+    # x1 == x2 plus one <=-row; every instance has the same shape.
+    b = LpBuilder()
+    b.add_vars(2, cost=cost, ub=ub)
+    b.add_eq([0, 1], [1.0, -1.0], 0.0)
+    b.add_le([0, 1], row_coef, row_rhs)
+    return b.build()
+
+
+def test_warm_start_shape_mismatch_raises():
+    first = solve(merit_order_problem())
+    with pytest.raises(ValueError, match="columns"):
+        solve(_two_var([1.0, 1.0], [5.0, 5.0], [1.0, 1.0], 4.0), warm_start=first)
+    with pytest.raises(ValueError, match="basis"):
+        solve(merit_order_problem(), warm_start=LpSolution(status=SolveStatus.INFEASIBLE))
+
+
+def test_warm_solves_report_infeasible_and_unbounded_like_cold_ones():
+    starts = [solve(_two_var([1.0, 1.0], [5.0, 5.0], [1.0, 1.0], 4.0)),
+              solve(_two_var([-1.0, -1.0], [5.0, 5.0], [1.0, 1.0], 4.0))]
+    infeasible = _two_var([1.0, 1.0], [5.0, 5.0], [-1.0, -1.0], -12.0)  # x1 + x2 >= 12
+    unbounded = _two_var([-1.0, -1.0], [np.inf, np.inf], [-1.0, -1.0], 0.0)
+    for problem, status in ((infeasible, SolveStatus.INFEASIBLE),
+                            (unbounded, SolveStatus.UNBOUNDED)):
+        assert solve(problem).status is status
+        for start in starts:
+            assert start.status is SolveStatus.OPTIMAL
+            assert solve(problem, warm_start=start).status is status

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gridmarg import lp
 from gridmarg.errors import (DegenerateDelta, InfeasiblePerturbation, UnknownZone, ZeroDemand)
 from gridmarg.grid import Generator, GridModel, ScenarioConfig, Zone
 from gridmarg.metrics import (EmissionRateSeries, average_emission_rate, icev_comparison,
@@ -11,7 +12,7 @@ from gridmarg.planner import (FixedCapacities, ScaleEV, SingleHour, build_expans
 from gridmarg.scenario_io import load_scenario
 
 from toys import (MERIT_STACK_MARGINAL_EF, breakeven_wind, frozen_structure, merit_stack,
-                  negative_lr_toy, single_bus, storage_roundtrip)
+                  negative_lr_toy, single_bus, storage_coupled, storage_roundtrip)
 from test_scenario_io import TUTORIAL
 
 
@@ -280,6 +281,38 @@ def test_lr_mer_negative_via_unlocked_wind():
 def test_lr_mer_degenerate_delta_guard():
     with pytest.raises(DegenerateDelta):
         long_run_mer(frozen_structure(), ScaleEV(1e-9))
+
+
+@pytest.mark.parametrize("make_grid", [frozen_structure, storage_coupled, negative_lr_toy])
+def test_warm_started_ev_scaled_solve_matches_cold(make_grid):
+    grid = make_grid()
+    base = lp.solve(build_expansion_lp(grid).problem)
+    scaled = build_expansion_lp(perturb_demand(grid, "all", ScaleEV(0.05))).problem
+    cold = lp.solve(scaled)
+    warm = lp.solve(scaled, warm_start=base)
+    assert warm.status is lp.SolveStatus.OPTIMAL
+    assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+    assert lp.verify_kkt(scaled, warm).passed
+    assert warm.iterations < cold.iterations
+
+
+def test_lr_mer_warm_starts_from_its_own_base(monkeypatch):
+    calls = []
+    real_solve = lp.solve
+
+    def recording_solve(problem, warm_start=None):
+        sol = real_solve(problem, warm_start=warm_start)
+        calls.append((sol, warm_start))
+        return sol
+
+    monkeypatch.setattr(lp, "solve", recording_solve)
+    report = long_run_mer(storage_coupled(), ScaleEV(0.05))
+    assert len(calls) == 2
+    (base_sol, base_start), (_, pert_start) = calls
+    assert base_start is None
+    assert pert_start is base_sol
+    assert report.base.solution is base_sol
+    assert report.base.total_emissions == report.base_total_emissions
 
 
 def test_aer_attribution_field():

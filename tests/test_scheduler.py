@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from gridmarg.errors import ScheduleMismatch
+from gridmarg.errors import ModelBuildError, ScheduleMismatch
 from gridmarg.flex import ChargingSchedule, ScheduleSource
 from gridmarg.grid import FlexibleLoad, Generator, GridModel, ScenarioConfig, Zone
-from gridmarg.planner import FixedCapacities, build_expansion_lp, solve_model
-from gridmarg.scheduler import (consequential_check, evaluate_fixed_schedule,
-                                schedule_from_result, schedule_min_srme, write_schedule_csv,
-                                write_trace_csv)
+from gridmarg.planner import (FixedCapacities, build_expansion_lp, build_operational_lp,
+                              solve_model)
+from gridmarg.scheduler import (PIN_SNAP_TOL, consequential_check, evaluate_fixed_schedule,
+                                pin_schedule, schedule_from_result, schedule_min_srme,
+                                write_schedule_csv, write_trace_csv)
 
 from toys import backfire, solar_midday, storage_coupled, with_flex_window
 
@@ -196,3 +197,20 @@ def test_schedule_and_trace_files(tmp_path):
     tlines = (tmp_path / "iteration_trace.csv").read_text().splitlines()
     assert tlines[0] == "iteration,consequential_tco2,rel_change,schedule_delta_norm"
     assert len(tlines) == 1 + trace.iterations_used
+
+
+def test_pin_schedule_snaps_round_off_and_rejects_real_negatives():
+    grid = storage_coupled()
+    load = grid.flexible_loads[0]
+    for value in (-0.5 * PIN_SNAP_TOL, -PIN_SNAP_TOL):
+        profile = load.baseline_profile.copy()
+        profile[0] = value
+        pinned = pin_schedule(grid, {load.id: profile})
+        assert pinned.flexible_loads[0].baseline_profile[0] == 0.0
+        assert profile[0] == value  # the caller's array is left alone
+        build_operational_lp(pinned, FixedCapacities.none())
+    profile = load.baseline_profile.copy()
+    profile[0] = -2.0 * PIN_SNAP_TOL
+    pinned = pin_schedule(grid, {load.id: profile})
+    with pytest.raises(ModelBuildError, match="nonnegative"):
+        build_operational_lp(pinned, FixedCapacities.none())

@@ -21,13 +21,14 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+from . import lp
 from .errors import GridmargError, InfeasibleModel, UnboundedModel
 from .flex import ScheduleSource
 from .grid import CostMultipliers, GridModel, resolve_scenario
 from .metrics import (average_emission_rate, icev_comparison, long_run_mer, report_to_dict,
                       srme_dual, srme_uniform, write_consequential_json, write_srme_csv)
-from .planner import (ScaleEV, atomic_write_text, build_expansion_lp, build_operational_lp,
-                      solve_model, write_dispatch_outputs)
+from .planner import (ScaleEV, _fmt, atomic_write_text, build_expansion_lp,
+                      build_operational_lp, solve_model, write_dispatch_outputs)
 from .scenario_io import load_scenario
 from .scheduler import (evaluate_fixed_schedule, schedule_from_result, schedule_min_srme,
                         write_schedule_csv, write_trace_csv)
@@ -46,10 +47,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
 
 
 def _apply_flex_mode(grid: GridModel, mode: str) -> GridModel:
@@ -242,13 +239,14 @@ def _run_sweep_cell(payload) -> dict:
     raw_grid, cell = payload
     started = time.time()
     try:
-        cfg = replace(raw_grid.config,
-                      ev_penetration_multiplier=cell["ev_multiplier"],
-                      cost_multipliers=CostMultipliers(renewable_capex=cell["renewable_capex"],
-                                                       gas_price=cell["gas_price"]))
-        grid = _apply_flex_mode(resolve_scenario(replace(raw_grid, config=cfg)), cell["flex"])
-        report = long_run_mer(grid, ScaleEV(grid.config.perturbation_fraction),
-                              target_zones=cell["target_zone"])
+        with lp.solve_memo_scope():  # a pool worker keeps no solution between cells
+            cfg = replace(raw_grid.config,
+                          ev_penetration_multiplier=cell["ev_multiplier"],
+                          cost_multipliers=CostMultipliers(renewable_capex=cell["renewable_capex"],
+                                                           gas_price=cell["gas_price"]))
+            grid = _apply_flex_mode(resolve_scenario(replace(raw_grid, config=cfg)), cell["flex"])
+            report = long_run_mer(grid, ScaleEV(grid.config.perturbation_fraction),
+                                  target_zones=cell["target_zone"])
         metrics = {
             "lr_mer_tco2_per_mwh": report.lr_mer,
             "aer_system_tco2_per_mwh": average_emission_rate(report.base),
@@ -301,6 +299,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(
+            f"worker count must be a whole number >= 1, got {text!r} "
+            f"(from --parallel, or GRIDMARG_THREADS when --parallel is not given)")
+    return workers
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="gridmarg",
                      description="Zonal capacity-expansion LPs and consequential "
@@ -338,8 +348,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run a scenario sweep")
     p.add_argument("scenario")
     p.add_argument("--spec", default=None, help="sweep spec JSON (defaults cover the EV range)")
-    p.add_argument("--parallel", type=int,
-                   default=int(os.environ.get("GRIDMARG_THREADS", "1")))
+    # A string default goes through type= only when sweep is the command, so
+    # a bad GRIDMARG_THREADS fails sweep alone.
+    p.add_argument("--parallel", type=_worker_count,
+                   default=os.environ.get("GRIDMARG_THREADS", "1"),
+                   help="worker processes, at least 1 (default: GRIDMARG_THREADS, else 1)")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_sweep)
     return parser
@@ -354,7 +367,8 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr,
                         force=True)
     try:
-        return args.func(args)
+        with lp.solve_memo_scope():
+            return args.func(args)
     except InfeasibleModel as exc:
         log.error("infeasible: %s", exc)
         return 2

@@ -84,14 +84,18 @@ def check_window_feasible(baseline: np.ndarray, window: FlexWindow, max_rate: fl
     floor = floor.copy()
     floor[-1] = total
     tol = 1e-9 * max(1.0, total)
-    running_min = max_rate  # t1 = -1 term: ceiling 0 at slot before the horizon
-    for t in range(horizon):
-        if floor[t] - max_rate * t > running_min + tol:
-            raise InfeasibleWindow(
-                f"flexible_load {load_id}: max charge rate {max_rate:g} MW cannot meet the "
-                f"cumulative floor of {floor[t]:g} MWh by hour {t} "
-                f"(window advance={window.advance}, delay={window.delay})")
-        running_min = min(running_min, float(ceiling[t]) - max_rate * t)
+    hours = np.arange(horizon)
+    # running_min[t] = min over t1 < t of ceiling[t1] - r*t1; the t1 = -1 term
+    # (ceiling 0 at the slot before the horizon) is r.
+    running_min = np.minimum.accumulate(
+        np.concatenate(([max_rate], ceiling[:-1] - max_rate * hours[:-1])))
+    short = floor - max_rate * hours > running_min + tol
+    if short.any():
+        t = int(np.argmax(short))
+        raise InfeasibleWindow(
+            f"flexible_load {load_id}: max charge rate {max_rate:g} MW cannot meet the "
+            f"cumulative floor of {floor[t]:g} MWh by hour {t} "
+            f"(window advance={window.advance}, delay={window.delay})")
 
 
 @dataclass(frozen=True)
@@ -105,11 +109,3 @@ class ChargingSchedule:
 
     def total_energy(self) -> float:
         return float(self.served.sum())
-
-    def scaled(self, factor: float) -> "ChargingSchedule":
-        return ChargingSchedule(
-            served=self.served * factor,
-            per_load={k: v * factor for k, v in self.per_load.items()},
-            source=self.source,
-            zone_ids=self.zone_ids,
-        )

@@ -271,12 +271,6 @@ class GridModel:
     def zone_ids(self) -> list[str]:
         return [z.id for z in self.zones]
 
-    def zone_index(self, zone_id: str) -> int:
-        for i, z in enumerate(self.zones):
-            if z.id == zone_id:
-                return i
-        raise KeyError(zone_id)
-
     def validate(self) -> None:
         if self.config is None:
             raise ValidationError("grid: config section is required")

@@ -21,14 +21,26 @@ carries its final simplex basis; passing it as ``warm_start`` to the solve of
 another LP of the same shape (typically the same matrix with a few bounds
 moved) starts dual simplex from that basis instead of from scratch.
 
-Solves are stateless: every solve builds a fresh HiGHS instance, an
-LpProblem is immutable once built, and both may be shared read-only across
-concurrent solves. A warm start only changes where the simplex starts; the
-optimum it reaches is an optimum of the problem passed in.
+Every solve builds a fresh HiGHS instance, and an LpProblem is immutable
+once built. A warm start only changes where the simplex starts; the optimum
+it reaches is an optimum of the problem passed in.
+
+Repeat solves are answered from a memo. Inside ``solve_memo_scope()`` (one
+per CLI command, and one per sweep cell), ``memo_solve`` keys each solve by
+a digest of the problem arrays plus the warm-start basis, if any, and
+returns the stored solution of an earlier identical solve instead of
+solving again. HiGHS is deterministic, so the stored solution is the one a
+new solve would return. Outside a scope, ``memo_solve`` is a plain
+``solve``. Solution arrays are read-only, so one solution can be shared by
+every caller that asked for it.
 """
 
 from __future__ import annotations
 
+import hashlib
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 
@@ -110,21 +122,23 @@ class LpProblem:
 
 
 class LpBuilder:
-    """Incremental LP assembly: add variables, then rows referencing them.
+    """Block-wise LP assembly: add variables, then rows referencing them.
 
-    Row coefficients are given as parallel (indices, values) sequences; the
-    builder rejects references to undeclared variables at add time so badly
-    indexed models fail fast, before any solve.
+    Rows are added in blocks. A block is a 2-D index array with one LP row
+    per array row, and a coefficient array that broadcasts to its shape; or a
+    tuple of such index arrays with equal row counts and a tuple of their
+    coefficients, whose rows are interleaved: row 0 of each in turn, then
+    row 1, and so on. Entries keep their order within a row. The builder
+    rejects references to undeclared variables at add time, so badly indexed
+    models fail fast, before any solve.
     """
 
     def __init__(self):
         self._cost: list[float] = []
         self._lb: list[float] = []
         self._ub: list[float] = []
-        self._eq_rows: list[tuple[list[int], list[float]]] = []
-        self._eq_rhs: list[float] = []
-        self._ub_rows: list[tuple[list[int], list[float]]] = []
-        self._ub_rhs: list[float] = []
+        self._eq = _RowBlocks()
+        self._le = _RowBlocks()
 
     @property
     def num_vars(self) -> int:
@@ -138,34 +152,27 @@ class LpBuilder:
 
     def add_vars(self, n: int, cost=0.0, lb=0.0, ub=np.inf) -> np.ndarray:
         """Add n variables sharing scalar or per-variable cost/bounds; returns index array."""
-        cost = np.broadcast_to(np.asarray(cost, dtype=float), (n,))
-        lb = np.broadcast_to(np.asarray(lb, dtype=float), (n,))
-        ub = np.broadcast_to(np.asarray(ub, dtype=float), (n,))
         start = len(self._cost)
-        self._cost.extend(cost.tolist())
-        self._lb.extend(lb.tolist())
-        self._ub.extend(ub.tolist())
+        self._cost.extend(_per_var(cost, n))
+        self._lb.extend(_per_var(lb, n))
+        self._ub.extend(_per_var(ub, n))
         return np.arange(start, start + n)
 
-    def _check_indices(self, idx) -> list[int]:
-        idx = [int(i) for i in idx]
-        n = len(self._cost)
-        for i in idx:
-            if i < 0 or i >= n:
-                raise ValueError(f"row references undeclared variable index {i} (have {n})")
-        return idx
+    def add_eq_rows(self, idx, coef, rhs) -> np.ndarray:
+        """Add one row sum(coef*x[idx]) == rhs per block row; returns the equality row indices."""
+        return self._eq.add(idx, coef, rhs, self.num_vars)
+
+    def add_le_rows(self, idx, coef, rhs) -> np.ndarray:
+        """Add one row sum(coef*x[idx]) <= rhs per block row; returns the inequality row indices."""
+        return self._le.add(idx, coef, rhs, self.num_vars)
 
     def add_eq(self, idx, coef, rhs: float) -> int:
         """Add sum(coef*x[idx]) == rhs; returns the equality row index."""
-        self._eq_rows.append((self._check_indices(idx), [float(v) for v in coef]))
-        self._eq_rhs.append(float(rhs))
-        return len(self._eq_rhs) - 1
+        return int(self.add_eq_rows(*_one_row(idx, coef), [rhs])[0])
 
     def add_le(self, idx, coef, rhs: float) -> int:
         """Add sum(coef*x[idx]) <= rhs; returns the inequality row index."""
-        self._ub_rows.append((self._check_indices(idx), [float(v) for v in coef]))
-        self._ub_rhs.append(float(rhs))
-        return len(self._ub_rhs) - 1
+        return int(self.add_le_rows(*_one_row(idx, coef), [rhs])[0])
 
     def set_cost(self, idx: int, cost: float) -> None:
         self._cost[idx] = float(cost)
@@ -176,32 +183,78 @@ class LpBuilder:
 
     def build(self) -> LpProblem:
         n = len(self._cost)
-
-        def to_csr(rows, nrows):
-            indptr = [0]
-            indices: list[int] = []
-            data: list[float] = []
-            for idx, coef in rows:
-                if len(idx) != len(coef):
-                    raise ValueError("row indices and coefficients differ in length")
-                indices.extend(idx)
-                data.extend(coef)
-                indptr.append(len(indices))
-            return sp.csr_matrix(
-                (np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int32),
-                 np.asarray(indptr, dtype=np.int32)),
-                shape=(nrows, n),
-            )
-
         return LpProblem(
             c=np.asarray(self._cost, dtype=float),
-            A_eq=to_csr(self._eq_rows, len(self._eq_rhs)),
-            b_eq=np.asarray(self._eq_rhs, dtype=float),
-            A_ub=to_csr(self._ub_rows, len(self._ub_rhs)),
-            b_ub=np.asarray(self._ub_rhs, dtype=float),
+            A_eq=self._eq.csr(n),
+            b_eq=self._eq.rhs(),
+            A_ub=self._le.csr(n),
+            b_ub=self._le.rhs(),
             lb=np.asarray(self._lb, dtype=float),
             ub=np.asarray(self._ub, dtype=float),
         )
+
+
+def _per_var(value, n: int) -> list[float]:
+    if np.ndim(value) == 0:
+        return [float(value)] * n
+    return np.broadcast_to(np.asarray(value, dtype=float), (n,)).tolist()
+
+
+def _one_row(idx, coef) -> tuple[np.ndarray, np.ndarray]:
+    idx = np.asarray(idx, dtype=np.int64).reshape(1, -1)
+    coef = np.asarray(coef, dtype=float).reshape(1, -1)
+    if idx.shape != coef.shape:
+        raise ValueError("row indices and coefficients differ in length")
+    return idx, coef
+
+
+class _RowBlocks:
+    """The rows of one sense as blocks of (row lengths, flat indices, flat coefficients, rhs)."""
+
+    def __init__(self):
+        self.num_rows = 0
+        self._lengths: list[np.ndarray] = []
+        self._indices: list[np.ndarray] = []
+        self._data: list[np.ndarray] = []
+        self._rhs: list[np.ndarray] = []
+
+    def add(self, idx, coef, rhs, num_vars: int) -> np.ndarray:
+        if not isinstance(idx, tuple):
+            idx, coef = (idx,), (coef,)
+        families = [np.asarray(i, dtype=np.int64) for i in idx]
+        if any(f.ndim != 2 for f in families) or len({f.shape[0] for f in families}) > 1:
+            raise ValueError("row blocks must be 2-D index arrays with equal row counts")
+        values = [np.broadcast_to(np.asarray(c, dtype=float), f.shape)
+                  for f, c in zip(families, coef, strict=True)]
+        nrows = families[0].shape[0]
+        rhs = np.asarray(rhs, dtype=float).reshape(-1)
+        if rhs.shape[0] != nrows * len(families):
+            raise ValueError(f"{rhs.shape[0]} right-hand sides for {nrows * len(families)} rows")
+        flat = np.concatenate(families, axis=1).reshape(-1)
+        bad = (flat < 0) | (flat >= num_vars)
+        if bad.any():
+            raise ValueError(f"row references undeclared variable index "
+                             f"{int(flat[np.argmax(bad)])} (have {num_vars})")
+        self._lengths.append(np.tile([f.shape[1] for f in families], nrows))
+        self._indices.append(flat)
+        self._data.append(np.concatenate(values, axis=1).reshape(-1))
+        self._rhs.append(rhs)
+        start = self.num_rows
+        self.num_rows += rhs.shape[0]
+        return np.arange(start, self.num_rows)
+
+    def rhs(self) -> np.ndarray:
+        return np.concatenate(self._rhs) if self._rhs else np.zeros(0)
+
+    def csr(self, num_vars: int) -> sp.csr_matrix:
+        indptr = np.zeros(self.num_rows + 1, dtype=np.int32)
+        if self._lengths:
+            np.cumsum(np.concatenate(self._lengths), out=indptr[1:])
+            indices = np.concatenate(self._indices).astype(np.int32)
+            data = np.concatenate(self._data)
+        else:
+            indices, data = np.zeros(0, dtype=np.int32), np.zeros(0)
+        return sp.csr_matrix((data, indices, indptr), shape=(self.num_rows, num_vars))
 
 
 @dataclass(frozen=True)
@@ -332,18 +385,70 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None) -> LpSolutio
     row_dual = np.array(solution.row_dual)
     mu = row_dual[problem.num_ub:]
     gamma = -row_dual[:problem.num_ub]
-    return LpSolution(
-        status=SolveStatus.OPTIMAL,
+    arrays = dict(
         x=x,
-        objective_value=float(problem.c @ x),
         eq_duals=mu,
         ineq_duals=gamma,
         # Recomputed from the row duals so (x, duals, reduced costs) agree by construction.
         reduced_costs=_reduced_costs(problem, mu, gamma),
         col_status=_status_codes(basis.col_status),
         row_status=_status_codes(basis.row_status),
-        iterations=iterations,
     )
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return LpSolution(status=SolveStatus.OPTIMAL, objective_value=float(problem.c @ x),
+                      iterations=iterations, **arrays)
+
+
+def _memo_key(problem: LpProblem, warm_start: LpSolution | None) -> bytes:
+    h = hashlib.blake2b(digest_size=32)
+    for arr in (problem.c, problem.b_eq, problem.b_ub, problem.lb, problem.ub):
+        h.update(repr(arr.shape).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    for mat in (problem.A_eq, problem.A_ub):
+        h.update(repr(mat.shape).encode())
+        for arr in (mat.data, mat.indices, mat.indptr):
+            h.update(repr(arr.shape).encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+    if warm_start is None:
+        h.update(b"cold")
+    else:
+        for arr in (warm_start.col_status, warm_start.row_status):
+            h.update(b"-" if arr is None else repr(arr.shape).encode() + arr.tobytes())
+    return h.digest()
+
+
+# Solutions of the innermost open solve_memo_scope, by _memo_key. A context
+# variable rather than a parameter, so the metrics and the scheduler share it
+# without passing it through every call; the scope resets it on exit.
+_MEMO: ContextVar[dict[bytes, LpSolution] | None] = ContextVar("gridmarg_solve_memo",
+                                                               default=None)
+
+
+@contextmanager
+def solve_memo_scope() -> Iterator[None]:
+    """Share one fresh solve memo among the memo_solve calls inside the with block."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def memo_solve(problem: LpProblem, warm_start: LpSolution | None = None) -> LpSolution:
+    """solve() through the memo of the open scope; a plain solve() outside any scope.
+
+    The key covers the warm-start basis: the same LP solved from another
+    basis, or cold instead of warm, is solved again, since it may end at a
+    different optimal vertex.
+    """
+    memo = _MEMO.get()
+    if memo is None:
+        return solve(problem, warm_start=warm_start)
+    key = _memo_key(problem, warm_start)
+    if key not in memo:
+        memo[key] = solve(problem, warm_start=warm_start)
+    return memo[key]
 
 
 @dataclass(frozen=True)

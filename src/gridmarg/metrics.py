@@ -36,9 +36,9 @@ from . import lp
 from .errors import (CostCapInfeasible, DegenerateDelta, InfeasibleModel,
                      InfeasiblePerturbation, UnknownZone, ZeroDemand)
 from .grid import GridModel
-from .planner import (DispatchResult, FixedCapacities, ScaleEV, UniformAll,
-                      atomic_write_text, build_expansion_lp, build_operational_lp,
-                      decode_solution, degenerate_hour_mask, perturb_demand, solve_model)
+from .planner import (DispatchResult, FixedCapacities, ScaleEV, UniformAll, _fmt,
+                      _resolve_zones, atomic_write_text, build_expansion_lp,
+                      build_operational_lp, degenerate_hour_mask, perturb_demand, solve_model)
 
 SRME1 = "SRME1"
 SRME2 = "SRME2"
@@ -106,7 +106,7 @@ def flex_served_by_zone(grid: GridModel, result: DispatchResult) -> np.ndarray:
 
 
 def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities,
-                 zones="all", base_result: DispatchResult | None = None) -> EmissionRateSeries:
+                 zones="all") -> EmissionRateSeries:
     """SRME1: per-zone uniform perturbation rates on a fixed-capacity system.
 
     rate[z,t] = (hourly system emissions, perturbed - base)
@@ -116,26 +116,18 @@ def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities,
     there). One perturbed operational solve per requested zone.
     """
     zone_ids = grid.zone_ids()
-    if zones == "all" or zones is None:
-        targets = list(zone_ids)
-    elif isinstance(zones, str):
-        targets = [zones]
-    else:
-        targets = list(zones)
-    unknown = set(targets) - set(zone_ids)
-    if unknown:
-        raise UnknownZone(f"unknown zone id(s): {sorted(unknown)}")
+    targets = _resolve_zones(grid, zones)
 
     frac = grid.config.srme1_fraction
     base_model = build_operational_lp(grid, fixed_capacities)
-    if base_result is None:
-        base_result = solve_model(base_model)
+    base_result = solve_model(base_model)
     base_hourly = base_result.zonal_emissions.sum(axis=0)
 
     rates = np.zeros((len(zone_ids), grid.horizon))
     alt = np.zeros_like(rates)
-    for zone_id in targets:
-        zi = zone_ids.index(zone_id)
+    for zi, zone_id in enumerate(zone_ids):
+        if zone_id not in targets:
+            continue
         pert_grid = perturb_demand(grid, [zone_id], UniformAll(frac))
         try:
             pert = solve_model(build_operational_lp(pert_grid, fixed_capacities))
@@ -163,11 +155,8 @@ def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities,
 def srme_dual(grid: GridModel, fixed_capacities: FixedCapacities) -> EmissionRateSeries:
     """SRME2: dual-based rates for every zone and hour from two operational solves."""
     model = build_operational_lp(grid, fixed_capacities)
-    sol1 = lp.solve(model.problem)
-    if sol1.status is not lp.SolveStatus.OPTIMAL:
-        raise InfeasibleModel(f"operational base solve: {sol1.status.value}",
-                              mode=model.mode)
-    base = decode_solution(model, sol1)
+    base = solve_model(model)
+    sol1 = base.solution
     cbar = sol1.objective_value
     # Slight relative slack keeps the cap numerically feasible at the optimum
     # (absolute floor covers zero-cost systems) without materially moving duals.
@@ -179,7 +168,7 @@ def srme_dual(grid: GridModel, fixed_capacities: FixedCapacities) -> EmissionRat
                                      cap, new_cost=model.emissions_coeffs)
     else:
         prob2 = replace(model.problem, c=model.emissions_coeffs)
-    sol2 = lp.solve(prob2)
+    sol2 = lp.memo_solve(prob2)
     if sol2.status is not lp.SolveStatus.OPTIMAL:
         raise CostCapInfeasible(
             f"emissions-minimizing solve under cost cap {cap:g}: {sol2.status.value}")
@@ -301,10 +290,6 @@ def icev_comparison(report: ConsequentialReport, n_vehicles: float,
 
 
 # --- files -------------------------------------------------------------------
-
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
-
 
 def write_srme_csv(series: EmissionRateSeries, path) -> None:
     """hour,zone,method,rate_tco2_per_mwh; 12 significant digits round-trip."""

@@ -178,6 +178,14 @@ def _pin(fixed: FixedCapacities, table: str, key: str) -> float:
     return float(mapping[key])
 
 
+def _row(terms: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """One row from (variables, shared coefficient) terms, in term order."""
+    if not terms:
+        return np.zeros(0, dtype=int), np.zeros(0)
+    return (np.concatenate([vars_ for vars_, _ in terms]),
+            np.concatenate([np.full(len(vars_), c) for vars_, c in terms]))
+
+
 def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> ExpansionModel:
     try:
         grid.validate()
@@ -191,8 +199,19 @@ def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> Expansi
     ix = ModelIndex()
     emis: list[tuple[np.ndarray, float]] = []
     cost_offset = 0.0
+    zeros = np.zeros(horizon)
+    prev_hour = np.roll(np.arange(horizon), 1)   # cyclic wrap: hour 0 follows hour H-1
 
-    # Per-zone injection terms accumulated for balance rows: (zone, t) -> [(var, coef)].
+    def each_hour(var: int) -> np.ndarray:
+        return np.full(horizon, var)
+
+    def capped(vars_: np.ndarray, new: int | None):
+        """Hourly rows vars_[t] - new <= existing (no new column: vars_[t] <= existing)."""
+        if new is None:
+            return vars_[:, None], (1.0,)
+        return np.column_stack((vars_, each_hour(new))), (1.0, -1.0)
+
+    # Per-zone injection terms accumulated for balance rows: zone -> [(vars, coef)].
     inject: dict[str, list[tuple[np.ndarray, float]]] = {z.id: [] for z in grid.zones}
 
     for gen in grid.generators:
@@ -217,38 +236,45 @@ def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> Expansi
         if expansion:
             cost_offset += gen.fixed_om * gen.existing_cap_mw
 
-        avail = gen.availability(horizon)
+        avail = np.asarray(gen.availability(horizon), dtype=float)
         if gen.has_commitment:
             uvars = b.add_vars(horizon)
             svars = b.add_vars(horizon, cost=gen.startup_cost)
             ix.commit[gen.id] = uvars
             ix.startup[gen.id] = svars
-            for t in range(horizon):
-                b.add_le([gvars[t], uvars[t]], [1.0, -1.0], 0.0)
-                if gen.min_stable_fraction > 0:
-                    b.add_le([uvars[t], gvars[t]], [gen.min_stable_fraction, -1.0], 0.0)
-                idx = [uvars[t]]
-                coef = [1.0]
-                if n_idx is not None:
-                    idx.append(n_idx)
-                    coef.append(-1.0)
-                if r_idx is not None:
-                    idx.append(r_idx)
-                    coef.append(1.0)
-                b.add_le(idx, coef, gen.existing_cap_mw)
-                prev = uvars[t - 1] if t > 0 else uvars[horizon - 1]
-                b.add_le([uvars[t], prev, svars[t]], [1.0, -1.0, -1.0], 0.0)
+            # Per hour, in order: gen <= u, min_stable*u <= gen, u <= surviving
+            # capacity, u_t - u_{t-1} <= s_t.
+            idx = [np.column_stack((gvars, uvars))]
+            coef = [(1.0, -1.0)]
+            rhs = [0.0]
+            if gen.min_stable_fraction > 0:
+                idx.append(np.column_stack((uvars, gvars)))
+                coef.append((gen.min_stable_fraction, -1.0))
+                rhs.append(0.0)
+            cap_idx, cap_coef = [uvars], [1.0]
+            if n_idx is not None:
+                cap_idx.append(each_hour(n_idx))
+                cap_coef.append(-1.0)
+            if r_idx is not None:
+                cap_idx.append(each_hour(r_idx))
+                cap_coef.append(1.0)
+            idx.append(np.column_stack(cap_idx))
+            coef.append(cap_coef)
+            rhs.append(gen.existing_cap_mw)
+            idx.append(np.column_stack((uvars, uvars[prev_hour], svars)))
+            coef.append((1.0, -1.0, -1.0))
+            rhs.append(0.0)
+            b.add_le_rows(tuple(idx), tuple(coef), np.tile(rhs, horizon))
         else:
-            for t in range(horizon):
-                idx = [gvars[t]]
-                coef = [1.0]
-                if n_idx is not None:
-                    idx.append(n_idx)
-                    coef.append(-float(avail[t]))
-                if r_idx is not None:
-                    idx.append(r_idx)
-                    coef.append(float(avail[t]))
-                b.add_le(idx, coef, float(avail[t]) * gen.existing_cap_mw)
+            idx, coef = [gvars], [np.ones(horizon)]
+            if n_idx is not None:
+                idx.append(each_hour(n_idx))
+                coef.append(-avail)
+            if r_idx is not None:
+                idx.append(each_hour(r_idx))
+                coef.append(avail)
+            b.add_le_rows(np.column_stack(idx), np.column_stack(coef),
+                          avail * gen.existing_cap_mw)
 
     for sto in grid.storage_units:
         ch = b.add_vars(horizon)
@@ -268,24 +294,13 @@ def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> Expansi
             ix.new_storage_power[sto.id] = p_idx
             ix.new_storage_energy[sto.id] = e_idx
 
-        for t in range(horizon):
-            for var in (ch[t], dis[t]):
-                idx = [var]
-                coef = [1.0]
-                if p_idx is not None:
-                    idx.append(p_idx)
-                    coef.append(-1.0)
-                b.add_le(idx, coef, sto.existing_power_mw)
-            idx = [soc[t]]
-            coef = [1.0]
-            if e_idx is not None:
-                idx.append(e_idx)
-                coef.append(-1.0)
-            b.add_le(idx, coef, sto.existing_energy_mwh)
-            prev = soc[t - 1] if t > 0 else soc[horizon - 1]  # cyclic wrap
-            b.add_eq([soc[t], prev, ch[t], dis[t]],
-                     [1.0, -1.0, -sto.charge_efficiency, 1.0 / sto.discharge_efficiency],
-                     0.0)
+        # Per hour, in order: charge, discharge and state-of-charge caps.
+        idx, coef = zip(capped(ch, p_idx), capped(dis, p_idx), capped(soc, e_idx))
+        b.add_le_rows(idx, coef, np.tile([sto.existing_power_mw, sto.existing_power_mw,
+                                          sto.existing_energy_mwh], horizon))
+        b.add_eq_rows(np.column_stack((soc, soc[prev_hour], ch, dis)),
+                      (1.0, -1.0, -sto.charge_efficiency, 1.0 / sto.discharge_efficiency),
+                      zeros)
 
     for line in grid.lines:
         fwd = b.add_vars(horizon)
@@ -302,14 +317,9 @@ def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> Expansi
             if not expansion:
                 b.fix_var(l_idx, _pin(fixed, "lines", line.id))
             ix.new_line[line.id] = l_idx
-        for t in range(horizon):
-            for var in (fwd[t], bwd[t]):
-                idx = [var]
-                coef = [1.0]
-                if l_idx is not None:
-                    idx.append(l_idx)
-                    coef.append(-1.0)
-                b.add_le(idx, coef, line.capacity_mw)
+        # Per hour, in order: forward and backward flow caps.
+        idx, coef = zip(capped(fwd, l_idx), capped(bwd, l_idx))
+        b.add_le_rows(idx, coef, np.full(2 * horizon, line.capacity_mw))
 
     if cfg.nse_penalty is not None:
         for zone in grid.zones:
@@ -334,50 +344,36 @@ def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> Expansi
             ceiling[-1] = total
             cum = b.add_vars(horizon, lb=floor, ub=ceiling)
             b.add_eq([cum[0], served[0]], [1.0, -1.0], 0.0)
-            for t in range(1, horizon):
-                b.add_eq([cum[t], cum[t - 1], served[t]], [1.0, -1.0, -1.0], 0.0)
+            b.add_eq_rows(np.column_stack((cum[1:], cum[:-1], served[1:])),
+                          (1.0, -1.0, -1.0), zeros[1:])
         ix.served[load.id] = served
         inject[load.zone_id].append((served, -1.0))
 
     # Power balance: one equality per (zone, hour).
     for zone in grid.zones:
-        rows = np.empty(horizon, dtype=int)
         terms = inject[zone.id]
-        for t in range(horizon):
-            idx = [int(vars_[t]) for vars_, _ in terms]
-            coef = [c for _, c in terms]
-            rows[t] = b.add_eq(idx, coef, float(zone.demand[t]))
-        ix.balance_rows[zone.id] = rows
+        idx = (np.column_stack([vars_ for vars_, _ in terms]) if terms
+               else np.zeros((horizon, 0), dtype=int))
+        ix.balance_rows[zone.id] = b.add_eq_rows(idx, [c for _, c in terms], zone.demand)
 
     # Zonal clean-share floors: clean generation >= share * consumption.
     for zone in grid.zones:
         share = zone.clean_share_min
         if share <= 0:
             continue
-        idx: list[int] = []
-        coef: list[float] = []
-        for gen in grid.generators:
-            if gen.zone_id == zone.id and gen.is_clean:
-                idx.extend(int(v) for v in ix.gen[gen.id])
-                coef.extend([-1.0] * horizon)
+        terms = [(ix.gen[gen.id], -1.0) for gen in grid.generators
+                 if gen.zone_id == zone.id and gen.is_clean]
         if zone.id in ix.nse:
-            idx.extend(int(v) for v in ix.nse[zone.id])
-            coef.extend([-share] * horizon)
-        for load in grid.flexible_loads:
-            if load.zone_id == zone.id:
-                idx.extend(int(v) for v in ix.served[load.id])
-                coef.extend([share] * horizon)
-        ix.clean_share_rows[zone.id] = b.add_le(idx, coef, -share * float(np.sum(zone.demand)))
+            terms.append((ix.nse[zone.id], -share))
+        terms += [(ix.served[load.id], share) for load in grid.flexible_loads
+                  if load.zone_id == zone.id]
+        ix.clean_share_rows[zone.id] = b.add_le(*_row(terms), -share * float(np.sum(zone.demand)))
 
     if cfg.co2_cap_tons is not None:
-        idx = []
-        coef = []
-        for gen in grid.generators:
-            if gen.emissions_factor:
-                idx.extend(int(v) for v in ix.gen[gen.id])
-                coef.extend([gen.emissions_factor] * horizon)
-        if idx:
-            ix.co2_cap_row = b.add_le(idx, coef, float(cfg.co2_cap_tons))
+        terms = [(ix.gen[gen.id], gen.emissions_factor) for gen in grid.generators
+                 if gen.emissions_factor]
+        if terms:
+            ix.co2_cap_row = b.add_le(*_row(terms), float(cfg.co2_cap_tons))
 
     problem = b.build()
     emissions_coeffs = np.zeros(problem.num_vars)
@@ -441,9 +437,11 @@ def solve_model(model: ExpansionModel, warm_start: lp.LpSolution | None = None) 
     """Solve and decode; emissions are recomputed from primal generation, never duals.
 
     warm_start is handed to lp.solve: the solution of a same-shaped LP whose
-    basis seeds this solve.
+    basis seeds this solve. The solve goes through lp.memo_solve, so a repeat
+    within one memo scope returns the earlier solution, decoded with this
+    model (whose cost offset may differ).
     """
-    sol = lp.solve(model.problem, warm_start=warm_start)
+    sol = lp.memo_solve(model.problem, warm_start=warm_start)
     if sol.status is lp.SolveStatus.INFEASIBLE:
         raise InfeasibleModel(f"{model.mode} model infeasible", mode=model.mode)
     if sol.status is lp.SolveStatus.UNBOUNDED:

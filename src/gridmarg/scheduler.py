@@ -26,7 +26,7 @@ from .flex import ChargingSchedule, ScheduleSource
 from .grid import GridModel
 from .metrics import (SRME1, SRME2, ConsequentialReport, EmissionRateSeries, long_run_mer,
                       srme_dual, srme_uniform)
-from .planner import (DispatchResult, FixedCapacities, ScaleEV, atomic_write_text,
+from .planner import (DispatchResult, FixedCapacities, ScaleEV, _fmt, atomic_write_text,
                       build_operational_lp, solve_model)
 from . import lp
 
@@ -200,13 +200,13 @@ def write_schedule_csv(schedule: ChargingSchedule, path) -> None:
     horizon = schedule.served.shape[1]
     for zi, zid in enumerate(schedule.zone_ids):
         for t in range(horizon):
-            rows.append(f"{t},{zid},{schedule.source.value},{schedule.served[zi, t]:.12g}")
+            rows.append(f"{t},{zid},{schedule.source.value},{_fmt(schedule.served[zi, t])}")
     atomic_write_text(Path(path), "\n".join(rows) + "\n")
 
 
 def write_trace_csv(trace: IterationTrace, path) -> None:
     rows = ["iteration,consequential_tco2,rel_change,schedule_delta_norm"]
     for rec in trace.records:
-        rows.append(f"{rec.iteration},{rec.consequential_tco2:.12g},"
-                    f"{rec.rel_change:.12g},{rec.schedule_delta_norm:.12g}")
+        rows.append(f"{rec.iteration},{_fmt(rec.consequential_tco2)},"
+                    f"{_fmt(rec.rel_change)},{_fmt(rec.schedule_delta_norm)}")
     atomic_write_text(Path(path), "\n".join(rows) + "\n")

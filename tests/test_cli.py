@@ -297,3 +297,48 @@ def test_module_entry_point_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == pytest.approx(3048.0 / 3720.0, abs=1e-10)
+
+
+def test_srme2_unbounded_base_solve_exits_3(tmp_path, monkeypatch):
+    # The expansion solve is real; the operational base of SRME2 (a different
+    # LP, since wind is buildable) comes back unbounded.
+    scenario = scenario_file(tmp_path, breakeven_wind())
+    real = lp.solve
+    calls = []
+
+    def first_real_then_unbounded(problem, warm_start=None):
+        calls.append(problem)
+        if len(calls) == 1:
+            return real(problem, warm_start=warm_start)
+        return lp.LpSolution(status=lp.SolveStatus.UNBOUNDED)
+    monkeypatch.setattr(lp, "solve", first_real_then_unbounded)
+    assert main(["metrics", scenario, "--method", "srme2", "--out", str(tmp_path / "o")]) == 3
+    assert len(calls) == 2
+
+
+def test_bad_threads_env_fails_sweep_alone(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("GRIDMARG_THREADS", "two")
+    assert main(["validate", str(TUTORIAL)]) == 0
+    assert main(["metrics", str(TUTORIAL), "--method", "aer", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["sweep", str(TUTORIAL), "--out", str(tmp_path / "sweep")]) == 1
+    err = capsys.readouterr().err
+    assert "GRIDMARG_THREADS" in err and "'two'" in err
+    assert not (tmp_path / "sweep").exists()
+    # An explicit, valid --parallel does not read the variable.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ev_multipliers": [1.0]}))
+    assert main(["sweep", str(TUTORIAL), "--spec", str(spec), "--parallel", "1",
+                 "--out", str(tmp_path / "sweep")]) == 0
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "1.5"])
+def test_parallel_below_one_is_a_usage_error(workers, monkeypatch, capsys, tmp_path):
+    monkeypatch.delenv("GRIDMARG_THREADS", raising=False)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(TUTORIAL), "--parallel", workers, "--out", str(out)]) == 1
+    assert "worker count" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setenv("GRIDMARG_THREADS", workers)
+    assert main(["sweep", str(TUTORIAL), "--out", str(out)]) == 1
+    assert not out.exists()

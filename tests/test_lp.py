@@ -238,3 +238,75 @@ def test_warm_solves_report_infeasible_and_unbounded_like_cold_ones():
         for start in starts:
             assert start.status is SolveStatus.OPTIMAL
             assert solve(problem, warm_start=start).status is status
+
+
+# --- the per-scope solve memo --------------------------------------------------------
+
+@pytest.fixture
+def backend_calls(monkeypatch):
+    """Count the solves that reach the backend (lp.solve) while delegating to it."""
+    import gridmarg.lp as lp_module
+    calls = []
+    real = lp_module.solve
+
+    def counting(problem, warm_start=None):
+        calls.append(warm_start)
+        return real(problem, warm_start=warm_start)
+    monkeypatch.setattr(lp_module, "solve", counting)
+    return calls
+
+
+def test_memo_hit_returns_the_earlier_solution_without_solving(backend_calls):
+    from gridmarg.lp import memo_solve, solve_memo_scope
+    with solve_memo_scope():
+        first = memo_solve(merit_order_problem())
+        again = memo_solve(merit_order_problem())   # equal arrays, separate objects
+    assert again is first
+    assert len(backend_calls) == 1
+
+
+def test_memo_keeps_cold_and_each_warm_start_basis_apart(backend_calls):
+    from gridmarg.lp import memo_solve, solve_memo_scope
+    problem = _two_var([1.0, 2.0], [5.0, 5.0], [1.0, 1.0], 4.0)
+    with solve_memo_scope():
+        start_a = memo_solve(_two_var([1.0, 1.0], [5.0, 5.0], [1.0, 1.0], 4.0))
+        start_b = memo_solve(_two_var([-1.0, -1.0], [5.0, 5.0], [1.0, 1.0], 4.0))
+        assert not np.array_equal(start_a.row_status, start_b.row_status)
+        backend_calls.clear()
+        memo_solve(problem)
+        memo_solve(problem, warm_start=start_a)
+        memo_solve(problem, warm_start=start_b)
+        assert len(backend_calls) == 3
+        memo_solve(problem, warm_start=start_b)
+        memo_solve(problem)
+        assert len(backend_calls) == 3
+
+
+def test_memo_solve_outside_a_scope_always_solves(backend_calls):
+    from gridmarg.lp import memo_solve
+    memo_solve(merit_order_problem())
+    memo_solve(merit_order_problem())
+    assert len(backend_calls) == 2
+
+
+def test_no_memo_entry_outlives_its_cli_command(backend_calls, tmp_path):
+    from gridmarg.cli import main
+    from gridmarg.lp import memo_solve
+    argv = ["metrics", str(TUTORIAL), "--method", "srme1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    first = len(backend_calls)
+    # The tutorial builds nothing, so its operational base repeats the expansion LP.
+    assert first == 1 + 2   # expansion (= operational base), one perturbed solve per zone
+    assert main(argv) == 0
+    assert len(backend_calls) == 2 * first
+    memo_solve(merit_order_problem())
+    memo_solve(merit_order_problem())
+    assert len(backend_calls) == 2 * first + 2
+
+
+def test_solution_arrays_are_read_only():
+    sol = solve(merit_order_problem())
+    for name in ("x", "eq_duals", "ineq_duals", "reduced_costs", "col_status", "row_status"):
+        arr = getattr(sol, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0

@@ -365,3 +365,11 @@ def test_consequential_json_written(tmp_path):
     data = json.loads(path.read_text())
     assert data["lr_mer_tco2_per_mwh"] == pytest.approx(0.25)
     assert "capacity_deltas" in data
+
+
+def test_srme2_unbounded_base_solve_raises_unbounded(monkeypatch):
+    from gridmarg.errors import UnboundedModel
+    monkeypatch.setattr(lp, "solve", lambda problem, warm_start=None:
+                        lp.LpSolution(status=lp.SolveStatus.UNBOUNDED))
+    with pytest.raises(UnboundedModel):
+        srme_dual(merit_stack(), FixedCapacities.none())

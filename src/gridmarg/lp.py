@@ -30,14 +30,18 @@ per CLI command, and one per sweep cell), ``memo_solve`` keys each solve by
 a digest of the problem arrays plus the warm-start basis, if any, and
 returns the stored solution of an earlier identical solve instead of
 solving again. HiGHS is deterministic, so the stored solution is the one a
-new solve would return. Outside a scope, ``memo_solve`` is a plain
-``solve``. Solution arrays are read-only, so one solution can be shared by
-every caller that asked for it.
+new solve would return. A nested scope (``solve_memo_scope(nested=True)``,
+one per scheduler pass) reads the enclosing scope's solutions but drops its
+own when it ends, so solves that cannot recur are not kept for the rest of
+the command. Outside a scope, ``memo_solve`` is a plain ``solve``.
+Solution arrays are read-only, so one solution can be shared by every
+caller that asked for it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import ChainMap
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -152,10 +156,13 @@ class LpBuilder:
 
     def add_vars(self, n: int, cost=0.0, lb=0.0, ub=np.inf) -> np.ndarray:
         """Add n variables sharing scalar or per-variable cost/bounds; returns index array."""
+        cost = np.broadcast_to(np.asarray(cost, dtype=float), (n,))
+        lb = np.broadcast_to(np.asarray(lb, dtype=float), (n,))
+        ub = np.broadcast_to(np.asarray(ub, dtype=float), (n,))
         start = len(self._cost)
-        self._cost.extend(_per_var(cost, n))
-        self._lb.extend(_per_var(lb, n))
-        self._ub.extend(_per_var(ub, n))
+        self._cost.extend(cost.tolist())
+        self._lb.extend(lb.tolist())
+        self._ub.extend(ub.tolist())
         return np.arange(start, start + n)
 
     def add_eq_rows(self, idx, coef, rhs) -> np.ndarray:
@@ -192,12 +199,6 @@ class LpBuilder:
             lb=np.asarray(self._lb, dtype=float),
             ub=np.asarray(self._ub, dtype=float),
         )
-
-
-def _per_var(value, n: int) -> list[float]:
-    if np.ndim(value) == 0:
-        return [float(value)] * n
-    return np.broadcast_to(np.asarray(value, dtype=float), (n,)).tolist()
 
 
 def _one_row(idx, coef) -> tuple[np.ndarray, np.ndarray]:
@@ -418,17 +419,27 @@ def _memo_key(problem: LpProblem, warm_start: LpSolution | None) -> bytes:
     return h.digest()
 
 
-# Solutions of the innermost open solve_memo_scope, by _memo_key. A context
-# variable rather than a parameter, so the metrics and the scheduler share it
-# without passing it through every call; the scope resets it on exit.
-_MEMO: ContextVar[dict[bytes, LpSolution] | None] = ContextVar("gridmarg_solve_memo",
-                                                               default=None)
+# Solutions visible to the innermost open solve_memo_scope, by _memo_key; new
+# entries go to its first map. A context variable rather than a parameter, so
+# the metrics and the scheduler share it without passing it through every
+# call; the scope resets it on exit.
+_MEMO: ContextVar[ChainMap[bytes, LpSolution] | None] = ContextVar("gridmarg_solve_memo",
+                                                                   default=None)
 
 
 @contextmanager
-def solve_memo_scope() -> Iterator[None]:
-    """Share one fresh solve memo among the memo_solve calls inside the with block."""
-    token = _MEMO.set({})
+def solve_memo_scope(nested: bool = False) -> Iterator[None]:
+    """Share one fresh solve memo among the memo_solve calls inside the with block.
+
+    With nested=True the block also sees the solutions of the enclosing
+    scope, and the ones it adds are dropped when it ends. Outside any scope
+    a nested scope memoizes nothing.
+    """
+    outer = _MEMO.get()
+    if nested and outer is None:
+        yield
+        return
+    token = _MEMO.set(outer.new_child() if nested else ChainMap())
     try:
         yield
     finally:

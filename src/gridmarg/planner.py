@@ -436,10 +436,10 @@ class DispatchResult:
 def solve_model(model: ExpansionModel, warm_start: lp.LpSolution | None = None) -> DispatchResult:
     """Solve and decode; emissions are recomputed from primal generation, never duals.
 
-    warm_start is handed to lp.solve: the solution of a same-shaped LP whose
-    basis seeds this solve. The solve goes through lp.memo_solve, so a repeat
-    within one memo scope returns the earlier solution, decoded with this
-    model (whose cost offset may differ).
+    warm_start is handed to lp.memo_solve (and from there to lp.solve on a
+    miss): the solution of a same-shaped LP whose basis seeds this solve. A
+    repeat within one memo scope returns the earlier solution, decoded with
+    this model (whose cost offset may differ).
     """
     sol = lp.memo_solve(model.problem, warm_start=warm_start)
     if sol.status is lp.SolveStatus.INFEASIBLE:

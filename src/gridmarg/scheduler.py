@@ -133,12 +133,15 @@ def schedule_min_srme(grid: GridModel, fixed_capacities: FixedCapacities,
     records: list[IterationRecord] = []
     converged = False
     for iteration in range(1, cfg.max_iterations + 1):
-        rates = _rates(grid, fixed_capacities, method, per_load, rate_zones)
-        c2 = base_cost.copy()
-        for load in grid.flexible_loads:
-            zi = zone_ids.index(load.zone_id)
-            c2[model.index.served[load.id]] += penalty * rates.rates[zi]
-        new_result = solve_model(replace(model, problem=replace(model.problem, c=c2)))
+        # The rate and penalty solves of one pass recur only if a schedule
+        # does; the consequential checks recur in the next pass's rates.
+        with lp.solve_memo_scope(nested=True):
+            rates = _rates(grid, fixed_capacities, method, per_load, rate_zones)
+            c2 = base_cost.copy()
+            for load in grid.flexible_loads:
+                zi = zone_ids.index(load.zone_id)
+                c2[model.index.served[load.id]] += penalty * rates.rates[zi]
+            new_result = solve_model(replace(model, problem=replace(model.problem, c=c2)))
         new_per_load = {fid: arr.copy() for fid, arr in new_result.flex_served.items()}
 
         def proxy(profiles: dict[str, np.ndarray]) -> float:

@@ -289,6 +289,25 @@ def test_memo_solve_outside_a_scope_always_solves(backend_calls):
     assert len(backend_calls) == 2
 
 
+def test_nested_memo_scope_reads_the_outer_scope_and_drops_its_own(backend_calls):
+    from gridmarg.lp import memo_solve, solve_memo_scope
+    other = _two_var([1.0, 2.0], [5.0, 5.0], [1.0, 1.0], 4.0)
+    with solve_memo_scope():
+        outer = memo_solve(merit_order_problem())
+        with solve_memo_scope(nested=True):
+            assert memo_solve(merit_order_problem()) is outer
+            inner = memo_solve(other)
+            assert memo_solve(other) is inner
+        assert len(backend_calls) == 2
+        assert memo_solve(other) is not inner
+        assert memo_solve(merit_order_problem()) is outer
+        assert len(backend_calls) == 3
+    with solve_memo_scope(nested=True):   # outside any scope it memoizes nothing
+        memo_solve(other)
+        memo_solve(other)
+    assert len(backend_calls) == 5
+
+
 def test_no_memo_entry_outlives_its_cli_command(backend_calls, tmp_path):
     from gridmarg.cli import main
     from gridmarg.lp import memo_solve

@@ -186,6 +186,31 @@ def test_consequential_check_uses_pinned_operational_solves():
     assert delta > 0
 
 
+def test_memo_keeps_only_the_cost_and_check_solves_of_the_penalty_loop(monkeypatch):
+    from gridmarg import lp
+    solves = []
+    real = lp.solve
+
+    def counting(problem, warm_start=None):
+        solves.append(warm_start)
+        return real(problem, warm_start=warm_start)
+    monkeypatch.setattr(lp, "solve", counting)
+    grid = storage_coupled()
+    _, plain = schedule_min_srme(grid, FixedCapacities.none(), method="SRME2")
+    unscoped = len(solves)
+    solves.clear()
+    with lp.solve_memo_scope():
+        _, trace = schedule_min_srme(grid, FixedCapacities.none(), method="SRME2")
+        kept = len(lp._MEMO.get())
+    assert trace == plain and trace.iterations_used >= 2
+    # Each pass's rates start from the pinned base its previous check solved.
+    assert len(solves) <= unscoped - trace.iterations_used
+    # Kept: the cost-min solve and two pinned solves per check. The rate and
+    # penalty solves of each pass are dropped when the pass ends.
+    assert kept <= 1 + 2 * (trace.iterations_used + 1)
+    assert kept < len(solves)
+
+
 def test_schedule_and_trace_files(tmp_path):
     grid = storage_coupled()
     sched, trace = schedule_min_srme(grid, FixedCapacities.none(), method="SRME1")

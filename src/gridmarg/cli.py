@@ -235,18 +235,22 @@ def _sweep_cells(grid: GridModel, spec: dict) -> list[dict]:
     return cells
 
 
-def _run_sweep_cell(payload) -> dict:
-    raw_grid, cell = payload
+def _run_sweep_cell(raw_grid: GridModel, cell: dict,
+                    warm_start: lp.LpSolution | None = None) -> tuple[dict, lp.LpSolution | None]:
+    """One sweep cell: its outcome row, and its base solution if it succeeded.
+
+    warm_start seeds the cell's base expansion solve (see _run_sweep_group).
+    """
     started = time.time()
     try:
-        with lp.solve_memo_scope():  # a pool worker keeps no solution between cells
+        with lp.solve_memo_scope():  # a cell keeps no solution for the next one
             cfg = replace(raw_grid.config,
                           ev_penetration_multiplier=cell["ev_multiplier"],
                           cost_multipliers=CostMultipliers(renewable_capex=cell["renewable_capex"],
                                                            gas_price=cell["gas_price"]))
             grid = _apply_flex_mode(resolve_scenario(replace(raw_grid, config=cfg)), cell["flex"])
             report = long_run_mer(grid, ScaleEV(grid.config.perturbation_fraction),
-                                  target_zones=cell["target_zone"])
+                                  target_zones=cell["target_zone"], warm_start=warm_start)
         metrics = {
             "lr_mer_tco2_per_mwh": report.lr_mer,
             "aer_system_tco2_per_mwh": average_emission_rate(report.base),
@@ -255,11 +259,31 @@ def _run_sweep_cell(payload) -> dict:
             "delta_demand_mwh": report.delta_demand_mwh,
             "base_total_cost_usd": report.base_total_cost,
         }
-        return {**cell, "status": "success", "metrics": metrics,
-                "wall_clock_s": time.time() - started}
+        return ({**cell, "status": "success", "metrics": metrics,
+                 "wall_clock_s": time.time() - started}, report.base.solution)
     except Exception as exc:  # individual failures must not abort the sweep
-        return {**cell, "status": "error", "error": f"{type(exc).__name__}: {exc}",
-                "metrics": {}, "wall_clock_s": time.time() - started}
+        return ({**cell, "status": "error", "error": f"{type(exc).__name__}: {exc}",
+                 "metrics": {}, "wall_clock_s": time.time() - started}, None)
+
+
+def _run_sweep_group(raw_grid: GridModel, cells: list[dict]) -> list[dict]:
+    """Run cells that share a flexibility mode, in order, as one warm-start chain.
+
+    Such cells build expansion LPs of one shape that differ only in bounds
+    and costs, so each cell's base solve starts from the base solution of the
+    last cell before it that succeeded; the first cell's base solve is cold.
+    Which solves start from which basis depends on the spec alone, never on
+    the worker count.
+    """
+    outcomes, warm_start = [], None
+    for cell in cells:
+        # Looked up by name at call time, so a wrapper bound to the module
+        # attribute (the benchmark's tracer) sees every cell.
+        outcome, base = _run_sweep_cell(raw_grid, cell, warm_start)
+        outcomes.append(outcome)
+        if base is not None:
+            warm_start = base
+    return outcomes
 
 
 def cmd_sweep(args) -> int:
@@ -267,15 +291,17 @@ def cmd_sweep(args) -> int:
     spec = _read_sweep_spec(args.spec)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    cells = _sweep_cells(raw_grid, spec)
-    payloads = [(raw_grid, cell) for cell in cells]
+    groups: dict[str, list[dict]] = {}
+    for cell in _sweep_cells(raw_grid, spec):
+        groups.setdefault(cell["flex"], []).append(cell)
 
-    if args.parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            outcomes = list(pool.map(_run_sweep_cell, payloads))
+    workers = min(args.parallel, len(groups))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_sweep_group, itertools.repeat(raw_grid), groups.values()))
     else:
-        outcomes = [_run_sweep_cell(p) for p in payloads]
-    outcomes.sort(key=lambda o: o["run_id"])
+        done = [_run_sweep_group(raw_grid, cells) for cells in groups.values()]
+    outcomes = sorted(itertools.chain.from_iterable(done), key=lambda o: o["run_id"])
 
     rows = ["run_id,ev_multiplier,renewable_capex,gas_price,flex,target_zone,metric,value"]
     for out in outcomes:
@@ -352,7 +378,9 @@ def build_parser() -> _Parser:
     # a bad GRIDMARG_THREADS fails sweep alone.
     p.add_argument("--parallel", type=_worker_count,
                    default=os.environ.get("GRIDMARG_THREADS", "1"),
-                   help="worker processes, at least 1 (default: GRIDMARG_THREADS, else 1)")
+                   help="worker processes, at least 1 (default: GRIDMARG_THREADS, else 1); "
+                        "each runs one flexibility mode's cells, so no more workers "
+                        "start than the spec has modes")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_sweep)
     return parser

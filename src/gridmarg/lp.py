@@ -25,6 +25,11 @@ Every solve builds a fresh HiGHS instance, and an LpProblem is immutable
 once built. A warm start only changes where the simplex starts; the optimum
 it reaches is an optimum of the problem passed in.
 
+A sweep chains warm starts within each group of cells that share a
+flexibility mode: those cells build expansion LPs of one shape, so each
+cell's base solve starts from the base solution of the group's last cell
+that succeeded, and only the group's first base solve is cold.
+
 Repeat solves are answered from a memo. Inside ``solve_memo_scope()`` (one
 per CLI command, and one per sweep cell), ``memo_solve`` keys each solve by
 a digest of the problem arrays plus the warm-start basis, if any, and
@@ -180,9 +185,6 @@ class LpBuilder:
     def add_le(self, idx, coef, rhs: float) -> int:
         """Add sum(coef*x[idx]) <= rhs; returns the inequality row index."""
         return int(self.add_le_rows(*_one_row(idx, coef), [rhs])[0])
-
-    def set_cost(self, idx: int, cost: float) -> None:
-        self._cost[idx] = float(cost)
 
     def fix_var(self, idx: int, value: float) -> None:
         self._lb[idx] = float(value)

@@ -259,16 +259,19 @@ def consequential_report(base: DispatchResult, pert: DispatchResult,
 
 def long_run_mer(grid: GridModel, perturbation: ScaleEV | None = None,
                  target_zones="all", sr_rates: EmissionRateSeries | None = None,
-                 aer_value: float | None = None) -> ConsequentialReport:
+                 aer_value: float | None = None,
+                 warm_start: lp.LpSolution | None = None) -> ConsequentialReport:
     """LR-MER: two full capacity-expansion solves differenced over annual totals.
 
-    The EV-scaled solve is warm-started from the base solve's basis. The
-    report keeps the base result (``report.base``) for callers that need more
-    of it than the totals.
+    The base solve starts from warm_start's basis when one is given (an
+    optimal solution of a same-shaped expansion LP, such as the previous
+    sweep cell's base), else cold. The EV-scaled solve is warm-started from
+    the base solve's basis. The report keeps the base result
+    (``report.base``) for callers that need more of it than the totals.
     """
     if perturbation is None:
         perturbation = ScaleEV(grid.config.perturbation_fraction)
-    base = solve_model(build_expansion_lp(grid))
+    base = solve_model(build_expansion_lp(grid), warm_start=warm_start)
     pert_grid = perturb_demand(grid, target_zones, perturbation)
     pert = solve_model(build_expansion_lp(pert_grid), warm_start=base.solution)
     return consequential_report(base, pert, grid=grid, sr_rates=sr_rates,

@@ -87,10 +87,15 @@ def schedule_from_result(grid: GridModel, result: DispatchResult,
 
 def consequential_check(grid: GridModel, fixed_capacities: FixedCapacities,
                         per_load: dict[str, np.ndarray], fraction: float) -> float:
-    """Operational emissions delta from scaling the pinned schedule by (1 + fraction)."""
+    """Operational emissions delta from scaling the pinned schedule by (1 + fraction).
+
+    The scaled LP differs from the pinned base only in the bounds of the
+    charging columns, so its solve starts from the base solve's basis.
+    """
     base = solve_model(build_operational_lp(pin_schedule(grid, per_load), fixed_capacities))
     scaled = {fid: profile * (1.0 + fraction) for fid, profile in per_load.items()}
-    pert = solve_model(build_operational_lp(pin_schedule(grid, scaled), fixed_capacities))
+    pert = solve_model(build_operational_lp(pin_schedule(grid, scaled), fixed_capacities),
+                       warm_start=base.solution)
     return pert.total_emissions - base.total_emissions
 
 

@@ -16,7 +16,7 @@ from test_scenario_io import TUTORIAL
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_worker_runs_a_schedule_with_one_repeat_solve(tmp_path):
+def test_traced_worker_runs_a_schedule_with_no_repeat_solve(tmp_path):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({
         "commands": [["schedule", str(TUTORIAL), "--signal", "srme2", "--flex", "none",
@@ -35,7 +35,7 @@ def test_traced_worker_runs_a_schedule_with_one_repeat_solve(tmp_path):
     assert layers["lp.solves"] > 0
     assert layers["planner.builds"] > 0
     # The tutorial builds nothing, so its EV-scaled expansion and operational
-    # LPs are the same arrays: long_run_mer solves them warm-started and the
-    # consequential check cold. The memo keeps those two solves apart, since
-    # they may end at different vertices; every other repeat is answered by it.
-    assert layers["lp.repeat_solves"] == 1
+    # LPs are the same arrays. long_run_mer and the consequential check both
+    # warm-start that solve from the same base solution, so the memo answers
+    # the second, as it answers every other repeat.
+    assert layers["lp.repeat_solves"] == 0

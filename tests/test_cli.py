@@ -1,13 +1,15 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridmarg import lp, scheduler
+from gridmarg import cli, lp, scheduler
 from gridmarg.cli import build_parser, main
-from gridmarg.grid import Generator, GridModel, ScenarioConfig, Zone
-from gridmarg.scenario_io import write_scenario
+from gridmarg.grid import Generator, GridModel, ScenarioConfig, Zone, resolve_scenario
+from gridmarg.metrics import average_emission_rate, long_run_mer
+from gridmarg.scenario_io import load_scenario, write_scenario
 
 from toys import backfire, breakeven_wind, frozen_structure, merit_stack, single_bus
 from test_scenario_io import TUTORIAL
@@ -280,6 +282,109 @@ def test_parallel_sweep_byte_identical(tmp_path):
     blob = (serial / "sweep_results.csv").read_bytes()
     assert blob == (parallel / "sweep_results.csv").read_bytes()
     assert blob == (repeat / "sweep_results.csv").read_bytes()  # run-to-run stable too
+
+
+def _spy_on_solves(monkeypatch) -> list[tuple]:
+    """Record (warm_start, solution) of every backend solve, in call order."""
+    real, calls = lp.solve, []
+
+    def spy(problem, warm_start=None):
+        solution = real(problem, warm_start=warm_start)
+        calls.append((warm_start, solution))
+        return solution
+    monkeypatch.setattr(lp, "solve", spy)
+    return calls
+
+
+def test_parallel_sweep_groups_byte_identical_at_any_worker_count(tmp_path):
+    # Two flex-mode groups of six cells each; zone A carries no EV load, so
+    # every other cell of a group fails and the chain must step over it.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ev_multipliers": [0.9, 1.0, 1.1],
+                                "flexibility_modes": ["none", "delay8"],
+                                "target_zones": "each-separately"}))
+    runs, blobs = [], []
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"workers{workers}"
+        assert main(["sweep", str(TUTORIAL), "--spec", str(spec), "--parallel", workers,
+                     "--out", str(out)]) == 0
+        blobs.append((out / "sweep_results.csv").read_bytes())
+        runs.append([(r["run_id"], r["status"], r.get("error"))
+                     for r in json.loads((out / "manifest.json").read_text())["runs"]])
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert runs[0] == runs[1] == runs[2]
+    assert [status for _, status, _ in runs[0]].count("success") == 6
+
+
+def test_sweep_chains_base_solves_within_each_flex_group(tmp_path, monkeypatch):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ev_multipliers": [0.9, 1.0, 1.1],
+                                "flexibility_modes": ["none", "delay8"]}))
+    calls = _spy_on_solves(monkeypatch)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(TUTORIAL), "--spec", str(spec), "--parallel", "1",
+                 "--out", str(out)]) == 0
+    # Serial order: the "none" cells (run ids 0, 2, 4), then the "delay8"
+    # cells (1, 3, 5); each cell solves its base, then its EV-scaled LP.
+    assert len(calls) == 12
+    for group in (calls[:6], calls[6:]):
+        bases = group[0::2]
+        assert bases[0][0] is None
+        for prev, cur in zip(bases, bases[1:]):
+            assert cur[0] is prev[1]
+        for (_, base_solution), (pert_start, _) in zip(group[0::2], group[1::2]):
+            assert pert_start is base_solution
+
+
+def test_sweep_chain_steps_over_a_failed_cell(tmp_path, monkeypatch):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ev_multipliers": [0.9, 1.0, 1.1],
+                                "flexibility_modes": ["none"]}))
+    real_lr_mer = cli.long_run_mer
+
+    def fails_at_run_1(grid, *args, **kwargs):
+        report = real_lr_mer(grid, *args, **kwargs)  # both solves run first
+        if grid.config.ev_penetration_multiplier == 1.0:
+            raise RuntimeError("injected failure")
+        return report
+    monkeypatch.setattr(cli, "long_run_mer", fails_at_run_1)
+    calls = _spy_on_solves(monkeypatch)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(TUTORIAL), "--spec", str(spec), "--out", str(out)]) == 0
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    assert [r["status"] for r in runs] == ["success", "error", "success"]
+    assert runs[1]["error"] == "RuntimeError: injected failure"
+    assert len(calls) == 6
+    base0, base1, base2 = calls[0], calls[2], calls[4]
+    assert base1[0] is base0[1]
+    assert base2[0] is base0[1]  # from the last cell that succeeded, not from run 1
+    rows = read_csv_rows(out / "sweep_results.csv")
+    assert {r["run_id"] for r in rows} == {"0", "2"}
+
+
+def test_chained_default_sweep_matches_cold_lr_mer_per_cell(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(TUTORIAL), "--out", str(out)]) == 0  # default 7 multipliers
+    got: dict[float, dict[str, float]] = {}
+    for row in read_csv_rows(out / "sweep_results.csv"):
+        got.setdefault(float(row["ev_multiplier"]), {})[row["metric"]] = float(row["value"])
+    assert sorted(got) == cli.DEFAULT_EV_MULTIPLIERS
+    raw = load_scenario(TUTORIAL)
+    for ev, metrics in got.items():
+        grid = resolve_scenario(replace(raw, config=replace(raw.config,
+                                                            ev_penetration_multiplier=ev)))
+        cold = long_run_mer(grid)
+        expected = {
+            "lr_mer_tco2_per_mwh": cold.lr_mer,
+            "aer_system_tco2_per_mwh": average_emission_rate(cold.base),
+            "base_total_emissions_tco2": cold.base_total_emissions,
+            "pert_total_emissions_tco2": cold.pert_total_emissions,
+            "delta_demand_mwh": cold.delta_demand_mwh,
+            "base_total_cost_usd": cold.base_total_cost,
+        }
+        assert metrics.keys() == expected.keys()
+        for name, value in expected.items():
+            assert metrics[name] == pytest.approx(value, rel=1e-9, abs=1e-12), (ev, name)
 
 
 def test_threads_env_sets_parallel_default(monkeypatch):

@@ -21,6 +21,17 @@ carries its final simplex basis; passing it as ``warm_start`` to the solve of
 another LP of the same shape (typically the same matrix with a few bounds
 moved) starts dual simplex from that basis instead of from scratch.
 
+The bindings are scipy's compiled extension ``scipy.optimize._highspy._core``,
+loaded from its file instead of imported through ``scipy.optimize``.
+Importing a submodule runs every parent package's ``__init__``, and
+``scipy.optimize``'s loads ``scipy.linalg``, the optimizers and about 250
+other modules: some 40% of the CLI's import time (``python -X importtime``).
+The extension is registered under its canonical name, so a later
+``import scipy.optimize`` in the same process (tests, the benchmark's
+checks) reuses the module instead of loading it again. ``linprog``, which
+only the benchmark's tracer reads from this module, is imported on first
+access.
+
 Every solve builds a fresh HiGHS instance, and an LpProblem is immutable
 once built. A warm start only changes where the simplex starts; the optimum
 it reaches is an optimum of the problem passed in.
@@ -28,7 +39,9 @@ it reaches is an optimum of the problem passed in.
 A sweep chains warm starts within each group of cells that share a
 flexibility mode: those cells build expansion LPs of one shape, so each
 cell's base solve starts from the base solution of the group's last cell
-that succeeded, and only the group's first base solve is cold.
+that succeeded, and only the group's first base solve is cold. When that
+cell differs only in its target zone, its base result is reused and the
+base LP is not solved again.
 
 Repeat solves are answered from a memo. Inside ``solve_memo_scope()`` (one
 per CLI command, and one per sweep cell), ``memo_solve`` keys each solve by
@@ -46,26 +59,59 @@ caller that asked for it.
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
+import importlib.util
+import sys
 from collections import ChainMap
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-# Unused here; kept because the benchmark's tracer (bench/tracing.py) rebinds gridmarg.lp.linprog.
-from scipy.optimize import linprog  # noqa: F401
-
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError as exc:  # a private scipy module: its layout may change between releases
-    raise ImportError(
-        "gridmarg needs scipy 1.17.x: it solves through scipy's bundled HiGHS bindings "
-        "(scipy.optimize._highspy._core), which this scipy does not provide") from exc
 
 from .errors import NumericalFailure
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs(directory: Path):
+    """Load scipy's HiGHS extension from ``directory`` as ``scipy.optimize._highspy._core``.
+
+    The module is registered in ``sys.modules`` under its canonical name, so
+    a later ``import scipy.optimize`` reuses it instead of loading the
+    extension again and registering its pybind11 types a second time.
+    """
+    path = directory / ("_core" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+    try:
+        module = importlib.util.module_from_spec(spec)
+    except ImportError as exc:  # a private scipy module: its layout may change
+        raise ImportError(
+            "gridmarg needs scipy>=1.17,<1.18: it solves through scipy's bundled HiGHS "
+            f"bindings ({_HIGHS_MODULE}), which it could not load from {path}") from exc
+    sys.modules[_HIGHS_MODULE] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_highs = (sys.modules.get(_HIGHS_MODULE)
+          or _load_highs(Path(scipy.__file__).parent / "optimize" / "_highspy"))
+
+
+def __getattr__(name: str):
+    # scipy's linprog, resolved on first access: the benchmark's tracer
+    # (bench/tracing.py) rebinds gridmarg.lp.linprog, and importing it at
+    # module load would pull in all of scipy.optimize.
+    if name == "linprog":
+        from scipy.optimize import linprog
+        globals()["linprog"] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 FEAS_TOL = 1e-7     # internal feasibility/optimality target
 REPORT_TOL = 1e-6   # tolerance at which residual reports pass

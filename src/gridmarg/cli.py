@@ -27,7 +27,7 @@ from .flex import ScheduleSource
 from .grid import CostMultipliers, GridModel, resolve_scenario
 from .metrics import (average_emission_rate, icev_comparison, long_run_mer, report_to_dict,
                       srme_dual, srme_uniform, write_consequential_json, write_srme_csv)
-from .planner import (DispatchResult, ScaleEV, _fmt, atomic_write_text, build_expansion_lp,
+from .planner import (ScaleEV, _fmt, atomic_write_text, build_expansion_lp,
                       build_operational_lp, solve_model, write_dispatch_outputs)
 from .scenario_io import load_scenario
 from .scheduler import (evaluate_fixed_schedule, schedule_from_result, schedule_min_srme,
@@ -113,10 +113,10 @@ def cmd_metrics(args) -> int:
     # lrmer
     fraction = grid.config.perturbation_fraction
     if args.zone == "each-separately":
-        reports, base = {}, None
-        for zone in grid.zone_ids():  # the zone changes only the EV-scaled LP
-            report = long_run_mer(grid, ScaleEV(fraction), target_zones=[zone], base=base)
-            reports[zone], base = report_to_dict(report), report.base
+        reports = {}
+        for zone in grid.zone_ids():
+            report = long_run_mer(grid, ScaleEV(fraction), target_zones=[zone])
+            reports[zone] = report_to_dict(report)
         write_consequential_json(reports, outdir / "consequential.json")
     else:
         targets = "all" if args.zone == "all" else [args.zone]
@@ -236,13 +236,10 @@ def _sweep_cells(grid: GridModel, spec: dict) -> list[dict]:
 
 
 def _run_sweep_cell(raw_grid: GridModel, cell: dict,
-                    warm_start: lp.LpSolution | None = None,
-                    base: DispatchResult | None = None) -> tuple[dict, DispatchResult | None]:
-    """One sweep cell: its outcome row, and its base result if it succeeded.
+                    warm_start: lp.LpSolution | None = None) -> tuple[dict, lp.LpSolution | None]:
+    """One sweep cell: its outcome row, and its base solution if it succeeded.
 
-    warm_start seeds the cell's base expansion solve; base, the result of
-    that same solve taken from an earlier cell, replaces it (see
-    _run_sweep_group).
+    warm_start seeds the cell's base expansion solve (see _run_sweep_group).
     """
     started = time.time()
     try:
@@ -253,8 +250,7 @@ def _run_sweep_cell(raw_grid: GridModel, cell: dict,
                                                            gas_price=cell["gas_price"]))
             grid = _apply_flex_mode(resolve_scenario(replace(raw_grid, config=cfg)), cell["flex"])
             report = long_run_mer(grid, ScaleEV(grid.config.perturbation_fraction),
-                                  target_zones=cell["target_zone"], warm_start=warm_start,
-                                  base=base)
+                                  target_zones=cell["target_zone"], warm_start=warm_start)
         metrics = {
             "lr_mer_tco2_per_mwh": report.lr_mer,
             "aer_system_tco2_per_mwh": average_emission_rate(report.base),
@@ -264,7 +260,7 @@ def _run_sweep_cell(raw_grid: GridModel, cell: dict,
             "base_total_cost_usd": report.base_total_cost,
         }
         return ({**cell, "status": "success", "metrics": metrics,
-                 "wall_clock_s": time.time() - started}, report.base)
+                 "wall_clock_s": time.time() - started}, report.base.solution)
     except Exception as exc:  # individual failures must not abort the sweep
         return ({**cell, "status": "error", "error": f"{type(exc).__name__}: {exc}",
                  "metrics": {}, "wall_clock_s": time.time() - started}, None)
@@ -276,24 +272,17 @@ def _run_sweep_group(raw_grid: GridModel, cells: list[dict]) -> list[dict]:
     Such cells build expansion LPs of one shape that differ only in bounds
     and costs, so each cell's base solve starts from the base solution of the
     last cell before it that succeeded; the first cell's base solve is cold.
-    The target zone changes only the EV-scaled LP, so when that last cell
-    has the same EV, capex and gas multipliers, its base result is reused
-    instead of solved again. Which solves start from which basis depends on
-    the spec alone, never on the worker count.
+    Which solves start from which basis depends on the spec alone, never on
+    the worker count.
     """
-    outcomes, last, last_key = [], None, None
+    outcomes, warm_start = [], None
     for cell in cells:
-        key = (cell["ev_multiplier"], cell["renewable_capex"], cell["gas_price"])
         # Looked up by name at call time, so a wrapper bound to the module
         # attribute (the benchmark's tracer) sees every cell.
-        if key == last_key:
-            outcome, base = _run_sweep_cell(raw_grid, cell, base=last)
-        else:
-            outcome, base = _run_sweep_cell(raw_grid, cell,
-                                            None if last is None else last.solution)
+        outcome, base = _run_sweep_cell(raw_grid, cell, warm_start)
         outcomes.append(outcome)
         if base is not None:
-            last, last_key = base, key
+            warm_start = base
     return outcomes
 
 

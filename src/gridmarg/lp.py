@@ -39,9 +39,7 @@ it reaches is an optimum of the problem passed in.
 A sweep chains warm starts within each group of cells that share a
 flexibility mode: those cells build expansion LPs of one shape, so each
 cell's base solve starts from the base solution of the group's last cell
-that succeeded, and only the group's first base solve is cold. When that
-cell differs only in its target zone, its base result is reused and the
-base LP is not solved again.
+that succeeded, and only the group's first base solve is cold.
 
 Repeat solves are answered from a memo. Inside ``solve_memo_scope()`` (one
 per CLI command, and one per sweep cell), ``memo_solve`` keys each solve by
@@ -86,14 +84,16 @@ def _load_highs(directory: Path):
     a later ``import scipy.optimize`` reuses it instead of loading the
     extension again and registering its pybind11 types a second time.
     """
-    path = directory / ("_core" + importlib.machinery.EXTENSION_SUFFIXES[0])
-    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+    # PathFinder tries every extension suffix this interpreter accepts.
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_MODULE, [str(directory)])
     try:
+        if spec is None:
+            raise ImportError(f"no {_HIGHS_MODULE} extension in {directory}")
         module = importlib.util.module_from_spec(spec)
     except ImportError as exc:  # a private scipy module: its layout may change
         raise ImportError(
             "gridmarg needs scipy>=1.17,<1.18: it solves through scipy's bundled HiGHS "
-            f"bindings ({_HIGHS_MODULE}), which it could not load from {path}") from exc
+            f"bindings ({_HIGHS_MODULE}), which it could not load from {directory}") from exc
     sys.modules[_HIGHS_MODULE] = module
     spec.loader.exec_module(module)
     return module
@@ -112,6 +112,7 @@ def __getattr__(name: str):
         globals()["linprog"] = linprog
         return linprog
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 FEAS_TOL = 1e-7     # internal feasibility/optimality target
 REPORT_TOL = 1e-6   # tolerance at which residual reports pass

@@ -9,7 +9,6 @@ from gridmarg import cli, lp, scheduler
 from gridmarg.cli import build_parser, main
 from gridmarg.grid import Generator, GridModel, ScenarioConfig, Zone, resolve_scenario
 from gridmarg.metrics import average_emission_rate, long_run_mer
-from gridmarg.planner import build_expansion_lp
 from gridmarg.scenario_io import load_scenario, write_scenario
 
 from toys import backfire, breakeven_wind, frozen_structure, merit_stack, single_bus
@@ -386,61 +385,6 @@ def test_chained_default_sweep_matches_cold_lr_mer_per_cell(tmp_path):
         assert metrics.keys() == expected.keys()
         for name, value in expected.items():
             assert metrics[name] == pytest.approx(value, rel=1e-9, abs=1e-12), (ev, name)
-
-
-def test_sweep_solves_each_base_lp_once_across_target_zones(tmp_path, monkeypatch):
-    # The tutorial plus an EV load in zone A, so every cell succeeds.
-    tutorial = load_scenario(TUTORIAL)
-    ev_b = tutorial.flexible_loads[0]
-    ev_a = replace(ev_b, id="ev_a", zone_id="A", baseline_profile=0.5 * ev_b.baseline_profile)
-    scenario = scenario_file(tmp_path, replace(tutorial, flexible_loads=(ev_a, ev_b)))
-    raw = load_scenario(scenario)
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"ev_multipliers": [0.9, 1.0],
-                                "flexibility_modes": ["none", "delay8"],
-                                "target_zones": "each-separately"}))
-    base_keys = {}
-    for flex in ("none", "delay8"):
-        for ev in (0.9, 1.0):
-            grid = cli._apply_flex_mode(resolve_scenario(replace(
-                raw, config=replace(raw.config, ev_penetration_multiplier=ev))), flex)
-            base_keys[lp._memo_key(build_expansion_lp(grid).problem, None)] = (flex, ev)
-    assert len(base_keys) == 4
-    real, problems = lp.solve, []
-
-    def spy(problem, warm_start=None):
-        problems.append(problem)
-        return real(problem, warm_start=warm_start)
-    monkeypatch.setattr(lp, "solve", spy)
-    blobs = []
-    for workers in ("1", "2", "3"):
-        out = tmp_path / f"workers{workers}"
-        assert main(["sweep", scenario, "--spec", str(spec), "--parallel", workers,
-                     "--out", str(out)]) == 0
-        blobs.append((out / "sweep_results.csv").read_bytes())
-        if workers == "1":
-            # Eight cells: four base LPs, each solved once for both of its
-            # target zones, and eight EV-scaled LPs.
-            bases = [base_keys.get(lp._memo_key(problem, None)) for problem in problems]
-            assert sorted(filter(None, bases)) == sorted(base_keys.values())
-            assert len(problems) == 12
-    assert blobs[0] == blobs[1] == blobs[2]
-
-    # Against the chain that solves every cell's base LP, warm-started from
-    # the previous cell's base: the same values to 1e-12.
-    monkeypatch.setattr(lp, "solve", real)
-    got = {(int(r["run_id"]), r["metric"]): float(r["value"])
-           for r in read_csv_rows(tmp_path / "workers1" / "sweep_results.csv")}
-    cells = cli._sweep_cells(raw, cli._read_sweep_spec(str(spec)))
-    assert len(got) == 6 * len(cells)
-    for flex in ("none", "delay8"):
-        warm_start = None
-        for cell in (c for c in cells if c["flex"] == flex):
-            outcome, base = cli._run_sweep_cell(raw, cell, warm_start)
-            assert outcome["status"] == "success"
-            warm_start = base.solution
-            for name, value in outcome["metrics"].items():
-                assert got[cell["run_id"], name] == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 def test_threads_env_sets_parallel_default(monkeypatch):

@@ -6,6 +6,7 @@ third of a second. These checks run in a subprocess, since the test
 process itself imports ``scipy.optimize`` for its reference solves.
 """
 
+import importlib.machinery
 import json
 import os
 import subprocess
@@ -71,3 +72,15 @@ def test_loader_names_the_scipy_pin_when_the_extension_is_missing(tmp_path):
     with pytest.raises(ImportError, match=r"scipy>=1\.17,<1\.18"):
         lp._load_highs(tmp_path)
     assert sys.modules[lp._HIGHS_MODULE] is before is lp._highs
+
+
+def test_loader_tries_every_extension_suffix(tmp_path):
+    # An empty file under the last suffix the interpreter accepts: found,
+    # so the load fails on the file itself rather than on a missing one.
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[-1]
+    (tmp_path / f"_core{suffix}").write_bytes(b"")
+    before = sys.modules[lp._HIGHS_MODULE]
+    with pytest.raises(ImportError, match=r"scipy>=1\.17,<1\.18") as excinfo:
+        lp._load_highs(tmp_path)
+    assert f"_core{suffix}" in str(excinfo.value.__cause__)
+    assert sys.modules[lp._HIGHS_MODULE] is before

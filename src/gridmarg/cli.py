@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import lp
-from .errors import GridmargError, InfeasibleModel, UnboundedModel
+from .errors import DegenerateDelta, GridmargError, InfeasibleModel, UnboundedModel
 from .flex import ScheduleSource
 from .grid import CostMultipliers, GridModel, resolve_scenario
 from .metrics import (average_emission_rate, icev_comparison, long_run_mer, report_to_dict,
@@ -113,11 +113,20 @@ def cmd_metrics(args) -> int:
     # lrmer
     fraction = grid.config.perturbation_fraction
     if args.zone == "each-separately":
+        # A zone whose perturbation moves no demand (no EV load) has no rate;
+        # it is recorded as such and the other zones are still reported.
         reports = {}
         for zone in grid.zone_ids():
-            report = long_run_mer(grid, ScaleEV(fraction), target_zones=[zone])
-            reports[zone] = report_to_dict(report)
+            try:
+                reports[zone] = report_to_dict(
+                    long_run_mer(grid, ScaleEV(fraction), target_zones=[zone]))
+            except DegenerateDelta as exc:
+                log.warning("zone %s: DegenerateDelta: %s", zone, exc)
+                reports[zone] = {"error": f"DegenerateDelta: {exc}"}
         write_consequential_json(reports, outdir / "consequential.json")
+        if all("error" in r for r in reports.values()):
+            log.error("no zone has a defined LR-MER")
+            return 1
     else:
         targets = "all" if args.zone == "all" else [args.zone]
         report = long_run_mer(grid, ScaleEV(fraction), target_zones=targets)

@@ -32,6 +32,18 @@ checks) reuses the module instead of loading it again. ``linprog``, which
 only the benchmark's tracer reads from this module, is imported on first
 access.
 
+For the same reason no solve imports ``scipy.sparse`` (282 modules, 16 MB).
+An LpProblem holds each constraint block as plain numpy CSR arrays
+(``CsrRows``), and everything the solve path needs is computed from them:
+HiGHS receives [A_ub; A_eq] column-wise, built here exactly as scipy's CSC
+conversion builds it for linprog (entries stably sorted by column, and a
+repeated (row, column) entry summed in row order), and the products in
+``_reduced_costs`` and ``verify_kkt`` add their terms in scipy's order, so
+every HiGHS input and every result is the one the scipy.sparse version gave,
+bit for bit. ``LpProblem.A_eq`` and ``A_ub`` are ``scipy.sparse.csr_matrix``
+views over the same arrays for readers outside the solve path (tests, the
+benchmark's checks and tracer); the first access imports scipy.sparse.
+
 Every solve builds a fresh HiGHS instance, and an LpProblem is immutable
 once built. A warm start only changes where the simplex starts; the optimum
 it reaches is an optimum of the problem passed in.
@@ -66,11 +78,11 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from .errors import NumericalFailure
 
@@ -125,37 +137,87 @@ class SolveStatus(Enum):
 
 
 @dataclass(frozen=True)
+class CsrRows:
+    """A sparse matrix held by rows, as the plain numpy arrays of the CSR layout.
+
+    Row i's entries are data[indptr[i]:indptr[i + 1]], in the columns
+    indices[indptr[i]:indptr[i + 1]], in the order they were added; a row
+    may name a column more than once. data is float64, indices and indptr
+    are int32: the arrays a scipy csr_matrix of the same rows holds.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    num_cols: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.indptr.shape[0] - 1, self.num_cols)
+
+    @property
+    def nnz(self) -> int:
+        return self.data.shape[0]
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int32), np.diff(self.indptr))
+
+    # np.bincount adds each weight into its bin in entry order, starting from
+    # 0.0: the order scipy's csr_matvec and csc_matvec sum in, so both
+    # products equal scipy's bit for bit. (np.add.reduceat may sum pairwise.)
+    # With no entries at all, bincount returns integers; hence the astype.
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x."""
+        return np.bincount(self.entry_rows(), weights=self.data * x[self.indices],
+                           minlength=self.shape[0]).astype(float, copy=False)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """A.T @ y."""
+        return np.bincount(self.indices, weights=self.data * y[self.entry_rows()],
+                           minlength=self.num_cols).astype(float, copy=False)
+
+    def to_scipy(self) -> "scipy.sparse.csr_matrix":
+        """A scipy.sparse.csr_matrix over the same arrays (imports scipy.sparse)."""
+        import scipy.sparse
+        return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
+
+@dataclass(frozen=True)
 class LpProblem:
     """Immutable standard-form LP. Arrays are owned by the problem; treat as read-only.
 
-    A_eq / A_ub are CSR matrices (possibly with zero rows). Bounds default to
-    [0, +inf) per variable.
+    rows_eq / rows_ub hold the constraint matrices (possibly with zero rows).
+    A_eq / A_ub are scipy.sparse.csr_matrix views of them, built on first
+    access, for callers outside the solve path. Bounds default to [0, +inf)
+    per variable.
     """
 
     c: np.ndarray
-    A_eq: sp.csr_matrix
+    rows_eq: CsrRows
     b_eq: np.ndarray
-    A_ub: sp.csr_matrix
+    rows_ub: CsrRows
     b_ub: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
 
     def __post_init__(self):
         n = self.c.shape[0]
-        if self.A_eq.shape[1] != n or self.A_ub.shape[1] != n:
+        if self.rows_eq.num_cols != n or self.rows_ub.num_cols != n:
             raise ValueError(
-                f"constraint matrices have {self.A_eq.shape[1]}/{self.A_ub.shape[1]} "
+                f"constraint matrices have {self.rows_eq.num_cols}/{self.rows_ub.num_cols} "
                 f"columns for {n} variables"
             )
-        if self.A_eq.shape[0] != self.b_eq.shape[0]:
+        if self.rows_eq.shape[0] != self.b_eq.shape[0]:
             raise ValueError("A_eq rows do not match b_eq length")
-        if self.A_ub.shape[0] != self.b_ub.shape[0]:
+        if self.rows_ub.shape[0] != self.b_ub.shape[0]:
             raise ValueError("A_ub rows do not match b_ub length")
         if self.lb.shape[0] != n or self.ub.shape[0] != n:
             raise ValueError("bound vectors do not match variable count")
         if not np.isfinite(self.c).all():
             raise ValueError("objective coefficients must be finite")
-        for mat, name in ((self.A_eq, "A_eq"), (self.A_ub, "A_ub")):
+        for mat, name in ((self.rows_eq, "A_eq"), (self.rows_ub, "A_ub")):
             if mat.nnz and not np.isfinite(mat.data).all():
                 raise ValueError(f"{name} contains non-finite coefficients")
         if not (np.isfinite(self.b_eq).all() and np.isfinite(self.b_ub).all()):
@@ -163,6 +225,14 @@ class LpProblem:
         if np.any(self.lb > self.ub):
             j = int(np.argmax(self.lb > self.ub))
             raise ValueError(f"variable {j} has lower bound {self.lb[j]} > upper bound {self.ub[j]}")
+
+    @cached_property
+    def A_eq(self) -> "scipy.sparse.csr_matrix":
+        return self.rows_eq.to_scipy()
+
+    @cached_property
+    def A_ub(self) -> "scipy.sparse.csr_matrix":
+        return self.rows_ub.to_scipy()
 
     @property
     def num_vars(self) -> int:
@@ -241,9 +311,9 @@ class LpBuilder:
         n = len(self._cost)
         return LpProblem(
             c=np.asarray(self._cost, dtype=float),
-            A_eq=self._eq.csr(n),
+            rows_eq=self._eq.csr(n),
             b_eq=self._eq.rhs(),
-            A_ub=self._le.csr(n),
+            rows_ub=self._le.csr(n),
             b_ub=self._le.rhs(),
             lb=np.asarray(self._lb, dtype=float),
             ub=np.asarray(self._ub, dtype=float),
@@ -296,7 +366,7 @@ class _RowBlocks:
     def rhs(self) -> np.ndarray:
         return np.concatenate(self._rhs) if self._rhs else np.zeros(0)
 
-    def csr(self, num_vars: int) -> sp.csr_matrix:
+    def csr(self, num_vars: int) -> CsrRows:
         indptr = np.zeros(self.num_rows + 1, dtype=np.int32)
         if self._lengths:
             np.cumsum(np.concatenate(self._lengths), out=indptr[1:])
@@ -304,7 +374,7 @@ class _RowBlocks:
             data = np.concatenate(self._data)
         else:
             indices, data = np.zeros(0, dtype=np.int32), np.zeros(0)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.num_rows, num_vars))
+        return CsrRows(data, indices, indptr, num_vars)
 
 
 @dataclass(frozen=True)
@@ -332,22 +402,46 @@ def with_extra_le_row(problem: LpProblem, idx, coef, rhs: float,
     """Copy a problem, appending one <=-row (and optionally swapping the objective).
 
     The appended row becomes the LAST inequality row, so its dual is
-    ineq_duals[-1] in the new problem's solution.
+    ineq_duals[-1] in the new problem's solution. Its entries are sorted by
+    column, and a repeated column is summed, as scipy's csr_matrix does.
     """
     n = problem.num_vars
-    row = sp.csr_matrix(
-        (np.asarray(coef, dtype=float), (np.zeros(len(idx), dtype=int), np.asarray(idx, dtype=int))),
-        shape=(1, n),
-    )
+    idx, coef = _one_row(idx, coef)
+    if ((idx < 0) | (idx >= n)).any():
+        raise ValueError(f"row references a variable index outside 0..{n - 1}")
+    _, cols, vals = _by_column(np.zeros(idx.size, dtype=np.int32), idx[0].astype(np.int32),
+                               coef[0])
+    ub = problem.rows_ub
+    indptr = np.append(ub.indptr, np.int32(ub.nnz + cols.shape[0]))
     return LpProblem(
         c=problem.c if new_cost is None else np.asarray(new_cost, dtype=float),
-        A_eq=problem.A_eq,
+        rows_eq=problem.rows_eq,
         b_eq=problem.b_eq,
-        A_ub=sp.vstack([problem.A_ub, row], format="csr"),
+        rows_ub=CsrRows(np.concatenate((ub.data, vals)), np.concatenate((ub.indices, cols)),
+                        indptr, n),
         b_ub=np.append(problem.b_ub, float(rhs)),
         lb=problem.lb,
         ub=problem.ub,
     )
+
+
+def _by_column(rows: np.ndarray, cols: np.ndarray, data: np.ndarray):
+    """Entries (given in row order) stably sorted by column, repeats merged.
+
+    Entries that name the same (row, column) become adjacent; each such run
+    is summed into one entry in row order, ((a + b) + c), which is how
+    scipy's COO to CSC/CSR conversion merges them.
+    """
+    order = np.argsort(cols, kind="stable")
+    rows, cols, data = rows[order], cols[order], data[order]
+    first = np.ones(cols.shape[0], dtype=bool)
+    first[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
+    if first.all():
+        return rows, cols, data
+    merged = data[first]
+    # add.at is unbuffered: it adds the repeats one by one, in order.
+    np.add.at(merged, np.cumsum(first)[~first] - 1, data[~first])
+    return rows[first], cols[first], merged
 
 
 # linprog(method="highs-ds")'s settings: presolve, dual simplex, no log.
@@ -358,15 +452,26 @@ _BASIS_STATUS = tuple(_highs.HighsBasisStatus(code) for code in range(5))
 
 
 def _highs_lp(problem: LpProblem):
-    """The problem as one HiGHS row block [A_ub; A_eq], column-wise, as linprog lays it out."""
-    A = sp.csc_array(sp.vstack((sp.coo_array(problem.A_ub), sp.coo_array(problem.A_eq))))
+    """The problem as one HiGHS row block [A_ub; A_eq], column-wise, as linprog lays it out.
+
+    The column-wise arrays are the ones scipy's csc conversion of the stacked
+    rows gives linprog: each column's entries in ascending row order, and a
+    repeated (row, column) entry merged into one. HiGHS must never see a
+    repeated entry: it aborts the whole process on one.
+    """
+    ub, eq = problem.rows_ub, problem.rows_eq
+    rows, cols, values = _by_column(
+        np.concatenate((ub.entry_rows(), eq.entry_rows() + problem.num_ub)),
+        np.concatenate((ub.indices, eq.indices)), np.concatenate((ub.data, eq.data)))
+    start = np.zeros(problem.num_vars + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=problem.num_vars), out=start[1:])
     model = _highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = problem.num_vars
-    model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
+    model.num_row_ = model.a_matrix_.num_row_ = problem.num_ub + problem.num_eq
     model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = A.indptr
-    model.a_matrix_.index_ = A.indices
-    model.a_matrix_.value_ = A.data
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = rows
+    model.a_matrix_.value_ = values
     model.col_cost_ = problem.c
     model.col_lower_ = problem.lb
     model.col_upper_ = problem.ub
@@ -398,9 +503,9 @@ def _reduced_costs(problem: LpProblem, eq_duals: np.ndarray,
     """c - A_eq'.eq_duals + A_ub'.ineq_duals, from the row duals alone."""
     rc = problem.c.copy()
     if problem.num_eq:
-        rc -= problem.A_eq.T @ eq_duals
+        rc -= problem.rows_eq.rmatvec(eq_duals)
     if problem.num_ub:
-        rc += problem.A_ub.T @ ineq_duals
+        rc += problem.rows_ub.rmatvec(ineq_duals)
     return rc
 
 
@@ -455,9 +560,9 @@ def _memo_key(problem: LpProblem, warm_start: LpSolution | None) -> bytes:
     for arr in (problem.c, problem.b_eq, problem.b_ub, problem.lb, problem.ub):
         h.update(repr(arr.shape).encode())
         h.update(np.ascontiguousarray(arr).tobytes())
-    for mat in (problem.A_eq, problem.A_ub):
-        h.update(repr(mat.shape).encode())
-        for arr in (mat.data, mat.indices, mat.indptr):
+    for rows in (problem.rows_eq, problem.rows_ub):
+        h.update(repr(rows.shape).encode())
+        for arr in (rows.data, rows.indices, rows.indptr):
             h.update(repr(arr.shape).encode())
             h.update(np.ascontiguousarray(arr).tobytes())
     if warm_start is None:
@@ -552,10 +657,10 @@ def verify_kkt(problem: LpProblem, solution: LpSolution,
     # Primal feasibility.
     primal = 0.0
     if problem.num_eq:
-        primal = max(primal, float(np.max(np.abs(problem.A_eq @ x - problem.b_eq))))
+        primal = max(primal, float(np.max(np.abs(problem.rows_eq.matvec(x) - problem.b_eq))))
     slack = np.zeros(0)
     if problem.num_ub:
-        slack = problem.b_ub - problem.A_ub @ x
+        slack = problem.b_ub - problem.rows_ub.matvec(x)
         primal = max(primal, float(np.max(-np.minimum(slack, 0.0), initial=0.0)))
     primal = max(primal, float(np.max(problem.lb - x, initial=0.0)))
     finite_ub = np.isfinite(problem.ub)
@@ -623,18 +728,23 @@ def write_lp_text(problem: LpProblem) -> str:
     def fmt(v: float) -> str:
         return f"{v:.12g}"
 
-    def terms(row: sp.csr_matrix) -> str:
+    def terms(cols, vals) -> str:
         parts = []
-        for j, v in zip(row.indices, row.data):
+        for j, v in zip(cols, vals):
             sign = "-" if v < 0 else "+"
             parts.append(f"{sign} {fmt(abs(v))} v{j}")
         return " ".join(parts) if parts else "+ 0 v0"
 
-    lines = ["Minimize", " obj: " + terms(sp.csr_matrix(problem.c)), "Subject To"]
+    def row_terms(rows: CsrRows, i: int) -> str:
+        start, end = rows.indptr[i], rows.indptr[i + 1]
+        return terms(rows.indices[start:end], rows.data[start:end])
+
+    objective = np.flatnonzero(problem.c)
+    lines = ["Minimize", " obj: " + terms(objective, problem.c[objective]), "Subject To"]
     for i in range(problem.num_eq):
-        lines.append(f" e{i}: {terms(problem.A_eq.getrow(i))} = {fmt(problem.b_eq[i])}")
+        lines.append(f" e{i}: {row_terms(problem.rows_eq, i)} = {fmt(problem.b_eq[i])}")
     for i in range(problem.num_ub):
-        lines.append(f" i{i}: {terms(problem.A_ub.getrow(i))} <= {fmt(problem.b_ub[i])}")
+        lines.append(f" i{i}: {row_terms(problem.rows_ub, i)} <= {fmt(problem.b_ub[i])}")
     lines.append("Bounds")
     for j in range(problem.num_vars):
         lo, hi = problem.lb[j], problem.ub[j]

@@ -9,6 +9,7 @@ from gridmarg import cli, lp, scheduler
 from gridmarg.cli import build_parser, main
 from gridmarg.grid import Generator, GridModel, ScenarioConfig, Zone, resolve_scenario
 from gridmarg.metrics import average_emission_rate, long_run_mer
+from gridmarg.planner import ScaleEV
 from gridmarg.scenario_io import load_scenario, write_scenario
 
 from toys import backfire, breakeven_wind, frozen_structure, merit_stack, single_bus
@@ -131,6 +132,35 @@ def test_metrics_lrmer_each_zone_separately(tmp_path):
     report = json.loads((out / "consequential.json").read_text())
     assert set(report) == {"Z"}
     assert report["Z"]["lr_mer_tco2_per_mwh"] == pytest.approx(0.4, abs=1e-9)
+
+
+def test_metrics_lrmer_each_zone_separately_reports_zones_with_a_rate(tmp_path, capsys):
+    # Tutorial zone A carries no EV load, so scaling its EVs moves no demand.
+    out = tmp_path / "out"
+    assert main(["metrics", str(TUTORIAL), "--method", "lrmer", "--zone", "each-separately",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "consequential.json").read_text())
+    assert set(report) == {"A", "B"}
+    assert report["A"] == {"error": "DegenerateDelta: demand delta 0 MWh is below 1 MWh; "
+                                    "rate undefined"}
+    alone = long_run_mer(load_scenario(TUTORIAL), ScaleEV(0.05), target_zones=["B"])
+    assert report["B"]["lr_mer_tco2_per_mwh"] == alone.lr_mer
+    assert "WARNING gridmarg: zone A: DegenerateDelta" in capsys.readouterr().err
+
+
+def test_metrics_lrmer_each_zone_separately_exits_1_when_no_zone_has_a_rate(tmp_path):
+    scenario = scenario_file(tmp_path, single_bus())   # no flexible load anywhere
+    out = tmp_path / "out"
+    assert main(["metrics", scenario, "--method", "lrmer", "--zone", "each-separately",
+                 "--out", str(out)]) == 1
+    report = json.loads((out / "consequential.json").read_text())
+    assert set(report) == {"Z"} and report["Z"]["error"].startswith("DegenerateDelta: ")
+
+
+def test_metrics_lrmer_each_zone_separately_infeasible_still_exits_2(tmp_path):
+    scenario = scenario_file(tmp_path, single_bus(demand=120.0, cap=100.0, nse_penalty=None))
+    assert main(["metrics", scenario, "--method", "lrmer", "--zone", "each-separately",
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 def test_schedule_cost_signal_noflex_equals_baseline(tmp_path):

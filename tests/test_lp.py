@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from gridmarg.lp import (LpBuilder, LpProblem, LpSolution, SolveStatus, solve, verify_kkt,
-                         with_extra_le_row, write_lp_text)
+from gridmarg.grid import Generator, GridModel, ScenarioConfig, StorageUnit, Zone
+from gridmarg.lp import (LpBuilder, LpProblem, LpSolution, SolveStatus, _highs_lp, solve,
+                         verify_kkt, with_extra_le_row, write_lp_text)
 from gridmarg.planner import build_expansion_lp, build_operational_lp, solve_model
 from gridmarg.scenario_io import load_scenario
 
@@ -208,6 +210,33 @@ def test_cold_solve_matches_linprog_bit_for_bit_on_toy_grids(make_grid):
     assert_matches_linprog(expansion.problem)
     caps = solve_model(expansion).fixed_capacities()
     assert_matches_linprog(build_operational_lp(grid, caps).problem)
+
+
+def test_repeated_entries_reach_highs_merged_as_scipy_merges_them():
+    # At horizon 1 the cyclic wrap makes hour 0 its own predecessor, so the
+    # storage balance row names the state of charge twice and the start-up
+    # row names the commitment twice. Unmerged, HiGHS aborts the process.
+    grid = GridModel(
+        zones=(Zone(id="Z", demand=np.array([30.0])),),
+        generators=(Generator(id="coal", zone_id="Z", kind="thermal", existing_cap_mw=50.0,
+                              heat_rate=10.0, fuel_price=2.0, emissions_factor=0.9,
+                              min_stable_fraction=0.4, startup_cost=60.0),),
+        storage_units=(StorageUnit(id="bat", zone_id="Z", existing_power_mw=5.0,
+                                   existing_energy_mwh=10.0),),
+        config=ScenarioConfig(horizon_hours=1),
+    )
+    problem = build_expansion_lp(grid).problem
+    for rows in (problem.rows_eq, problem.rows_ub):
+        assert any(np.unique(rows.indices[s:e]).size < e - s
+                   for s, e in zip(rows.indptr[:-1], rows.indptr[1:]))
+    want = sp.csc_array(sp.vstack((sp.coo_array(problem.A_ub), sp.coo_array(problem.A_eq))))
+    matrix = _highs_lp(problem).a_matrix_
+    assert_same_bits(np.array(matrix.start_, dtype=np.int32), want.indptr)
+    assert_same_bits(np.array(matrix.index_, dtype=np.int32), want.indices)
+    assert_same_bits(np.array(matrix.value_), want.data)
+    sol = solve(problem)
+    assert sol.objective_value == 600.0
+    assert_same_bits(sol.x, linprog_reference(problem)[0])
 
 
 def _two_var(cost, ub, row_coef, row_rhs) -> LpProblem:

@@ -2,8 +2,10 @@
 
 Every command runs in a fresh interpreter, so importing ``scipy.optimize``
 (and with it ``scipy.linalg`` and the optimizers) would cost each one a
-third of a second. These checks run in a subprocess, since the test
-process itself imports ``scipy.optimize`` for its reference solves.
+third of a second, and ``scipy.sparse`` another 0.15 s. No command may
+import them, whether at start-up or on a solving path, where the cost would
+only move from start-up into the answer. These checks run in a subprocess,
+since the test process itself imports both for its reference solves.
 """
 
 import importlib.machinery
@@ -20,7 +22,7 @@ from gridmarg import lp
 from test_scenario_io import TUTORIAL
 
 ROOT = Path(__file__).resolve().parents[1]
-HEAVY = ("scipy.optimize", "scipy.linalg")
+HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
 
 
 def run_fresh(code: str) -> dict:
@@ -38,7 +40,12 @@ def run_fresh(code: str) -> dict:
     None,
     ["validate", str(TUTORIAL)],
     ["solve", str(TUTORIAL), "--out", "{out}"],
-], ids=["import", "validate", "solve"])
+    *(["metrics", str(TUTORIAL), "--method", method, "--out", "{out}"]
+      for method in ("srme1", "srme2", "lrmer")),
+    ["schedule", str(TUTORIAL), "--signal", "srme2", "--out", "{out}"],
+    ["sweep", str(TUTORIAL), "--parallel", "1", "--out", "{out}"],
+], ids=["import", "validate", "solve", "metrics-srme1", "metrics-srme2", "metrics-lrmer",
+        "schedule-srme2", "sweep"])
 def test_commands_start_without_scipy_optimize(command, tmp_path):
     argv = None if command is None else [a.format(out=tmp_path / "out") for a in command]
     result = run_fresh(

@@ -15,6 +15,7 @@ their inputs untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,6 +47,23 @@ def _as_series(values, name: str) -> np.ndarray:
     return arr
 
 
+def _require_finite(entity, where: str) -> None:
+    """Reject NaN and infinite numbers in an entity's float and series fields.
+
+    Every range check below is a comparison, which NaN passes. None, where
+    a field allows it, stays the way to say "no limit".
+    """
+    for name, value in vars(entity).items():
+        if isinstance(value, float):
+            finite = math.isfinite(value)
+        elif isinstance(value, np.ndarray):
+            finite = np.isfinite(value).all()
+        else:
+            continue
+        if not finite:
+            raise ValidationError(f"{where}: {name} must be finite")
+
+
 @dataclass(frozen=True)
 class Zone:
     id: str
@@ -53,6 +71,7 @@ class Zone:
     clean_share_min: float = 0.0
 
     def validate(self, horizon: int) -> None:
+        _require_finite(self, f"zone {self.id}")
         if len(self.demand) != horizon:
             raise ValidationError(
                 f"zone {self.id}: demand series has length {len(self.demand)}, expected {horizon}")
@@ -94,6 +113,7 @@ class Generator:
         return self.kind == THERMAL and (self.min_stable_fraction > 0 or self.startup_cost > 0)
 
     def validate(self, horizon: int) -> None:
+        _require_finite(self, f"generator {self.id}")
         if self.kind not in GENERATOR_KINDS:
             raise ValidationError(f"generator {self.id}: unknown kind {self.kind!r}")
         if self.existing_cap_mw < 0:
@@ -141,6 +161,7 @@ class StorageUnit:
     var_om: float = 0.0             # $/MWh discharged
 
     def validate(self) -> None:
+        _require_finite(self, f"storage {self.id}")
         for name in ("charge_efficiency", "discharge_efficiency"):
             eff = getattr(self, name)
             if not 0.0 < eff <= 1.0:
@@ -160,6 +181,7 @@ class TransmissionLine:
     loss_fraction: float = 0.0
 
     def validate(self) -> None:
+        _require_finite(self, f"line {self.id}")
         if self.from_zone == self.to_zone:
             raise ValidationError(f"line {self.id}: from_zone equals to_zone")
         if self.capacity_mw < 0:
@@ -194,6 +216,7 @@ class FlexibleLoad:
         return 3.0 * peak
 
     def validate(self, horizon: int) -> None:
+        _require_finite(self, f"flexible_load {self.id}")
         if len(self.baseline_profile) != horizon:
             raise ValidationError(
                 f"flexible_load {self.id}: baseline_profile has length "
@@ -218,6 +241,7 @@ class CostMultipliers:
     gas_price: float = 1.0
 
     def validate(self) -> None:
+        _require_finite(self, "cost_multipliers")
         if self.renewable_capex <= 0 or self.gas_price <= 0:
             raise ValidationError("cost_multipliers: multipliers must be positive")
 
@@ -238,6 +262,7 @@ class ScenarioConfig:
     co2_cap_tons: float | None = None
 
     def validate(self) -> None:
+        _require_finite(self, "config")
         if self.horizon_hours <= 0:
             raise ValidationError("config: horizon_hours must be positive")
         if self.ev_penetration_multiplier <= 0:

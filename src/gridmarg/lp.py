@@ -44,6 +44,16 @@ bit for bit. ``LpProblem.A_eq`` and ``A_ub`` are ``scipy.sparse.csr_matrix``
 views over the same arrays for readers outside the solve path (tests, the
 benchmark's checks and tracer); the first access imports scipy.sparse.
 
+Nothing crosses into HiGHS element by element. The model goes in through
+the ``passModel`` overload that takes numpy buffers (float64 and int32,
+which HiGHS copies in C++), not through a ``HighsLp`` whose fields pybind11
+converts one element at a time. The final basis stays HiGHS's own
+``HighsBasis`` object, kept on the solution as ``LpSolution.basis`` and
+handed back to ``setBasis`` unchanged for a warm start; ``col_status`` and
+``row_status``, the same basis as int8 status codes, are built only when
+read. A ``HighsBasis`` does not pickle, so neither does an optimal
+LpSolution: a sweep worker returns its outcome rows, never a solution.
+
 Every solve builds a fresh HiGHS instance, and an LpProblem is immutable
 once built. A warm start only changes where the simplex starts; the optimum
 it reaches is an optimum of the problem passed in.
@@ -55,10 +65,12 @@ that succeeded, and only the group's first base solve is cold.
 
 Repeat solves are answered from a memo. Inside ``solve_memo_scope()`` (one
 per CLI command, and one per sweep cell), ``memo_solve`` keys each solve by
-a digest of the problem arrays plus the warm-start basis, if any, and
-returns the stored solution of an earlier identical solve instead of
-solving again. HiGHS is deterministic, so the stored solution is the one a
-new solve would return. A nested scope (``solve_memo_scope(nested=True)``,
+a digest of the problem arrays plus where its warm start, if any, came
+from, and returns the stored solution of an earlier identical solve instead
+of solving again. HiGHS is deterministic, so the stored solution is the one
+a new solve would return, and a start is named by provenance: the memo key
+of the solve that produced it (``LpSolution.memo_key``). Only a start
+solved outside any scope, which has no key, is named by its basis codes. A nested scope (``solve_memo_scope(nested=True)``,
 one per scheduler pass) reads the enclosing scope's solutions but drops its
 own when it ends, so solves that cannot recur are not kept for the rest of
 the command. Outside a scope, ``memo_solve`` is a plain ``solve``.
@@ -76,7 +88,7 @@ from collections import ChainMap
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -222,6 +234,13 @@ class LpProblem:
                 raise ValueError(f"{name} contains non-finite coefficients")
         if not (np.isfinite(self.b_eq).all() and np.isfinite(self.b_ub).all()):
             raise ValueError("right-hand sides must be finite")
+        # NaN passes the comparison below, and a lower bound of +inf or an upper
+        # bound of -inf pins a variable at infinity; HiGHS "solves" both.
+        bad = np.isnan(self.lb) | np.isnan(self.ub) | (self.lb == np.inf) | (self.ub == -np.inf)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError(f"variable {j} has bounds [{self.lb[j]}, {self.ub[j]}]: a bound "
+                             f"must not be NaN, lower +inf or upper -inf")
         if np.any(self.lb > self.ub):
             j = int(np.argmax(self.lb > self.ub))
             raise ValueError(f"variable {j} has lower bound {self.lb[j]} > upper bound {self.ub[j]}")
@@ -379,11 +398,14 @@ class _RowBlocks:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Primal/dual solution. Dual, primal and basis arrays are None unless OPTIMAL.
+    """Primal/dual solution. Dual, primal and basis values are None unless OPTIMAL.
 
-    col_status / row_status are the final simplex basis as HiGHS basis status
-    codes, rows ordered <=-rows first, then equality rows; they are what
-    ``solve(..., warm_start=)`` reads.
+    basis is HiGHS's own final simplex basis (a ``HighsBasis``), which
+    ``solve(..., warm_start=)`` hands back to HiGHS as it is. col_status /
+    row_status are the same basis as read-only int8 arrays of HiGHS basis
+    status codes, rows ordered <=-rows first, then equality rows; they are
+    built on first read. memo_key is the key under which memo_solve stored
+    the solution, if it did.
     """
 
     status: SolveStatus
@@ -392,9 +414,17 @@ class LpSolution:
     eq_duals: np.ndarray | None = None
     ineq_duals: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
-    col_status: np.ndarray | None = None
-    row_status: np.ndarray | None = None
     iterations: int = 0       # simplex iterations this solve took
+    basis: _highs.HighsBasis | None = field(default=None, repr=False, compare=False)
+    memo_key: bytes | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def col_status(self) -> np.ndarray | None:
+        return None if self.basis is None else _status_codes(self.basis.col_status)
+
+    @cached_property
+    def row_status(self) -> np.ndarray | None:
+        return None if self.basis is None else _status_codes(self.basis.row_status)
 
 
 def with_extra_le_row(problem: LpProblem, idx, coef, rhs: float,
@@ -448,54 +478,53 @@ def _by_column(rows: np.ndarray, cols: np.ndarray, data: np.ndarray):
 _OPTIONS = (("output_flag", False), ("presolve", "on"), ("solver", "simplex"),
             ("simplex_strategy",
              int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)))
-_BASIS_STATUS = tuple(_highs.HighsBasisStatus(code) for code in range(5))
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
-def _highs_lp(problem: LpProblem):
-    """The problem as one HiGHS row block [A_ub; A_eq], column-wise, as linprog lays it out.
+def _pass_model(highs, problem: LpProblem) -> None:
+    """Pass the problem to HiGHS as one row block [A_ub; A_eq], column-wise, as linprog lays it out.
 
     The column-wise arrays are the ones scipy's csc conversion of the stacked
     rows gives linprog: each column's entries in ascending row order, and a
     repeated (row, column) entry merged into one. HiGHS must never see a
-    repeated entry: it aborts the whole process on one.
+    repeated entry: it aborts the whole process on one. HiGHS copies the
+    numpy buffers as they are; every column is continuous. Raises
+    NumericalFailure if HiGHS rejects the model.
     """
     ub, eq = problem.rows_ub, problem.rows_eq
     rows, cols, values = _by_column(
         np.concatenate((ub.entry_rows(), eq.entry_rows() + problem.num_ub)),
         np.concatenate((ub.indices, eq.indices)), np.concatenate((ub.data, eq.data)))
-    start = np.zeros(problem.num_vars + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=problem.num_vars), out=start[1:])
-    model = _highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = problem.num_vars
-    model.num_row_ = model.a_matrix_.num_row_ = problem.num_ub + problem.num_eq
-    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = start
-    model.a_matrix_.index_ = rows
-    model.a_matrix_.value_ = values
-    model.col_cost_ = problem.c
-    model.col_lower_ = problem.lb
-    model.col_upper_ = problem.ub
-    model.row_lower_ = np.concatenate((np.full(problem.num_ub, -np.inf), problem.b_eq))
-    model.row_upper_ = np.concatenate((problem.b_ub, problem.b_eq))
-    return model
+    n = problem.num_vars
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+    status = highs.passModel(
+        n, problem.num_ub + problem.num_eq, values.shape[0], _COLWISE, _MINIMIZE, 0.0,
+        problem.c, problem.lb, problem.ub,
+        np.concatenate((np.full(problem.num_ub, -np.inf), problem.b_eq)),
+        np.concatenate((problem.b_ub, problem.b_eq)),
+        start, rows, values, np.zeros(n, dtype=np.int32))
+    if status == _highs.HighsStatus.kError:
+        raise NumericalFailure("LP backend rejected the model")
 
 
-def _highs_basis(problem: LpProblem, warm_start: LpSolution):
-    if warm_start.col_status is None or warm_start.row_status is None:
+def _warm_basis(problem: LpProblem, warm_start: LpSolution):
+    """warm_start's HiGHS basis, once its shape is checked against the problem's."""
+    if warm_start.basis is None:
         raise ValueError("warm_start must be an OPTIMAL solution carrying a basis")
-    have = (warm_start.col_status.size, warm_start.row_status.size)
+    have = (warm_start.x.shape[0], warm_start.ineq_duals.shape[0] + warm_start.eq_duals.shape[0])
     want = (problem.num_vars, problem.num_ub + problem.num_eq)
     if have != want:
         raise ValueError(f"warm_start basis has {have[0]} columns and {have[1]} rows; "
                          f"the problem has {want[0]} and {want[1]}")
-    basis = _highs.HighsBasis()
-    basis.col_status = [_BASIS_STATUS[code] for code in warm_start.col_status.tolist()]
-    basis.row_status = [_BASIS_STATUS[code] for code in warm_start.row_status.tolist()]
-    return basis
+    return warm_start.basis
 
 
 def _status_codes(statuses) -> np.ndarray:
-    return np.fromiter(map(int, statuses), dtype=np.int8, count=len(statuses))
+    codes = np.fromiter(map(int, statuses), dtype=np.int8, count=len(statuses))
+    codes.flags.writeable = False
+    return codes
 
 
 def _reduced_costs(problem: LpProblem, eq_duals: np.ndarray,
@@ -520,9 +549,9 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None) -> LpSolutio
     highs = _highs._Highs()
     for option, value in _OPTIONS:
         highs.setOptionValue(option, value)
-    highs.passModel(_highs_lp(problem))
+    _pass_model(highs, problem)
     if warm_start is not None:
-        if highs.setBasis(_highs_basis(problem, warm_start)) == _highs.HighsStatus.kError:
+        if highs.setBasis(_warm_basis(problem, warm_start)) == _highs.HighsStatus.kError:
             raise ValueError("LP backend rejected the warm_start basis")
     highs.run()
     status = highs.getModelStatus()
@@ -535,7 +564,6 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None) -> LpSolutio
         raise NumericalFailure(f"LP backend ended with status {highs.modelStatusToString(status)}")
 
     solution = highs.getSolution()
-    basis = highs.getBasis()
     x = np.array(solution.col_value)
     row_dual = np.array(solution.row_dual)
     mu = row_dual[problem.num_ub:]
@@ -546,13 +574,11 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None) -> LpSolutio
         ineq_duals=gamma,
         # Recomputed from the row duals so (x, duals, reduced costs) agree by construction.
         reduced_costs=_reduced_costs(problem, mu, gamma),
-        col_status=_status_codes(basis.col_status),
-        row_status=_status_codes(basis.row_status),
     )
     for arr in arrays.values():
         arr.flags.writeable = False
     return LpSolution(status=SolveStatus.OPTIMAL, objective_value=float(problem.c @ x),
-                      iterations=iterations, **arrays)
+                      iterations=iterations, basis=highs.getBasis(), **arrays)
 
 
 def _memo_key(problem: LpProblem, warm_start: LpSolution | None) -> bytes:
@@ -567,6 +593,9 @@ def _memo_key(problem: LpProblem, warm_start: LpSolution | None) -> bytes:
             h.update(np.ascontiguousarray(arr).tobytes())
     if warm_start is None:
         h.update(b"cold")
+    elif warm_start.memo_key is not None:
+        # HiGHS is deterministic: the solve a key names always ends at the same basis.
+        h.update(b"from" + warm_start.memo_key)
     else:
         for arr in (warm_start.col_status, warm_start.row_status):
             h.update(b"-" if arr is None else repr(arr.shape).encode() + arr.tobytes())
@@ -605,14 +634,20 @@ def memo_solve(problem: LpProblem, warm_start: LpSolution | None = None) -> LpSo
 
     The key covers the warm-start basis: the same LP solved from another
     basis, or cold instead of warm, is solved again, since it may end at a
-    different optimal vertex.
+    different optimal vertex. A start that memo_solve stored is named by its
+    own memo key, any other start by its basis codes. The solution returned
+    carries its key as memo_key.
     """
     memo = _MEMO.get()
     if memo is None:
         return solve(problem, warm_start=warm_start)
     key = _memo_key(problem, warm_start)
     if key not in memo:
-        memo[key] = solve(problem, warm_start=warm_start)
+        solution = solve(problem, warm_start=warm_start)
+        # The solution itself is stored and returned (callers compare with `is`),
+        # so it is tagged in place, before memo_solve hands it to anyone.
+        object.__setattr__(solution, "memo_key", key)
+        memo[key] = solution
     return memo[key]
 
 

@@ -16,6 +16,7 @@ grid field-for-field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -55,6 +56,8 @@ def read_series(path: Path) -> np.ndarray:
             hour, value = int(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(value):
+            raise ParseError(f"{path}:{lineno}: value must be finite, got {parts[1].strip()!r}")
         if hour in values:
             raise ParseError(f"{path}:{lineno}: duplicate hour {hour}")
         values[hour] = value
@@ -62,6 +65,23 @@ def read_series(path: Path) -> np.ndarray:
     if hours != list(range(len(hours))):
         raise ParseError(f"{path}: hours must be contiguous starting at 0")
     return np.array([values[h] for h in hours], dtype=float)
+
+
+def _finite_numbers(path: Path):
+    """A json object_pairs_hook that rejects NaN and infinite numbers, naming the field.
+
+    json reads the tokens NaN, Infinity and -Infinity, and an overflowing
+    literal such as 1e999, as non-finite floats. No scenario field takes
+    one; null is the way to say "no limit".
+    """
+    def hook(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        for key, value in pairs:
+            if isinstance(value, float) and not math.isfinite(value):
+                owner = f" of {obj['id']!r}" if "id" in obj else ""
+                raise ParseError(f"{path}: {key!r}{owner} must be a finite number, got {value}")
+        return obj
+    return hook
 
 
 def write_series(path: Path, values: np.ndarray) -> None:
@@ -117,7 +137,7 @@ def load_scenario(path) -> GridModel:
     base = path.parent
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_finite_numbers(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

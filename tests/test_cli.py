@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,6 +65,33 @@ def test_malformed_json_exits_1_with_line(tmp_path, capsys):
     bad.write_text('{\n  "config": {,}\n}\n')
     assert main(["solve", str(bad)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+# A tutorial copy with one non-finite number: (file, text, replacement, what the error names).
+NON_FINITE = {
+    "demand_nan": ("A_demand.csv", "\n3,100.0\n", "\n3,nan\n", "A_demand.csv:5"),
+    "cap_infinity": ("scenario.json", '"existing_cap_mw": 150.0', '"existing_cap_mw": Infinity',
+                     "'existing_cap_mw' of 'coal_a'"),
+    "cap_nan": ("scenario.json", '"existing_cap_mw": 150.0', '"existing_cap_mw": NaN',
+                "'existing_cap_mw' of 'coal_a'"),
+    "fuel_infinity": ("scenario.json", '"fuel_price": 2.0', '"fuel_price": Infinity',
+                      "'fuel_price' of 'coal_a'"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_scenario_number_exits_1_naming_it(tmp_path, capsys, case, command):
+    name, text, replacement, named = NON_FINITE[case]
+    shutil.copytree(TUTORIAL.parent, tmp_path / "scenario")
+    path = tmp_path / "scenario" / name
+    assert text in path.read_text()
+    path.write_text(path.read_text().replace(text, replacement, 1))
+    argv = [command, str(tmp_path / "scenario" / "scenario.json")]
+    assert main(argv + (["--out", str(tmp_path / "out")] if command == "solve" else [])) == 1
+    err = capsys.readouterr().err
+    assert named in err and "must be" in err and "finite" in err
+    assert "Traceback" not in err
 
 
 def test_infeasible_exits_2(tmp_path):

@@ -1,15 +1,20 @@
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from gridmarg.grid import Generator, GridModel, ScenarioConfig, StorageUnit, Zone
-from gridmarg.lp import (LpBuilder, LpProblem, LpSolution, SolveStatus, _highs_lp, solve,
-                         verify_kkt, with_extra_le_row, write_lp_text)
-from gridmarg.planner import build_expansion_lp, build_operational_lp, solve_model
+from gridmarg.grid import Generator, GridModel, ScenarioConfig, StorageUnit, Zone, resolve_scenario
+from gridmarg.lp import (LpBuilder, LpProblem, LpSolution, SolveStatus, _highs, solve, verify_kkt,
+                         with_extra_le_row, write_lp_text)
+from gridmarg.planner import (ScaleEV, UniformAll, build_expansion_lp, build_operational_lp,
+                              perturb_demand, solve_model)
 from gridmarg.scenario_io import load_scenario
 
 from oracles import random_feasible_lp, vertex_enumeration_minimum
+from test_lp_arrays import assert_highs_holds_scipys_csc
 from test_scenario_io import TUTORIAL
 from toys import backfire, breakeven_wind, merit_stack, storage_coupled
 
@@ -127,6 +132,13 @@ def test_builder_rejects_bad_rows_and_bounds():
     b3.add_var(cost=np.nan)
     with pytest.raises(ValueError, match="finite"):
         b3.build()
+    # NaN passes the lb > ub check, and HiGHS took such bounds and reported x = nan or inf.
+    for lb, ub in ((-np.inf, -np.inf), (np.inf, np.inf), (np.nan, 1.0), (0.0, np.nan)):
+        b4 = LpBuilder()
+        b4.add_var(cost=1.0)
+        b4.add_var(cost=1.0, lb=lb, ub=ub)
+        with pytest.raises(ValueError, match=r"variable 1 has bounds .* must not be NaN"):
+            b4.build()
 
 
 def test_bounded_variable_duals_consistent():
@@ -229,11 +241,7 @@ def test_repeated_entries_reach_highs_merged_as_scipy_merges_them():
     for rows in (problem.rows_eq, problem.rows_ub):
         assert any(np.unique(rows.indices[s:e]).size < e - s
                    for s, e in zip(rows.indptr[:-1], rows.indptr[1:]))
-    want = sp.csc_array(sp.vstack((sp.coo_array(problem.A_ub), sp.coo_array(problem.A_eq))))
-    matrix = _highs_lp(problem).a_matrix_
-    assert_same_bits(np.array(matrix.start_, dtype=np.int32), want.indptr)
-    assert_same_bits(np.array(matrix.index_, dtype=np.int32), want.indices)
-    assert_same_bits(np.array(matrix.value_), want.data)
+    assert_highs_holds_scipys_csc(problem)
     sol = solve(problem)
     assert sol.objective_value == 600.0
     assert_same_bits(sol.x, linprog_reference(problem)[0])
@@ -267,6 +275,48 @@ def test_warm_solves_report_infeasible_and_unbounded_like_cold_ones():
         for start in starts:
             assert start.status is SolveStatus.OPTIMAL
             assert solve(problem, warm_start=start).status is status
+
+
+def basis_from_codes(solution: LpSolution):
+    """A fresh HighsBasis rebuilt from the solution's int8 status codes.
+
+    The reference for the native basis a warm start hands to HiGHS: the
+    codes -> enum rebuild every warm start went through before.
+    """
+    basis = _highs.HighsBasis()
+    basis.col_status = [_highs.HighsBasisStatus(code) for code in solution.col_status.tolist()]
+    basis.row_status = [_highs.HighsBasisStatus(code) for code in solution.row_status.tolist()]
+    return basis
+
+
+def synth_grid(kind: str, seed: int, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "synth", Path(__file__).resolve().parents[1] / "bench" / "synth.py")
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    return resolve_scenario(load_scenario(synth.write(kind, 168, seed, tmp_path / kind)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["fleet", "expansion"])
+def test_native_basis_warm_starts_as_the_basis_rebuilt_from_codes(kind, seed, tmp_path):
+    grid = synth_grid(kind, seed, tmp_path)
+    base_result = solve_model(build_expansion_lp(grid))
+    base, caps = base_result.solution, base_result.fixed_capacities()
+    problems = [build_expansion_lp(perturb_demand(grid, "all",
+                                                  ScaleEV(grid.config.perturbation_fraction)))]
+    problems += [build_operational_lp(perturb_demand(grid, [zone],
+                                                     UniformAll(grid.config.srme1_fraction)),
+                                      caps)
+                 for zone in grid.zone_ids()]
+    rebuilt = replace(base, basis=basis_from_codes(base))
+    for model in problems:
+        native = solve(model.problem, warm_start=base)
+        codes = solve(model.problem, warm_start=rebuilt)
+        assert native.status is codes.status is SolveStatus.OPTIMAL
+        assert native.iterations == codes.iterations
+        for name in ("x", "eq_duals", "ineq_duals", "reduced_costs", "col_status", "row_status"):
+            assert_same_bits(getattr(native, name), getattr(codes, name))
 
 
 # --- the per-scope solve memo --------------------------------------------------------
@@ -311,6 +361,24 @@ def test_memo_keeps_cold_and_each_warm_start_basis_apart(backend_calls):
         assert len(backend_calls) == 3
 
 
+def test_memo_names_a_start_by_its_key_or_else_by_its_basis(backend_calls):
+    from gridmarg.lp import memo_solve, solve_memo_scope
+    problem = _two_var([1.0, 2.0], [5.0, 5.0], [1.0, 1.0], 4.0)
+    start_lp = _two_var([1.0, 1.0], [5.0, 5.0], [1.0, 1.0], 4.0)
+    with solve_memo_scope():
+        stored = memo_solve(start_lp)
+        loose, loose_again = solve(start_lp), solve(start_lp)   # solved outside the memo
+        assert stored.memo_key is not None and loose.memo_key is None
+        backend_calls.clear()
+        from_stored = memo_solve(problem, warm_start=stored)
+        assert from_stored.memo_key is not None
+        assert memo_solve(problem, warm_start=stored) is from_stored
+        # A start without a key is named by its basis codes: equal codes, one solve.
+        from_loose = memo_solve(problem, warm_start=loose)
+        assert memo_solve(problem, warm_start=loose_again) is from_loose
+        assert len(backend_calls) == 2
+
+
 def test_memo_solve_outside_a_scope_always_solves(backend_calls):
     from gridmarg.lp import memo_solve
     memo_solve(merit_order_problem())
@@ -350,6 +418,33 @@ def test_no_memo_entry_outlives_its_cli_command(backend_calls, tmp_path):
     memo_solve(merit_order_problem())
     memo_solve(merit_order_problem())
     assert len(backend_calls) == 2 * first + 2
+
+
+@pytest.mark.parametrize("command", [
+    ["metrics", str(TUTORIAL), "--method", "lrmer"],
+    ["sweep", str(TUTORIAL), "--parallel", "1"],
+], ids=["metrics-lrmer", "sweep"])
+def test_commands_convert_no_model_or_basis_element_by_element(command, backend_calls,
+                                                               monkeypatch, tmp_path):
+    # The model reaches HiGHS as numpy buffers and a warm start as HiGHS's own
+    # basis, so neither the HighsLp field-by-field copy nor the enum -> int8
+    # basis conversion runs on a command; the memo names warm starts by key.
+    import gridmarg.lp as lp_module
+    from gridmarg.cli import main
+    counts = {"_status_codes": 0, "HighsLp": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, call)
+    counting(lp_module, "_status_codes")
+    counting(lp_module._highs, "HighsLp")
+    assert main(command + ["--out", str(tmp_path / "out")]) == 0
+    assert any(start is not None for start in backend_calls)   # warm starts did run
+    assert counts == {"_status_codes": 0, "HighsLp": 0}
 
 
 def test_solution_arrays_are_read_only():

@@ -13,7 +13,8 @@ import scipy.sparse as sp
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from gridmarg.lp import CsrRows, LpProblem, _highs_lp, _reduced_costs, with_extra_le_row
+from gridmarg.lp import (CsrRows, LpProblem, _highs, _pass_model, _reduced_costs,
+                         with_extra_le_row)
 
 MAX_COLS = 5
 # Finite values of every sign and scale, so that summation order shows in the bits.
@@ -50,18 +51,51 @@ def assert_same_bits(ours: np.ndarray, scipys: np.ndarray):
     assert ours.tobytes() == scipys.tobytes()
 
 
+def held_matrix(highs) -> tuple:
+    """The constraint matrix a HiGHS instance holds: (shape, start, index, value)."""
+    matrix = highs.getLp().a_matrix_
+    return ((matrix.num_row_, matrix.num_col_), np.array(matrix.start_, dtype=np.int32),
+            np.array(matrix.index_, dtype=np.int32), np.array(matrix.value_, dtype=float))
+
+
+def quiet_highs():
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    return highs
+
+
+def assert_highs_holds_scipys_csc(problem: LpProblem):
+    """_pass_model leaves HiGHS holding the matrix linprog gives it, bit for bit.
+
+    linprog passes scipy's csc conversion of [A_ub; A_eq]. HiGHS drops
+    entries of magnitude <= 1e-9 (an explicit zero left by merging repeated
+    entries among them) from any matrix it is given, so the reference is
+    that csc matrix passed to HiGHS.
+    """
+    want = sp.csc_array(sp.vstack((sp.coo_array(problem.A_ub), sp.coo_array(problem.A_eq))))
+    ours = quiet_highs()
+    _pass_model(ours, problem)
+    scipys = quiet_highs()
+    scipys.passModel(problem.num_vars, want.shape[0], want.nnz,
+                     int(_highs.MatrixFormat.kColwise), int(_highs.ObjSense.kMinimize), 0.0,
+                     problem.c, problem.lb, problem.ub,
+                     np.concatenate((np.full(problem.num_ub, -np.inf), problem.b_eq)),
+                     np.concatenate((problem.b_ub, problem.b_eq)),
+                     want.indptr, want.indices, want.data,
+                     np.zeros(problem.num_vars, dtype=np.int32))
+    (shape, *got), (want_shape, *held) = held_matrix(ours), held_matrix(scipys)
+    assert shape == want_shape == want.shape
+    for ours_arr, scipys_arr in zip(got, held, strict=True):
+        assert_same_bits(ours_arr, scipys_arr)
+
+
 @given(problems())
 def test_highs_matrix_is_scipys_csc_of_the_stacked_rows(problem):
     columns = np.concatenate((problem.rows_ub.indices, problem.rows_eq.indices))
     # scipy orders a column's repeated entries with std::sort, which keeps
     # them in row order only on a column of at most 16 entries.
     assume(columns.size == 0 or np.bincount(columns).max() <= 16)
-    want = sp.csc_array(sp.vstack((sp.coo_array(problem.A_ub), sp.coo_array(problem.A_eq))))
-    matrix = _highs_lp(problem).a_matrix_
-    assert (matrix.num_row_, matrix.num_col_) == want.shape
-    assert_same_bits(np.array(matrix.start_, dtype=want.indptr.dtype), want.indptr)
-    assert_same_bits(np.array(matrix.index_, dtype=want.indices.dtype), want.indices)
-    assert_same_bits(np.array(matrix.value_, dtype=float), want.data)
+    assert_highs_holds_scipys_csc(problem)
 
 
 @given(st.data())

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,32 @@ def test_series_header_and_contiguity(tmp_path):
         read_series(bad)
 
 
+def test_series_rejects_non_finite_values_with_file_and_line(tmp_path):
+    bad = tmp_path / "s.csv"
+    for token in ("nan", "inf", "-Infinity"):
+        bad.write_text(f"hour,value\n0,1.0\n1,{token}\n")
+        with pytest.raises(ParseError, match=r"s\.csv:3: value must be finite"):
+            read_series(bad)
+
+
+@pytest.mark.parametrize("section, field, token", [
+    ("config", "horizon_hours", "Infinity"),    # int(inf) raised OverflowError
+    ("config", "co2_cap_tons", "Infinity"),     # null, not Infinity, means no cap
+    ("generators", "existing_cap_mw", "NaN"),
+    ("generators", "fuel_price", "-Infinity"),
+    ("generators", "heat_rate", "1e999"),        # overflows to inf without a NaN/Infinity token
+])
+def test_json_rejects_non_finite_numbers_naming_the_field(tmp_path, section, field, token):
+    path = write_minimal_scenario(tmp_path)
+    doc = json.loads(path.read_text())
+    entry = doc["config"] if section == "config" else doc[section][0]
+    entry[field] = "TOKEN"
+    path.write_text(json.dumps(doc).replace('"TOKEN"', token))
+    owner = "" if section == "config" else " of 'g1'"
+    with pytest.raises(ParseError, match=f"'{field}'{owner} must be a finite number"):
+        load_scenario(path)
+
+
 def full_grid(horizon: int = 6) -> GridModel:
     rng = np.random.default_rng(3)
     return GridModel(
@@ -104,6 +131,33 @@ def full_grid(horizon: int = 6) -> GridModel:
                               cost_multipliers=CostMultipliers(0.9, 1.1),
                               co2_cap_tons=123.0, nse_penalty=8_500.0),
     )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("collection, index, field, named", [
+    ("zones", 0, "demand", "zone north: demand"),
+    ("generators", 0, "existing_cap_mw", "generator ccgt: existing_cap_mw"),
+    ("generators", 0, "fuel_price", "generator ccgt: fuel_price"),
+    ("generators", 1, "capacity_factor_profile", "generator pv: capacity_factor_profile"),
+    ("storage_units", 0, "existing_energy_mwh", "storage batt: existing_energy_mwh"),
+    ("lines", 0, "capacity_mw", "line ns: capacity_mw"),
+    ("flexible_loads", 0, "baseline_profile", "flexible_load ev_n: baseline_profile"),
+    ("flexible_loads", 0, "max_charge_rate_mw", "flexible_load ev_n: max_charge_rate_mw"),
+    ("config", None, "nse_penalty", "config: nse_penalty"),
+])
+def test_validate_rejects_non_finite_numbers_naming_entity_and_field(collection, index, field,
+                                                                     named, bad):
+    grid = full_grid()
+    if index is None:
+        grid = replace(grid, config=replace(grid.config, **{field: bad}))
+    else:
+        entities = list(getattr(grid, collection))
+        old = getattr(entities[index], field)
+        value = np.where(np.arange(old.size) == 2, bad, old) if isinstance(old, np.ndarray) else bad
+        entities[index] = replace(entities[index], **{field: value})
+        grid = replace(grid, **{collection: tuple(entities)})
+    with pytest.raises(ValidationError, match=f"^{named} must be finite$"):
+        grid.validate()
 
 
 def assert_grids_equal(a: GridModel, b: GridModel):

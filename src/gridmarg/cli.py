@@ -2,9 +2,8 @@
 
 Exit codes: 0 success (including non-converged schedules, reported in the
 outputs), 1 input/validation error, 2 infeasible model, 3 unbounded model.
-Diagnostics go to stderr; result files go under --out. Output files are
-written atomically (temp file + rename) and with fixed float formatting so
-identical inputs produce byte-identical data files.
+Diagnostics go to stderr; result files go under --out, written by
+gridmarg.outputs, so identical inputs produce byte-identical data files.
 """
 
 from __future__ import annotations
@@ -15,23 +14,22 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
-from . import lp
+from . import lp, outputs
 from .errors import DegenerateDelta, GridmargError, InfeasibleModel, UnboundedModel
 from .flex import ScheduleSource
 from .grid import CostMultipliers, GridModel, resolve_scenario
-from .metrics import (average_emission_rate, icev_comparison, long_run_mer, report_to_dict,
-                      srme_dual, srme_uniform, write_consequential_json, write_srme_csv)
-from .planner import (ScaleEV, _fmt, atomic_write_text, build_expansion_lp,
-                      build_operational_lp, solve_model, write_dispatch_outputs)
+from .metrics import (average_emission_rate, icev_comparison, long_run_mer, srme_dual,
+                      srme_uniform)
+from .planner import ScaleEV, build_expansion_lp, build_operational_lp, solve_model
 from .scenario_io import load_scenario
-from .scheduler import (evaluate_fixed_schedule, schedule_from_result, schedule_min_srme,
-                        write_schedule_csv, write_trace_csv)
+from .scheduler import evaluate_fixed_schedule, schedule_from_result, schedule_min_srme
 
 log = logging.getLogger("gridmarg")
 
@@ -62,6 +60,14 @@ def _load(path: str) -> GridModel:
     return resolve_scenario(load_scenario(path))
 
 
+def _ev_fleet(grid: GridModel) -> float | None:
+    """Vehicles in the scenario's EV energy at ev_annual_mwh each; None unless both are > 0."""
+    ev_energy = sum(float(l.effective_baseline().sum()) for l in grid.flexible_loads)
+    if grid.config.ev_annual_mwh > 0 and ev_energy > 0:
+        return ev_energy / grid.config.ev_annual_mwh
+    return None
+
+
 def cmd_validate(args) -> int:
     grid = _load(args.scenario)
     print(f"scenario OK: {len(grid.zones)} zone(s), {len(grid.generators)} generator(s), "
@@ -72,13 +78,12 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     grid = _load(args.scenario)
-    outdir = Path(args.out)
     if args.mode == "expansion":
         result = solve_model(build_expansion_lp(grid))
     else:
         expansion = solve_model(build_expansion_lp(grid))
         result = solve_model(build_operational_lp(grid, expansion.fixed_capacities()))
-    write_dispatch_outputs(grid, result, outdir)
+    outputs.write_dispatch_outputs(grid, result, args.out)
     log.info("solved %s (%s): cost %.2f, emissions %.2f tCO2",
              args.scenario, args.mode, result.total_cost, result.total_emissions)
     return 0
@@ -86,16 +91,14 @@ def cmd_solve(args) -> int:
 
 def cmd_metrics(args) -> int:
     grid = _load(args.scenario)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = outputs.out_dir(args.out)
 
     if args.method == "aer":
         result = solve_model(build_expansion_lp(grid))
-        payload = {"aer_system_tco2_per_mwh": average_emission_rate(result),
-                   "aer_by_zone_tco2_per_mwh": {
-                       z: average_emission_rate(result, z) for z in grid.zone_ids()}}
-        atomic_write_text(outdir / "aer.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(_fmt(payload["aer_system_tco2_per_mwh"]))
+        system = average_emission_rate(result)
+        outputs.write_aer_json(outdir / "aer.json", system,
+                               {z: average_emission_rate(result, z) for z in grid.zone_ids()})
+        print(outputs.fmt(system))
         return 0
 
     if args.method in ("srme1", "srme2"):
@@ -106,7 +109,7 @@ def cmd_metrics(args) -> int:
             series = srme_uniform(grid, caps, zones=zones)
         else:
             series = srme_dual(grid, caps)
-        write_srme_csv(series, outdir / "srme.csv")
+        outputs.write_srme_csv(series, outdir / "srme.csv")
         log.info("wrote %s rates for %d zone(s)", series.method, len(series.zone_ids))
         return 0
 
@@ -118,32 +121,30 @@ def cmd_metrics(args) -> int:
         reports = {}
         for zone in grid.zone_ids():
             try:
-                reports[zone] = report_to_dict(
+                reports[zone] = outputs.report_to_dict(
                     long_run_mer(grid, ScaleEV(fraction), target_zones=[zone]))
             except DegenerateDelta as exc:
                 log.warning("zone %s: DegenerateDelta: %s", zone, exc)
                 reports[zone] = {"error": f"DegenerateDelta: {exc}"}
-        write_consequential_json(reports, outdir / "consequential.json")
+        outputs.write_consequential_json(reports, outdir / "consequential.json")
         if all("error" in r for r in reports.values()):
             log.error("no zone has a defined LR-MER")
             return 1
     else:
         targets = "all" if args.zone == "all" else [args.zone]
         report = long_run_mer(grid, ScaleEV(fraction), target_zones=targets)
-        ev_energy = sum(float(l.effective_baseline().sum()) for l in grid.flexible_loads)
-        if grid.config.ev_annual_mwh > 0 and ev_energy > 0:
-            fleet = ev_energy / grid.config.ev_annual_mwh
+        fleet = _ev_fleet(grid)
+        if fleet is not None:
             report = replace(report, per_ev_normalization=icev_comparison(
                 report, fleet, grid.config.ev_annual_mwh, grid.config.icev_tco2_per_year))
-        write_consequential_json(report, outdir / "consequential.json")
-        print(_fmt(report.lr_mer))
+        outputs.write_consequential_json(report, outdir / "consequential.json")
+        print(outputs.fmt(report.lr_mer))
     return 0
 
 
 def cmd_schedule(args) -> int:
     grid = _apply_flex_mode(_load(args.scenario), args.flex)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = outputs.out_dir(args.out)
 
     expansion = solve_model(build_expansion_lp(grid))
     cost_schedule = schedule_from_result(grid, expansion, ScheduleSource.COST_MIN)
@@ -157,36 +158,11 @@ def cmd_schedule(args) -> int:
                                             method=args.signal.upper())
         report = evaluate_fixed_schedule(grid, schedule)
 
-    write_schedule_csv(schedule, outdir / "schedule.csv")
+    outputs.write_schedule_csv(schedule, outdir / "schedule.csv")
     if trace is not None:
-        write_trace_csv(trace, outdir / "iteration_trace.csv")
-
-    comparison = {
-        "signal": args.signal,
-        "flex": args.flex,
-        "converged": trace.converged if trace is not None else True,
-        "iterations_used": trace.iterations_used if trace is not None else 0,
-        "cost_reference": report_to_dict(cost_report),
-        "signal_schedule": report_to_dict(report),
-        "deltas_vs_cost_reference": {
-            "base_total_emissions_tco2": report.base_total_emissions
-                                          - cost_report.base_total_emissions,
-            "base_total_cost_usd": report.base_total_cost - cost_report.base_total_cost,
-            "lr_mer_tco2_per_mwh": report.lr_mer - cost_report.lr_mer,
-        },
-    }
-    ev_energy = sum(float(l.effective_baseline().sum()) for l in grid.flexible_loads)
-    if grid.config.ev_annual_mwh > 0 and ev_energy > 0:
-        fleet = ev_energy / grid.config.ev_annual_mwh
-        comparison["per_1000_ev"] = {
-            "fleet_vehicles": fleet,
-            "emissions_delta_tco2": (report.base_total_emissions
-                                     - cost_report.base_total_emissions) / fleet * 1000.0,
-            "cost_delta_usd": (report.base_total_cost
-                               - cost_report.base_total_cost) / fleet * 1000.0,
-        }
-    atomic_write_text(outdir / "comparison.json",
-                      json.dumps(comparison, indent=2, sort_keys=True) + "\n")
+        outputs.write_trace_csv(trace, outdir / "iteration_trace.csv")
+    outputs.write_comparison_json(outdir / "comparison.json", args.signal, args.flex, trace,
+                                  cost_report, report, _ev_fleet(grid))
     if trace is not None and not trace.converged:
         log.warning("penalty iteration did not converge in %d iteration(s); "
                     "results use the final schedule", trace.iterations_used)
@@ -195,53 +171,52 @@ def cmd_schedule(args) -> int:
 
 # --- sweep -----------------------------------------------------------------------
 
-def _read_sweep_spec(path: str | None) -> dict:
-    spec = {}
-    raw = b""
+# Sweep spec list fields and their defaults, in cell-key order; target_zones comes last.
+SWEEP_LISTS = {"ev_multipliers": DEFAULT_EV_MULTIPLIERS, "renewable_capex_multipliers": [1.0],
+               "gas_price_multipliers": [1.0], "flexibility_modes": ["scenario"]}
+CELL_KEYS = ("ev_multiplier", "renewable_capex", "gas_price", "flex", "target_zone")
+
+
+def _read_sweep_spec(path: str | None, zone_ids: list[str]) -> tuple[str, list[dict]]:
+    """The SHA-256 of the sweep spec at path, and its cells: one per combination
+    of its values (every default when path is None). Each field is checked."""
+    spec, raw = {}, b""
     if path is not None:
         raw = Path(path).read_bytes()
-        spec = json.loads(raw)
-        allowed = {"ev_multipliers", "renewable_capex_multipliers",
-                   "gas_price_multipliers", "flexibility_modes", "target_zones"}
-        extra = set(spec) - allowed
+        try:
+            spec = json.loads(raw)
+        except ValueError as exc:  # malformed JSON, or bytes that are not text
+            raise GridmargError(f"sweep spec: {path}: {exc}") from None
+        if not isinstance(spec, dict):
+            raise GridmargError(f"sweep spec: top level must be an object, got {spec!r}")
+        extra = set(spec) - set(SWEEP_LISTS) - {"target_zones"}
         if extra:
             raise GridmargError(f"sweep spec: unknown field(s) {sorted(extra)}")
-    out = {
-        "ev_multipliers": [float(v) for v in spec.get("ev_multipliers", DEFAULT_EV_MULTIPLIERS)],
-        "renewable_capex_multipliers": [float(v) for v in
-                                        spec.get("renewable_capex_multipliers", [1.0])],
-        "gas_price_multipliers": [float(v) for v in spec.get("gas_price_multipliers", [1.0])],
-        "flexibility_modes": list(spec.get("flexibility_modes", ["scenario"])),
-        "target_zones": spec.get("target_zones", "all"),
-        "sha256": hashlib.sha256(raw).hexdigest(),
-    }
-    for key in ("ev_multipliers", "renewable_capex_multipliers", "gas_price_multipliers",
-                "flexibility_modes"):
-        if not out[key]:
-            raise GridmargError(f"sweep spec: {key} must be non-empty")
-    for key in ("ev_multipliers", "renewable_capex_multipliers", "gas_price_multipliers"):
-        if any(v <= 0 for v in out[key]):
-            raise GridmargError(f"sweep spec: {key} must be positive")
-    for mode in out["flexibility_modes"]:
-        if mode not in set(FLEX_MODES) | {"scenario"}:
-            raise GridmargError(f"sweep spec: unknown flexibility mode {mode!r}")
-    return out
-
-
-def _sweep_cells(grid: GridModel, spec: dict) -> list[dict]:
-    if spec["target_zones"] == "each-separately":
-        zones = [[z] for z in grid.zone_ids()]
-    elif spec["target_zones"] == "all":
-        zones = ["all"]
-    else:
-        zones = [[z] for z in spec["target_zones"]]
-    cells = []
-    for run_id, (ev, capex, gas, flex, target) in enumerate(itertools.product(
-            spec["ev_multipliers"], spec["renewable_capex_multipliers"],
-            spec["gas_price_multipliers"], spec["flexibility_modes"], zones)):
-        cells.append({"run_id": run_id, "ev_multiplier": ev, "renewable_capex": capex,
-                      "gas_price": gas, "flex": flex, "target_zone": target})
-    return cells
+    modes = [*FLEX_MODES, "scenario"]
+    axes = []
+    for key, default in SWEEP_LISTS.items():
+        values = spec.get(key, default)
+        if key == "flexibility_modes":
+            # `in` on a list compares with ==, so an unhashable entry is just not found.
+            valid, what = (lambda v: v in modes), f"flexibility modes {modes}"
+        else:  # type(), not isinstance(), so that true and false are refused
+            valid = lambda v: type(v) in (int, float) and math.isfinite(v) and v > 0
+            what = "positive finite numbers"
+        if not (isinstance(values, list) and values and all(map(valid, values))):
+            raise GridmargError(f"sweep spec: {key} must be a non-empty list of {what}, "
+                                f"got {values!r}")
+        axes.append(values if key == "flexibility_modes" else [float(v) for v in values])
+    zones = spec.get("target_zones", "all")
+    if zones == "each-separately":
+        zones = zone_ids
+    elif zones != "all" and not (isinstance(zones, list) and zones
+                                 and all(z in zone_ids for z in zones)):
+        raise GridmargError(f"sweep spec: target_zones must be 'all', 'each-separately' or a "
+                            f"non-empty list of zone ids from {zone_ids}, got {zones!r}")
+    axes.append(["all"] if zones == "all" else [[z] for z in zones])
+    cells = [{"run_id": run_id, **dict(zip(CELL_KEYS, values))}
+             for run_id, values in enumerate(itertools.product(*axes))]
+    return hashlib.sha256(raw).hexdigest(), cells
 
 
 def _run_sweep_cell(raw_grid: GridModel, cell: dict,
@@ -297,11 +272,10 @@ def _run_sweep_group(raw_grid: GridModel, cells: list[dict]) -> list[dict]:
 
 def cmd_sweep(args) -> int:
     raw_grid = load_scenario(args.scenario)
-    spec = _read_sweep_spec(args.spec)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    spec_sha256, cells = _read_sweep_spec(args.spec, raw_grid.zone_ids())
+    outdir = outputs.out_dir(args.out)
     groups: dict[str, list[dict]] = {}
-    for cell in _sweep_cells(raw_grid, spec):
+    for cell in cells:
         groups.setdefault(cell["flex"], []).append(cell)
 
     workers = min(args.parallel, len(groups))
@@ -312,23 +286,7 @@ def cmd_sweep(args) -> int:
         done = [_run_sweep_group(raw_grid, cells) for cells in groups.values()]
     outcomes = sorted(itertools.chain.from_iterable(done), key=lambda o: o["run_id"])
 
-    rows = ["run_id,ev_multiplier,renewable_capex,gas_price,flex,target_zone,metric,value"]
-    for out in outcomes:
-        zone_label = out["target_zone"] if isinstance(out["target_zone"], str) \
-            else "+".join(out["target_zone"])
-        for metric in sorted(out["metrics"]):
-            rows.append(f"{out['run_id']},{_fmt(out['ev_multiplier'])},"
-                        f"{_fmt(out['renewable_capex'])},{_fmt(out['gas_price'])},"
-                        f"{out['flex']},{zone_label},{metric},{_fmt(out['metrics'][metric])}")
-    atomic_write_text(outdir / "sweep_results.csv", "\n".join(rows) + "\n")
-
-    manifest = {
-        "scenario": str(args.scenario),
-        "sweep_spec_sha256": spec["sha256"],
-        "outputs": ["sweep_results.csv"],
-        "runs": [{k: v for k, v in out.items() if k != "metrics"} for out in outcomes],
-    }
-    atomic_write_text(outdir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    outputs.write_sweep_outputs(outdir, args.scenario, spec_sha256, outcomes)
     failures = sum(1 for o in outcomes if o["status"] != "success")
     log.info("sweep finished: %d run(s), %d failure(s)", len(outcomes), failures)
     return 0

@@ -106,6 +106,3 @@ class ChargingSchedule:
     per_load: dict[str, np.ndarray]       # load id -> H profile
     source: ScheduleSource
     zone_ids: tuple[str, ...]
-
-    def total_energy(self) -> float:
-        return float(self.served.sum())

@@ -26,9 +26,7 @@ used only where they are the estimator itself (SRME2).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -36,9 +34,9 @@ from . import lp
 from .errors import (CostCapInfeasible, DegenerateDelta, InfeasibleModel,
                      InfeasiblePerturbation, UnknownZone, ZeroDemand)
 from .grid import GridModel
-from .planner import (DispatchResult, FixedCapacities, ScaleEV, UniformAll, _fmt,
-                      _resolve_zones, atomic_write_text, build_expansion_lp,
-                      build_operational_lp, degenerate_hour_mask, perturb_demand, solve_model)
+from .planner import (DispatchResult, FixedCapacities, ScaleEV, UniformAll, _resolve_zones,
+                      build_expansion_lp, build_operational_lp, degenerate_hour_mask,
+                      perturb_demand, solve_model)
 
 SRME1 = "SRME1"
 SRME2 = "SRME2"
@@ -51,7 +49,6 @@ class EmissionRateSeries:
     rates: np.ndarray                       # (zones, H)
     method: str                             # SRME1 | SRME2
     zone_ids: tuple[str, ...]
-    provenance: dict[str, str] = field(default_factory=dict)
     alt_rates: np.ndarray | None = None     # SRME1 only: annual-zonal-load normalization
     degenerate_hours: np.ndarray | None = None   # (H,) flags from the base solve
     details: dict[str, float] = field(default_factory=dict)
@@ -96,12 +93,12 @@ def average_emission_rate(result: DispatchResult, scope: str = "system") -> floa
     return emissions / demand
 
 
-def flex_served_by_zone(grid: GridModel, result: DispatchResult) -> np.ndarray:
-    """(zones, H) aggregate of served flexible charging."""
-    out = np.zeros((len(result.zone_ids), grid.horizon))
-    zpos = {zid: i for i, zid in enumerate(result.zone_ids)}
+def flex_served_by_zone(grid: GridModel, per_load: dict[str, np.ndarray]) -> np.ndarray:
+    """(zones, H) sum of per-load served charging, zones in grid.zone_ids() order."""
+    out = np.zeros((len(grid.zones), grid.horizon))
+    zpos = {zid: i for i, zid in enumerate(grid.zone_ids())}
     for load in grid.flexible_loads:
-        out[zpos[load.zone_id]] += result.flex_served[load.id]
+        out[zpos[load.zone_id]] += per_load[load.id]
     return out
 
 
@@ -145,8 +142,6 @@ def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities,
         rates=rates,
         method=SRME1,
         zone_ids=tuple(zone_ids),
-        provenance={"base": "operational-base",
-                    "comparison": f"operational-uniform-{frac:g}-per-zone"},
         alt_rates=alt,
         degenerate_hours=degenerate_hour_mask(base_model, base_result.solution),
     )
@@ -183,8 +178,6 @@ def srme_dual(grid: GridModel, fixed_capacities: FixedCapacities) -> EmissionRat
         rates=rates,
         method=SRME2,
         zone_ids=base.zone_ids,
-        provenance={"base": "operational-cost-min",
-                    "comparison": "operational-emissions-min-costcap"},
         degenerate_hours=degenerate_hour_mask(model, sol1),
         details={"base_objective": float(cbar), "cost_cap": float(cap),
                  "step2_cost": step2_cost, "lambda_second": lam,
@@ -239,7 +232,8 @@ def consequential_report(base: DispatchResult, pert: DispatchResult,
     if sr_rates is not None:
         if grid is None:
             raise ValueError("sr attribution needs the grid to map loads to zones")
-        ev_delta = flex_served_by_zone(grid, pert) - flex_served_by_zone(grid, base)
+        ev_delta = (flex_served_by_zone(grid, pert.flex_served)
+                    - flex_served_by_zone(grid, base.flex_served))
         sr_attributed = float(np.sum(sr_rates.rates * ev_delta))
     aer_attributed = None if aer_value is None else float(aer_value) * delta_demand
 
@@ -291,51 +285,3 @@ def icev_comparison(report: ConsequentialReport, n_vehicles: float,
         "fleet_tco2": ev_tco2 * n_vehicles,
     }
 
-
-# --- files -------------------------------------------------------------------
-
-def write_srme_csv(series: EmissionRateSeries, path) -> None:
-    """hour,zone,method,rate_tco2_per_mwh; 12 significant digits round-trip."""
-    rows = ["hour,zone,method,rate_tco2_per_mwh"]
-    horizon = series.rates.shape[1]
-    for zi, zid in enumerate(series.zone_ids):
-        for t in range(horizon):
-            rows.append(f"{t},{zid},{series.method},{_fmt(series.rates[zi, t])}")
-    if series.alt_rates is not None:
-        for zi, zid in enumerate(series.zone_ids):
-            for t in range(horizon):
-                rows.append(f"{t},{zid},{series.method}_ANNUAL,{_fmt(series.alt_rates[zi, t])}")
-    atomic_write_text(Path(path), "\n".join(rows) + "\n")
-
-
-def read_srme_csv(path) -> dict[tuple[str, str], list[float]]:
-    """Read back rates keyed by (zone, method), hours in order."""
-    out: dict[tuple[str, str], dict[int, float]] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "hour,zone,method,rate_tco2_per_mwh":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            hour, zone, method, rate = line.strip().split(",")
-            out.setdefault((zone, method), {})[int(hour)] = float(rate)
-    return {key: [vals[h] for h in sorted(vals)] for key, vals in out.items()}
-
-
-def report_to_dict(report: ConsequentialReport) -> dict:
-    return {
-        "base_total_emissions_tco2": report.base_total_emissions,
-        "pert_total_emissions_tco2": report.pert_total_emissions,
-        "delta_demand_mwh": report.delta_demand_mwh,
-        "lr_mer_tco2_per_mwh": report.lr_mer,
-        "base_total_cost_usd": report.base_total_cost,
-        "pert_total_cost_usd": report.pert_total_cost,
-        "capacity_deltas": report.capacity_deltas,
-        "sr_attributed_tco2": report.sr_attributed,
-        "aer_attributed_tco2": report.aer_attributed,
-        "per_ev_normalization": report.per_ev_normalization,
-    }
-
-
-def write_consequential_json(report: ConsequentialReport | dict, path) -> None:
-    payload = report_to_dict(report) if isinstance(report, ConsequentialReport) else report
-    atomic_write_text(Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")

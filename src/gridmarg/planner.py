@@ -23,9 +23,7 @@ variable O&M, startup, non-served-energy penalty).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -543,78 +541,3 @@ def degenerate_hour_mask(model: ExpansionModel, sol: lp.LpSolution,
             mask |= suspicious
     return mask
 
-
-# --- result files ----------------------------------------------------------------
-
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
-
-
-def write_dispatch_outputs(grid: GridModel, result: DispatchResult, outdir) -> list[str]:
-    """Write dispatch/capacity/emissions/prices/summary files; returns filenames."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    horizon = grid.horizon
-
-    rows = ["hour,zone,unit,generation_mw"]
-    for gen in grid.generators:
-        g = result.generation[gen.id]
-        for t in range(horizon):
-            rows.append(f"{t},{gen.zone_id},{gen.id},{_fmt(g[t])}")
-    for sto in grid.storage_units:
-        net = result.discharge[sto.id] - result.charge[sto.id]
-        for t in range(horizon):
-            rows.append(f"{t},{sto.zone_id},{sto.id},{_fmt(net[t])}")
-    atomic_write_text(outdir / "dispatch.csv", "\n".join(rows) + "\n")
-
-    rows = ["unit,existing_mw,new_mw,retired_mw"]
-    for gen in grid.generators:
-        rows.append(f"{gen.id},{_fmt(gen.existing_cap_mw)},"
-                    f"{_fmt(result.new_gen_capacity.get(gen.id, 0.0))},"
-                    f"{_fmt(result.retired_gen_capacity.get(gen.id, 0.0))}")
-    for sto in grid.storage_units:
-        rows.append(f"{sto.id}_power,{_fmt(sto.existing_power_mw)},"
-                    f"{_fmt(result.new_storage_power.get(sto.id, 0.0))},0")
-        rows.append(f"{sto.id}_energy,{_fmt(sto.existing_energy_mwh)},"
-                    f"{_fmt(result.new_storage_energy.get(sto.id, 0.0))},0")
-    for line in grid.lines:
-        rows.append(f"{line.id},{_fmt(line.capacity_mw)},"
-                    f"{_fmt(result.new_line_capacity.get(line.id, 0.0))},0")
-    atomic_write_text(outdir / "capacity.csv", "\n".join(rows) + "\n")
-
-    rows = ["hour,zone,tco2"]
-    for zi, zid in enumerate(result.zone_ids):
-        for t in range(horizon):
-            rows.append(f"{t},{zid},{_fmt(result.zonal_emissions[zi, t])}")
-    atomic_write_text(outdir / "emissions.csv", "\n".join(rows) + "\n")
-
-    rows = ["hour,zone,usd_per_mwh"]
-    for zi, zid in enumerate(result.zone_ids):
-        for t in range(horizon):
-            rows.append(f"{t},{zid},{_fmt(result.prices[zi, t])}")
-    atomic_write_text(outdir / "prices.csv", "\n".join(rows) + "\n")
-
-    by_kind: dict[str, float] = {}
-    for gen in grid.generators:
-        by_kind[gen.kind] = by_kind.get(gen.kind, 0.0) + float(result.generation[gen.id].sum())
-    summary = {
-        "mode": result.mode,
-        "total_cost": result.total_cost,
-        "total_emissions_tco2": result.total_emissions,
-        "total_served_mwh": result.total_served,
-        "total_nse_mwh": float(result.nse.sum()),
-        "generation_mwh_by_kind": by_kind,
-        "new_gen_capacity_mw": result.new_gen_capacity,
-        "retired_gen_capacity_mw": result.retired_gen_capacity,
-        "new_storage_power_mw": result.new_storage_power,
-        "new_storage_energy_mwh": result.new_storage_energy,
-        "new_line_capacity_mw": result.new_line_capacity,
-    }
-    atomic_write_text(outdir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return ["dispatch.csv", "capacity.csv", "emissions.csv", "prices.csv", "summary.json"]

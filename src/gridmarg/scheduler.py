@@ -17,17 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ScheduleMismatch
 from .flex import ChargingSchedule, ScheduleSource
 from .grid import GridModel
-from .metrics import (SRME1, SRME2, ConsequentialReport, EmissionRateSeries, long_run_mer,
-                      srme_dual, srme_uniform)
-from .planner import (DispatchResult, FixedCapacities, ScaleEV, _fmt, atomic_write_text,
-                      build_operational_lp, solve_model)
+from .metrics import (SRME1, SRME2, ConsequentialReport, EmissionRateSeries,
+                      flex_served_by_zone, long_run_mer, srme_dual, srme_uniform)
+from .planner import DispatchResult, FixedCapacities, ScaleEV, build_operational_lp, solve_model
 from . import lp
 
 
@@ -74,15 +72,9 @@ def pin_schedule(grid: GridModel, per_load: dict[str, np.ndarray]) -> GridModel:
 
 def schedule_from_result(grid: GridModel, result: DispatchResult,
                          source: ScheduleSource) -> ChargingSchedule:
-    zone_ids = tuple(grid.zone_ids())
-    served = np.zeros((len(zone_ids), grid.horizon))
-    per_load = {}
-    for load in grid.flexible_loads:
-        profile = result.flex_served[load.id].copy()
-        per_load[load.id] = profile
-        served[zone_ids.index(load.zone_id)] += profile
-    return ChargingSchedule(served=served, per_load=per_load, source=source,
-                            zone_ids=zone_ids)
+    per_load = {load.id: result.flex_served[load.id].copy() for load in grid.flexible_loads}
+    return ChargingSchedule(served=flex_served_by_zone(grid, per_load), per_load=per_load,
+                            source=source, zone_ids=tuple(grid.zone_ids()))
 
 
 def consequential_check(grid: GridModel, fixed_capacities: FixedCapacities,
@@ -169,17 +161,13 @@ def schedule_min_srme(grid: GridModel, fixed_capacities: FixedCapacities,
             rate_weighted_proxy=proxy(new_per_load),
             rate_weighted_proxy_prev=proxy(per_load),
         ))
-        per_load, cons_prev = new_per_load, cons
+        result, per_load, cons_prev = new_result, new_per_load, cons
         if rel < cfg.convergence_threshold:
             converged = True
             break
 
-    zone_served = np.zeros((len(zone_ids), grid.horizon))
-    for load in grid.flexible_loads:
-        zone_served[zone_ids.index(load.zone_id)] += per_load[load.id]
     source = ScheduleSource.MIN_SRME1 if method == SRME1 else ScheduleSource.MIN_SRME2
-    schedule = ChargingSchedule(served=zone_served, per_load=per_load, source=source,
-                                zone_ids=tuple(zone_ids))
+    schedule = schedule_from_result(grid, result, source)
     trace = IterationTrace(records=tuple(records), converged=converged,
                            iterations_used=len(records))
     return schedule, trace
@@ -202,19 +190,3 @@ def evaluate_fixed_schedule(grid: GridModel, schedule: ChargingSchedule) -> Cons
     pinned = pin_schedule(grid, schedule.per_load)
     return long_run_mer(pinned, ScaleEV(grid.config.perturbation_fraction))
 
-
-def write_schedule_csv(schedule: ChargingSchedule, path) -> None:
-    rows = ["hour,zone,source,served_mw"]
-    horizon = schedule.served.shape[1]
-    for zi, zid in enumerate(schedule.zone_ids):
-        for t in range(horizon):
-            rows.append(f"{t},{zid},{schedule.source.value},{_fmt(schedule.served[zi, t])}")
-    atomic_write_text(Path(path), "\n".join(rows) + "\n")
-
-
-def write_trace_csv(trace: IterationTrace, path) -> None:
-    rows = ["iteration,consequential_tco2,rel_change,schedule_delta_norm"]
-    for rec in trace.records:
-        rows.append(f"{rec.iteration},{_fmt(rec.consequential_tco2)},"
-                    f"{_fmt(rec.rel_change)},{_fmt(rec.schedule_delta_norm)}")
-    atomic_write_text(Path(path), "\n".join(rows) + "\n")

@@ -326,6 +326,33 @@ def test_sweep_records_failures_without_aborting(tmp_path):
     assert (out / "sweep_results.csv").exists()
 
 
+# A sweep spec the CLI must refuse: (spec text, what its one error line names).
+BAD_SWEEP_SPECS = {
+    "malformed_json": ('{"ev_multipliers": [1.0', "line 1 column"),
+    "nan_multiplier": ('{"ev_multipliers": [NaN]}', "ev_multipliers"),
+    "infinite_multiplier": ('{"ev_multipliers": [Infinity]}', "ev_multipliers"),
+    "text_multiplier": ('{"gas_price_multipliers": ["1.0"]}', "gas_price_multipliers"),
+    "scalar_multipliers": ('{"ev_multipliers": 1.0}', "ev_multipliers"),
+    "nested_flex_mode": ('{"flexibility_modes": [["none"]]}', "flexibility_modes"),
+    "top_level_list": ("[1, 2]", "top level"),
+    "unknown_zone": ('{"target_zones": ["Q"]}', "target_zones"),
+    "bare_zone_string": ('{"target_zones": "north"}', "target_zones"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SWEEP_SPECS))
+def test_bad_sweep_spec_exits_1_naming_the_field(tmp_path, capsys, case):
+    text, named = BAD_SWEEP_SPECS[case]
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(TUTORIAL), "--parallel", "1", "--spec", str(spec),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "sweep spec: " in err[0] and named in err[0]
+    assert not out.exists()
+
+
 def test_parallel_sweep_byte_identical(tmp_path):
     scenario = scenario_file(tmp_path, breakeven_wind())
     spec = tmp_path / "spec.json"

@@ -4,9 +4,8 @@ import pytest
 from gridmarg import lp
 from gridmarg.errors import (DegenerateDelta, InfeasiblePerturbation, UnknownZone, ZeroDemand)
 from gridmarg.grid import Generator, GridModel, ScenarioConfig, Zone
-from gridmarg.metrics import (EmissionRateSeries, average_emission_rate, icev_comparison,
-                              long_run_mer, read_srme_csv, srme_dual, srme_uniform,
-                              write_consequential_json, write_srme_csv)
+from gridmarg.metrics import (average_emission_rate, icev_comparison, long_run_mer, srme_dual,
+                              srme_uniform)
 from gridmarg.planner import (FixedCapacities, ScaleEV, SingleHour, build_expansion_lp,
                               build_operational_lp, perturb_demand, solve_model)
 from gridmarg.scenario_io import load_scenario
@@ -342,29 +341,6 @@ def test_icev_comparison_arithmetic():
     assert 0.67 <= out["pct_reduction"] <= 0.86
     with pytest.raises(ValueError):
         icev_comparison(_report_with_rate(0.1), 0, 3.0, 3.0)
-
-
-# --- files ----------------------------------------------------------------------
-
-def test_srme_csv_round_trip_twelve_digits(tmp_path):
-    rng = np.random.default_rng(11)
-    rates = rng.normal(0.3, 0.4, (2, 5))  # negative entries are legitimate
-    series = EmissionRateSeries(rates=rates, method="SRME2", zone_ids=("a", "b"))
-    path = tmp_path / "srme.csv"
-    write_srme_csv(series, path)
-    back = read_srme_csv(path)
-    np.testing.assert_allclose(back[("a", "SRME2")], rates[0], rtol=1e-11)
-    np.testing.assert_allclose(back[("b", "SRME2")], rates[1], rtol=1e-11)
-
-
-def test_consequential_json_written(tmp_path):
-    import json
-    report = _report_with_rate(0.25)
-    path = tmp_path / "consequential.json"
-    write_consequential_json(report, path)
-    data = json.loads(path.read_text())
-    assert data["lr_mer_tco2_per_mwh"] == pytest.approx(0.25)
-    assert "capacity_deltas" in data
 
 
 def test_srme2_unbounded_base_solve_raises_unbounded(monkeypatch):

@@ -5,7 +5,7 @@ from gridmarg.errors import (InfeasibleModel, MissingCapacity, ModelBuildError, 
 from gridmarg.grid import FlexibleLoad, Generator, GridModel, ScenarioConfig, Zone
 from gridmarg.planner import (FixedCapacities, ScaleEV, SingleHour, UniformAll,
                               build_expansion_lp, build_operational_lp, degenerate_hour_mask,
-                              perturb_demand, solve_model, write_dispatch_outputs)
+                              perturb_demand, solve_model)
 
 from toys import (MERIT_STACK_MARGINAL_EF, breakeven_wind, merit_stack, nondegenerate_48h,
                   single_bus, storage_arbitrage_2h, storage_roundtrip)
@@ -284,15 +284,3 @@ def test_tutorial_line_flows_decode():
     np.testing.assert_allclose(result.flows_bwd["ab"], 0.0, atol=1e-9)
 
 
-def test_dispatch_outputs_written(tmp_path):
-    grid = merit_stack()
-    result = solve_model(build_expansion_lp(grid))
-    files = write_dispatch_outputs(grid, result, tmp_path)
-    for name in files:
-        assert (tmp_path / name).exists()
-    dispatch = (tmp_path / "dispatch.csv").read_text().splitlines()
-    assert dispatch[0] == "hour,zone,unit,generation_mw"
-    assert dispatch[1] == "0,Z,g1,20"
-    import json
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["total_emissions_tco2"] == pytest.approx(result.total_emissions)

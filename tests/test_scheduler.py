@@ -7,8 +7,7 @@ from gridmarg.grid import FlexibleLoad, Generator, GridModel, ScenarioConfig, Zo
 from gridmarg.planner import (FixedCapacities, build_expansion_lp, build_operational_lp,
                               solve_model)
 from gridmarg.scheduler import (PIN_SNAP_TOL, consequential_check, evaluate_fixed_schedule,
-                                pin_schedule, schedule_from_result, schedule_min_srme,
-                                write_schedule_csv, write_trace_csv)
+                                pin_schedule, schedule_from_result, schedule_min_srme)
 
 from toys import backfire, solar_midday, storage_coupled, with_flex_window
 
@@ -209,19 +208,6 @@ def test_memo_keeps_only_the_cost_and_check_solves_of_the_penalty_loop(monkeypat
     # penalty solves of each pass are dropped when the pass ends.
     assert kept <= 1 + 2 * (trace.iterations_used + 1)
     assert kept < len(solves)
-
-
-def test_schedule_and_trace_files(tmp_path):
-    grid = storage_coupled()
-    sched, trace = schedule_min_srme(grid, FixedCapacities.none(), method="SRME1")
-    write_schedule_csv(sched, tmp_path / "schedule.csv")
-    write_trace_csv(trace, tmp_path / "iteration_trace.csv")
-    lines = (tmp_path / "schedule.csv").read_text().splitlines()
-    assert lines[0] == "hour,zone,source,served_mw"
-    assert len(lines) == 1 + grid.horizon
-    tlines = (tmp_path / "iteration_trace.csv").read_text().splitlines()
-    assert tlines[0] == "iteration,consequential_tco2,rel_change,schedule_delta_norm"
-    assert len(tlines) == 1 + trace.iterations_used
 
 
 def test_pin_schedule_snaps_round_off_and_rejects_real_negatives():

@@ -196,13 +196,15 @@ def _read_sweep_spec(path: str | None, zone_ids: list[str]) -> tuple[str, list[d
     axes = []
     for key, default in SWEEP_LISTS.items():
         values = spec.get(key, default)
+        ok = isinstance(values, list) and bool(values)
         if key == "flexibility_modes":
             # `in` on a list compares with ==, so an unhashable entry is just not found.
-            valid, what = (lambda v: v in modes), f"flexibility modes {modes}"
+            ok, what = ok and all(v in modes for v in values), f"flexibility modes {modes}"
         else:  # type(), not isinstance(), so that true and false are refused
-            valid = lambda v: type(v) in (int, float) and math.isfinite(v) and v > 0
+            ok = ok and all(type(v) in (int, float) and math.isfinite(v) and v > 0
+                            for v in values)
             what = "positive finite numbers"
-        if not (isinstance(values, list) and values and all(map(valid, values))):
+        if not ok:
             raise GridmargError(f"sweep spec: {key} must be a non-empty list of {what}, "
                                 f"got {values!r}")
         axes.append(values if key == "flexibility_modes" else [float(v) for v in values])

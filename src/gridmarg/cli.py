@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import lp, outputs
-from .errors import DegenerateDelta, GridmargError, InfeasibleModel, UnboundedModel
+from .errors import DegenerateDelta, GridmargError, InfeasibleModel, UnboundedModel, UnknownZone
 from .flex import ScheduleSource
 from .grid import CostMultipliers, GridModel, resolve_scenario
 from .metrics import (average_emission_rate, icev_comparison, long_run_mer, srme_dual,
@@ -91,6 +91,8 @@ def cmd_solve(args) -> int:
 
 def cmd_metrics(args) -> int:
     grid = _load(args.scenario)
+    if args.zone not in ("all", "each-separately", *grid.zone_ids()):
+        raise UnknownZone(f"unknown zone id(s): {[args.zone]}")
     outdir = outputs.out_dir(args.out)
 
     if args.method == "aer":

@@ -15,11 +15,40 @@ Dual sign convention (used throughout the toolkit):
                     lower bound, nonpositive at an upper bound, ~0 elsewhere.
 
 The backend is HiGHS dual simplex, called through scipy's bundled bindings
-with the same model layout and options as ``linprog(method="highs-ds")``, so
-a cold solve returns the same vertex bit for bit. An optimal solution also
-carries its final simplex basis; passing it as ``warm_start`` to the solve of
-another LP of the same shape (typically the same matrix with a few bounds
-moved) starts dual simplex from that basis instead of from scratch.
+with the same model layout and options as ``linprog(method="highs-ds")``. An
+optimal solution also carries its final simplex basis; passing it as
+``warm_start`` to the solve of another LP of the same shape (typically the
+same matrix with a few bounds or right-hand sides moved) starts the simplex
+from that basis instead of from scratch.
+
+Every solve runs in two stages on one HiGHS instance, so that an LP with
+many optimal vertices still has one answer, whichever basis the simplex
+starts from. This is the perturbation method (Bertsimas & Tsitsiklis,
+*Introduction to Linear Optimization*, section 3.4) applied to the costs:
+
+  1. Solve with costs c + TIE_BREAK_EPS * w, cold or from the warm start.
+     w is uniform in [1, 2), read from SHAKE-128 of TIE_BREAK_SEED
+     (``tie_break_weights``), and is added only to columns with a finite
+     lower bound below their upper bound. Generic costs make the optimal
+     vertex unique. A status other than optimal is returned as it is.
+  2. Restore c (``changeColsCost``) and run again from stage 1's basis. The
+     duals, reduced costs and objective are those of the original LP. Where
+     stage 1's vertex is optimal for c too, as in every cost-minimizing
+     solve measured on the synthetic grids, this stage takes 0 iterations
+     and x does not move. SRME2's step 2, which minimizes emissions under a
+     cost cap, is the measured exception: on the synthetic 168 h expansion
+     grid its stage 2 took 470 to 1,164 iterations, and there x is stage
+     2's, not the canonical vertex.
+
+So where stage 2 does not move, a cold and a warm solve of one LP reach the
+same x, to round-off (3e-11 MW on the synthetic 336 h expansion grid); on
+the toy grids it is the x that linprog finds for the tie-broken costs.
+TIE_BREAK_EPS must not be lowered: at 1e-5 and 1e-6 the tie-break no longer
+decides the vertex, and cold and warm paths differ by up to 270 MW at 336 h.
+The duals can still depend on the basis where the optimum is dual
+degenerate; the tie-break settles only the primal side. The weights come
+from hashlib rather than numpy.random, whose import costs about 2 MB of
+resident memory.
 
 The bindings are scipy's compiled extension ``scipy.optimize._highspy._core``,
 loaded from its file instead of imported through ``scipy.optimize``.
@@ -55,8 +84,8 @@ read. A ``HighsBasis`` does not pickle, so neither does an optimal
 LpSolution: a sweep worker returns its outcome rows, never a solution.
 
 Every solve builds a fresh HiGHS instance, and an LpProblem is immutable
-once built. A warm start only changes where the simplex starts; the optimum
-it reaches is an optimum of the problem passed in.
+once built. A warm start only changes where the simplex starts, and with the
+tie-break, not the vertex it reaches.
 
 A sweep chains warm starts within each group of cells that share a
 flexibility mode: those cells build expansion LPs of one shape, so each
@@ -140,6 +169,11 @@ def __getattr__(name: str):
 
 FEAS_TOL = 1e-7     # internal feasibility/optimality target
 REPORT_TOL = 1e-6   # tolerance at which residual reports pass
+
+# Stage 1 of every solve adds TIE_BREAK_EPS * w to the cost of each column
+# with a finite lower bound below its upper bound; w is tie_break_weights().
+TIE_BREAK_EPS = 1e-4
+TIE_BREAK_SEED = b"gridmarg tie-break v1"
 
 
 class SolveStatus(Enum):
@@ -482,14 +516,15 @@ _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
-def _pass_model(highs, problem: LpProblem) -> None:
+def _pass_model(highs, problem: LpProblem, cost: np.ndarray) -> None:
     """Pass the problem to HiGHS as one row block [A_ub; A_eq], column-wise, as linprog lays it out.
 
     The column-wise arrays are the ones scipy's csc conversion of the stacked
     rows gives linprog: each column's entries in ascending row order, and a
     repeated (row, column) entry merged into one. HiGHS must never see a
     repeated entry: it aborts the whole process on one. HiGHS copies the
-    numpy buffers as they are; every column is continuous. Raises
+    numpy buffers as they are; every column is continuous. The objective
+    is cost, not problem.c. Raises
     NumericalFailure if HiGHS rejects the model.
     """
     ub, eq = problem.rows_ub, problem.rows_eq
@@ -501,7 +536,7 @@ def _pass_model(highs, problem: LpProblem) -> None:
     np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
     status = highs.passModel(
         n, problem.num_ub + problem.num_eq, values.shape[0], _COLWISE, _MINIMIZE, 0.0,
-        problem.c, problem.lb, problem.ub,
+        cost, problem.lb, problem.ub,
         np.concatenate((np.full(problem.num_ub, -np.inf), problem.b_eq)),
         np.concatenate((problem.b_ub, problem.b_eq)),
         start, rows, values, np.zeros(n, dtype=np.int32))
@@ -538,8 +573,24 @@ def _reduced_costs(problem: LpProblem, eq_duals: np.ndarray,
     return rc
 
 
+def tie_break_weights(n: int) -> np.ndarray:
+    """The first n tie-break weights: uniform in [1, 2), 53 bits each, read
+    from SHAKE-128 of TIE_BREAK_SEED.
+
+    A longer stream starts with a shorter one, so column j's weight does not
+    depend on how many columns the LP has.
+    """
+    bits = np.frombuffer(hashlib.shake_128(TIE_BREAK_SEED).digest(8 * n), dtype="<u8")
+    return 1.0 + (bits >> np.uint64(11)) * 2.0 ** -53
+
+
 def solve(problem: LpProblem, warm_start: LpSolution | None = None) -> LpSolution:
-    """Solve to a vertex with exact basis duals (HiGHS dual simplex).
+    """Solve to the canonical optimal vertex with exact basis duals (HiGHS dual simplex).
+
+    Stage 1 solves with the tie-broken costs, cold or from warm_start's
+    basis; stage 2 restores c and re-solves from stage 1's basis (see the
+    module docstring). A stage-1 status other than optimal is returned as it
+    is. iterations counts both stages.
 
     warm_start, an OPTIMAL solution of an LP with the same number of
     variables, <=-rows and equality rows, seeds the simplex with its final
@@ -549,13 +600,20 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None) -> LpSolutio
     highs = _highs._Highs()
     for option, value in _OPTIONS:
         highs.setOptionValue(option, value)
-    _pass_model(highs, problem)
+    cols = np.flatnonzero(np.isfinite(problem.lb) & (problem.lb < problem.ub)).astype(np.int32)
+    tilted = problem.c.copy()
+    tilted[cols] += TIE_BREAK_EPS * tie_break_weights(problem.num_vars)[cols]
+    _pass_model(highs, problem, tilted)
     if warm_start is not None:
         if highs.setBasis(_warm_basis(problem, warm_start)) == _highs.HighsStatus.kError:
             raise ValueError("LP backend rejected the warm_start basis")
     highs.run()
-    status = highs.getModelStatus()
     iterations = int(highs.getInfo().simplex_iteration_count)
+    if cols.size and highs.getModelStatus() == _highs.HighsModelStatus.kOptimal:
+        highs.changeColsCost(cols.size, cols, problem.c[cols])
+        highs.run()
+        iterations += int(highs.getInfo().simplex_iteration_count)
+    status = highs.getModelStatus()
     if status == _highs.HighsModelStatus.kInfeasible:
         return LpSolution(status=SolveStatus.INFEASIBLE, iterations=iterations)
     if status == _highs.HighsModelStatus.kUnbounded:
@@ -633,10 +691,10 @@ def memo_solve(problem: LpProblem, warm_start: LpSolution | None = None) -> LpSo
     """solve() through the memo of the open scope; a plain solve() outside any scope.
 
     The key covers the warm-start basis: the same LP solved from another
-    basis, or cold instead of warm, is solved again, since it may end at a
-    different optimal vertex. A start that memo_solve stored is named by its
-    own memo key, any other start by its basis codes. The solution returned
-    carries its key as memo_key.
+    basis, or cold instead of warm, is solved again, since its duals may
+    differ where the optimum is dual degenerate. A start that memo_solve
+    stored is named by its own memo key, any other start by its basis codes.
+    The solution returned carries its key as memo_key.
     """
     memo = _MEMO.get()
     if memo is None:
@@ -751,45 +809,3 @@ def verify_kkt(problem: LpProblem, solution: LpSolution,
         duality_gap=gap,
         tolerance=tolerance,
     )
-
-
-def write_lp_text(problem: LpProblem) -> str:
-    """Render the problem in a fixed-layout CPLEX-LP-style text for cross-checking.
-
-    Variables are named v{index}; equality rows e{index}; <=-rows i{index}.
-    The layout is deterministic so dumps of the same problem are byte-identical.
-    """
-
-    def fmt(v: float) -> str:
-        return f"{v:.12g}"
-
-    def terms(cols, vals) -> str:
-        parts = []
-        for j, v in zip(cols, vals):
-            sign = "-" if v < 0 else "+"
-            parts.append(f"{sign} {fmt(abs(v))} v{j}")
-        return " ".join(parts) if parts else "+ 0 v0"
-
-    def row_terms(rows: CsrRows, i: int) -> str:
-        start, end = rows.indptr[i], rows.indptr[i + 1]
-        return terms(rows.indices[start:end], rows.data[start:end])
-
-    objective = np.flatnonzero(problem.c)
-    lines = ["Minimize", " obj: " + terms(objective, problem.c[objective]), "Subject To"]
-    for i in range(problem.num_eq):
-        lines.append(f" e{i}: {row_terms(problem.rows_eq, i)} = {fmt(problem.b_eq[i])}")
-    for i in range(problem.num_ub):
-        lines.append(f" i{i}: {row_terms(problem.rows_ub, i)} <= {fmt(problem.b_ub[i])}")
-    lines.append("Bounds")
-    for j in range(problem.num_vars):
-        lo, hi = problem.lb[j], problem.ub[j]
-        if lo == -np.inf and hi == np.inf:
-            lines.append(f" v{j} free")
-        elif hi == np.inf:
-            lines.append(f" {fmt(lo)} <= v{j}")
-        elif lo == -np.inf:
-            lines.append(f" v{j} <= {fmt(hi)}")
-        else:
-            lines.append(f" {fmt(lo)} <= v{j} <= {fmt(hi)}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -5,8 +5,9 @@ Short-run rates hold installed capacity fixed:
   * srme_uniform ("SRME1"): re-solve operations with the target zone's fixed
     demand scaled up uniformly; the hourly rate is the system-wide hourly
     emissions change divided by the hourly demand increment. One perturbed
-    solve per zone. (A variant normalized by the annual zonal load is kept
-    alongside for inspection; the hourly-load normalization is the default.)
+    solve per zone, started from the base solve's basis. (A variant
+    normalized by the annual zonal load is kept alongside for inspection; the
+    hourly-load normalization is the default.)
 
   * srme_dual ("SRME2"): two solves for all zones and hours at once. Step 1
     minimizes cost and records the optimum C and the balance duals mu1. Step 2
@@ -110,7 +111,11 @@ def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities,
                 / (srme1_fraction * fixed zonal demand at t)
 
     Hours with zero zonal demand carry a zero rate (no perturbation happened
-    there). One perturbed operational solve per requested zone.
+    there). One perturbed operational solve per requested zone; each starts
+    from the base solve's basis, since the perturbed LP differs from the base
+    only in right-hand sides (the zone's balance rows and clean-share row).
+    Every solve reaches the LP's canonical vertex (see gridmarg.lp), so the
+    rates are those of cold solves.
     """
     zone_ids = grid.zone_ids()
     targets = _resolve_zones(grid, zones)
@@ -127,7 +132,8 @@ def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities,
             continue
         pert_grid = perturb_demand(grid, [zone_id], UniformAll(frac))
         try:
-            pert = solve_model(build_operational_lp(pert_grid, fixed_capacities))
+            pert = solve_model(build_operational_lp(pert_grid, fixed_capacities),
+                               warm_start=base_result.solution)
         except InfeasibleModel as exc:
             raise InfeasiblePerturbation(
                 f"uniform {frac:.0%} perturbation of zone {zone_id} is infeasible") from exc

@@ -191,6 +191,15 @@ def test_metrics_lrmer_each_zone_separately_infeasible_still_exits_2(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("method", ["aer", "srme1", "srme2", "lrmer"])
+def test_metrics_rejects_an_unknown_zone_for_every_method(method, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["metrics", str(TUTORIAL), "--method", method, "--zone", "Q",
+                 "--out", str(out)]) == 1
+    assert "ERROR gridmarg: UnknownZone: unknown zone id(s): ['Q']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_schedule_cost_signal_noflex_equals_baseline(tmp_path):
     grid = frozen_structure()
     scenario = scenario_file(tmp_path, grid)

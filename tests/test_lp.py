@@ -7,8 +7,8 @@ import pytest
 from scipy.optimize import linprog
 
 from gridmarg.grid import Generator, GridModel, ScenarioConfig, StorageUnit, Zone, resolve_scenario
-from gridmarg.lp import (LpBuilder, LpProblem, LpSolution, SolveStatus, _highs, solve, verify_kkt,
-                         with_extra_le_row, write_lp_text)
+from gridmarg.lp import (TIE_BREAK_EPS, LpBuilder, LpProblem, LpSolution, SolveStatus, _highs,
+                         solve, tie_break_weights, verify_kkt, with_extra_le_row)
 from gridmarg.planner import (ScaleEV, UniformAll, build_expansion_lp, build_operational_lp,
                               perturb_demand, solve_model)
 from gridmarg.scenario_io import load_scenario
@@ -161,21 +161,6 @@ def test_with_extra_le_row_appends_last():
     assert sol.ineq_duals[-1] == pytest.approx(1.0, abs=1e-9)  # relaxing the cap saves x2 1:1
 
 
-def test_lp_text_dump_is_deterministic():
-    b = LpBuilder()
-    b.add_var(cost=1.5)
-    b.add_var(cost=-2.0, ub=4.0)
-    b.add_eq([0, 1], [1.0, 1.0], 3.0)
-    b.add_le([0, 1], [2.0, -1.0], 1.0)
-    problem = b.build()
-    text = write_lp_text(problem)
-    assert text == write_lp_text(problem)
-    assert "Minimize" in text and "Subject To" in text and "Bounds" in text
-    assert "e0: + 1 v0 + 1 v1 = 3" in text
-    assert "i0: + 2 v0 - 1 v1 <= 1" in text
-    assert "0 <= v1 <= 4" in text
-
-
 # --- the HiGHS front-end against linprog, cold and warm -----------------------------
 
 def linprog_reference(problem: LpProblem):
@@ -214,14 +199,34 @@ def test_cold_solve_matches_linprog_bit_for_bit_on_random_lps():
                                                   n_ub=int(rng.integers(1, 6))))
 
 
+def tie_broken(problem: LpProblem) -> LpProblem:
+    """The problem with stage 1's costs: c + TIE_BREAK_EPS * w on every column
+    with a finite lower bound below its upper bound."""
+    tilt = np.isfinite(problem.lb) & (problem.lb < problem.ub)
+    w = tie_break_weights(problem.num_vars)
+    return replace(problem, c=np.where(tilt, problem.c + TIE_BREAK_EPS * w, problem.c))
+
+
+def assert_is_linprogs_vertex_of_the_tie_broken_lp(problem: LpProblem):
+    sol = solve(problem)
+    assert sol.status is SolveStatus.OPTIMAL
+    np.testing.assert_allclose(sol.x, linprog_reference(tie_broken(problem))[0],
+                               rtol=0, atol=1e-9)
+    x, _, _ = linprog_reference(problem)
+    assert sol.objective_value == pytest.approx(float(problem.c @ x), rel=1e-9, abs=1e-9)
+    assert verify_kkt(problem, sol).passed
+
+
 @pytest.mark.parametrize("make_grid", [lambda: load_scenario(TUTORIAL), merit_stack,
                                        storage_coupled, breakeven_wind, backfire])
-def test_cold_solve_matches_linprog_bit_for_bit_on_toy_grids(make_grid):
+def test_cold_solve_is_linprogs_vertex_of_the_tie_broken_lp_on_toy_grids(make_grid):
+    # A cold solve equals linprog's own vertex only where the LP has a single
+    # optimum; storage_coupled and backfire have several.
     grid = make_grid()
     expansion = build_expansion_lp(grid)
-    assert_matches_linprog(expansion.problem)
+    assert_is_linprogs_vertex_of_the_tie_broken_lp(expansion.problem)
     caps = solve_model(expansion).fixed_capacities()
-    assert_matches_linprog(build_operational_lp(grid, caps).problem)
+    assert_is_linprogs_vertex_of_the_tie_broken_lp(build_operational_lp(grid, caps).problem)
 
 
 def test_repeated_entries_reach_highs_merged_as_scipy_merges_them():
@@ -289,12 +294,12 @@ def basis_from_codes(solution: LpSolution):
     return basis
 
 
-def synth_grid(kind: str, seed: int, tmp_path):
+def synth_grid(kind: str, seed: int, tmp_path, hours: int = 168):
     spec = importlib.util.spec_from_file_location(
         "synth", Path(__file__).resolve().parents[1] / "bench" / "synth.py")
     synth = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(synth)
-    return resolve_scenario(load_scenario(synth.write(kind, 168, seed, tmp_path / kind)))
+    return resolve_scenario(load_scenario(synth.write(kind, hours, seed, tmp_path / kind)))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -74,7 +74,7 @@ def assert_highs_holds_scipys_csc(problem: LpProblem):
     """
     want = sp.csc_array(sp.vstack((sp.coo_array(problem.A_ub), sp.coo_array(problem.A_eq))))
     ours = quiet_highs()
-    _pass_model(ours, problem)
+    _pass_model(ours, problem, problem.c)
     scipys = quiet_highs()
     scipys.passModel(problem.num_vars, want.shape[0], want.nnz,
                      int(_highs.MatrixFormat.kColwise), int(_highs.ObjSense.kMinimize), 0.0,

@@ -194,7 +194,7 @@ def test_memo_keeps_only_the_cost_and_check_solves_of_the_penalty_loop(monkeypat
         solves.append(warm_start)
         return real(problem, warm_start=warm_start)
     monkeypatch.setattr(lp, "solve", counting)
-    grid = storage_coupled()
+    grid = with_flex_window(solar_midday(), 0, 8)   # two passes with SRME2 rates
     _, plain = schedule_min_srme(grid, FixedCapacities.none(), method="SRME2")
     unscoped = len(solves)
     solves.clear()

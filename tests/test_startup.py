@@ -4,8 +4,10 @@ Every command runs in a fresh interpreter, so importing ``scipy.optimize``
 (and with it ``scipy.linalg`` and the optimizers) would cost each one a
 third of a second, and ``scipy.sparse`` another 0.15 s. No command may
 import them, whether at start-up or on a solving path, where the cost would
-only move from start-up into the answer. These checks run in a subprocess,
-since the test process itself imports both for its reference solves.
+only move from start-up into the answer. Nor may any import ``numpy.random``
+(about 2 MB of resident memory); the solver's tie-break weights come from
+``hashlib`` instead. These checks run in a subprocess, since the test
+process itself imports them for its reference solves.
 """
 
 import importlib.machinery
@@ -22,7 +24,7 @@ from gridmarg import lp
 from test_scenario_io import TUTORIAL
 
 ROOT = Path(__file__).resolve().parents[1]
-HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
+HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.sparse", "numpy.random")
 
 
 def run_fresh(code: str) -> dict:

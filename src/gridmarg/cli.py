@@ -25,8 +25,8 @@ from . import lp, outputs
 from .errors import DegenerateDelta, GridmargError, InfeasibleModel, UnboundedModel, UnknownZone
 from .flex import ScheduleSource
 from .grid import CostMultipliers, GridModel, resolve_scenario
-from .metrics import (average_emission_rate, icev_comparison, long_run_mer, srme_dual,
-                      srme_uniform)
+from .metrics import (ConsequentialReport, average_emission_rate, icev_comparison,
+                      long_run_mer, srme_dual, srme_uniform)
 from .planner import ScaleEV, build_expansion_lp, build_operational_lp, solve_model
 from .scenario_io import load_scenario
 from .scheduler import evaluate_fixed_schedule, schedule_from_result, schedule_min_srme
@@ -60,12 +60,25 @@ def _load(path: str) -> GridModel:
     return resolve_scenario(load_scenario(path))
 
 
-def _ev_fleet(grid: GridModel) -> float | None:
-    """Vehicles in the scenario's EV energy at ev_annual_mwh each; None unless both are > 0."""
-    ev_energy = sum(float(l.effective_baseline().sum()) for l in grid.flexible_loads)
+def _ev_fleet(grid: GridModel, zone: str | None = None) -> float | None:
+    """Vehicles in the EV energy of zone (of every zone if None) at ev_annual_mwh
+    each; None unless both are > 0."""
+    ev_energy = sum(float(l.effective_baseline().sum()) for l in grid.flexible_loads
+                    if zone is None or l.zone_id == zone)
     if grid.config.ev_annual_mwh > 0 and ev_energy > 0:
         return ev_energy / grid.config.ev_annual_mwh
     return None
+
+
+def _per_vehicle(report: ConsequentialReport, grid: GridModel,
+                 zone: str | None = None) -> ConsequentialReport:
+    """report with its per-vehicle normalization against the ICEV, for the
+    fleet of _ev_fleet(grid, zone); report itself where there is no fleet."""
+    fleet = _ev_fleet(grid, zone)
+    if fleet is None:
+        return report
+    return replace(report, per_ev_normalization=icev_comparison(
+        report, fleet, grid.config.ev_annual_mwh, grid.config.icev_tco2_per_year))
 
 
 def cmd_validate(args) -> int:
@@ -123,8 +136,8 @@ def cmd_metrics(args) -> int:
         reports = {}
         for zone in grid.zone_ids():
             try:
-                reports[zone] = outputs.report_to_dict(
-                    long_run_mer(grid, ScaleEV(fraction), target_zones=[zone]))
+                reports[zone] = outputs.report_to_dict(_per_vehicle(
+                    long_run_mer(grid, ScaleEV(fraction), target_zones=[zone]), grid, zone))
             except DegenerateDelta as exc:
                 log.warning("zone %s: DegenerateDelta: %s", zone, exc)
                 reports[zone] = {"error": f"DegenerateDelta: {exc}"}
@@ -133,12 +146,10 @@ def cmd_metrics(args) -> int:
             log.error("no zone has a defined LR-MER")
             return 1
     else:
-        targets = "all" if args.zone == "all" else [args.zone]
-        report = long_run_mer(grid, ScaleEV(fraction), target_zones=targets)
-        fleet = _ev_fleet(grid)
-        if fleet is not None:
-            report = replace(report, per_ev_normalization=icev_comparison(
-                report, fleet, grid.config.ev_annual_mwh, grid.config.icev_tco2_per_year))
+        zone = None if args.zone == "all" else args.zone
+        report = _per_vehicle(long_run_mer(grid, ScaleEV(fraction),
+                                           target_zones="all" if zone is None else [zone]),
+                              grid, zone)
         outputs.write_consequential_json(report, outdir / "consequential.json")
         print(outputs.fmt(report.lr_mer))
     return 0

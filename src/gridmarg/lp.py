@@ -36,9 +36,10 @@ starts from. This is the perturbation method (Bertsimas & Tsitsiklis,
      stage 1's vertex is optimal for c too, as in every cost-minimizing
      solve measured on the synthetic grids, this stage takes 0 iterations
      and x does not move. SRME2's step 2, which minimizes emissions under a
-     cost cap, is the measured exception: on the synthetic 168 h expansion
-     grid its stage 2 took 470 to 1,164 iterations, and there x is stage
-     2's, not the canonical vertex.
+     cost cap, was the measured exception: on the synthetic 168 h expansion
+     grid this stage took 470 to 1,164 iterations, so x was stage 2's, not
+     the canonical vertex. It now takes the canonical-basis solve below,
+     whose last stage took 0 iterations on every synthetic 168 h grid.
 
 So where stage 2 does not move, a cold and a warm solve of one LP reach the
 same x, to round-off (3e-11 MW on the synthetic 336 h expansion grid); on
@@ -49,6 +50,39 @@ The duals can still depend on the basis where the optimum is dual
 degenerate; the tie-break settles only the primal side. The weights come
 from hashlib rather than numpy.random, whose import costs about 2 MB of
 resident memory.
+
+A canonical-basis solve (``solve(..., canonical_basis=True)``) also settles
+the duals: it ends at one optimal basis whatever its start. A basis is
+unique only where both the costs and the right-hand sides are generic, so
+it adds a right-hand-side tie-break (Bertsimas & Tsitsiklis, ch. 5;
+Megiddo 1991 on recovering an optimal basis):
+
+  1. Solve with the tie-broken costs, cold or from the warm start, letting
+     HiGHS choose the simplex variant. The warm start may lack the LP's last
+     <=-row, a cap on the objective the start minimized; that row's slack
+     then enters the basis, so the start stays primal feasible and HiGHS
+     picks primal simplex.
+  1b. Add RHS_TIE_BREAK_EPS * v to every row's right-hand side (v uniform
+     in [1, 2) from SHAKE-128 of RHS_TIE_BREAK_SEED,
+     ``rhs_tie_break_weights``), relax the last <=-row by the caller's
+     cap_slack so the cap stays feasible, and re-solve from stage 1's basis.
+     Costs and right-hand sides are now generic, so this LP has one optimal
+     basis, and every start reaches it.
+  2. Restore c and b in a fresh HiGHS instance and solve from stage 1b's
+     basis. A fresh instance keeps stage 1b's internal state (factorization,
+     edge weights) out of the path: restored on stage 1b's own instance, x
+     differed from the fresh instance's by up to 4e-9 on the synthetic
+     168 h grids. Where stage 1b ends other than optimal, stage 2 starts
+     from stage 1.
+
+Only SRME2's step 2 (``metrics.srme_dual``) asks for it. Its rates are
+duals, and with the cost tie-break alone a warm step 2 moved 9 of 504 SRME2
+rates on the synthetic 168 h expansion grid, so it had to run cold. With
+the canonical basis, warm and cold rates are bit-identical on the synthetic
+168 h grids, and the warm step 2 takes 0.07-0.13 s against the cold
+two-stage solve's 0.21-0.38 s. Every other warm-started solve feeds outputs
+that read x alone, which the cost tie-break already settles, so it keeps
+the two stages and skips the extra model hand-offs.
 
 The bindings are scipy's compiled extension ``scipy.optimize._highspy._core``,
 loaded from its file instead of imported through ``scipy.optimize``.
@@ -104,7 +138,12 @@ one per scheduler pass) reads the enclosing scope's solutions but drops its
 own when it ends, so solves that cannot recur are not kept for the rest of
 the command. Outside a scope, ``memo_solve`` is a plain ``solve``.
 Solution arrays are read-only, so one solution can be shared by every
-caller that asked for it.
+caller that asked for it. The key leaves out the costs of fixed columns
+(lb == ub): such a column adds no dual constraint, so the stored x and
+duals are optimal for any cost on it, and a hit only recomputes the
+objective value and reduced costs for the caller's c. With rigid charging
+every served column is fixed, so the scheduler's penalty re-solve is
+answered by the cost-minimizing solve.
 """
 
 from __future__ import annotations
@@ -117,7 +156,7 @@ from collections import ChainMap
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -174,6 +213,10 @@ REPORT_TOL = 1e-6   # tolerance at which residual reports pass
 # with a finite lower bound below its upper bound; w is tie_break_weights().
 TIE_BREAK_EPS = 1e-4
 TIE_BREAK_SEED = b"gridmarg tie-break v1"
+# Stage 1b of a canonical-basis solve adds RHS_TIE_BREAK_EPS * v to every
+# row's right-hand side; v is rhs_tie_break_weights().
+RHS_TIE_BREAK_EPS = 1e-5
+RHS_TIE_BREAK_SEED = b"gridmarg rhs tie-break v1"
 
 
 class SolveStatus(Enum):
@@ -508,52 +551,89 @@ def _by_column(rows: np.ndarray, cols: np.ndarray, data: np.ndarray):
     return rows[first], cols[first], merged
 
 
-# linprog(method="highs-ds")'s settings: presolve, dual simplex, no log.
-_OPTIONS = (("output_flag", False), ("presolve", "on"), ("solver", "simplex"),
-            ("simplex_strategy",
-             int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)))
+# linprog(method="highs-ds")'s settings: presolve, dual simplex, no log. A
+# canonical-basis solve lets HiGHS choose the simplex variant in stages 1
+# and 1b instead.
+_OPTIONS = (("output_flag", False), ("presolve", "on"), ("solver", "simplex"))
+_DUAL = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_CHOOSE = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyChoose)
 _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
-def _pass_model(highs, problem: LpProblem, cost: np.ndarray) -> None:
-    """Pass the problem to HiGHS as one row block [A_ub; A_eq], column-wise, as linprog lays it out.
+def _new_highs(strategy: int = _DUAL):
+    highs = _highs._Highs()
+    for option, value in _OPTIONS:
+        highs.setOptionValue(option, value)
+    highs.setOptionValue("simplex_strategy", strategy)
+    return highs
 
-    The column-wise arrays are the ones scipy's csc conversion of the stacked
-    rows gives linprog: each column's entries in ascending row order, and a
-    repeated (row, column) entry merged into one. HiGHS must never see a
-    repeated entry: it aborts the whole process on one. HiGHS copies the
-    numpy buffers as they are; every column is continuous. The objective
-    is cost, not problem.c. Raises
-    NumericalFailure if HiGHS rejects the model.
+
+def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[A_ub; A_eq] column-wise, as linprog lays it out: (column starts, row indices, values).
+
+    The arrays are the ones scipy's csc conversion of the stacked rows gives
+    linprog: each column's entries in ascending row order, and a repeated
+    (row, column) entry merged into one. HiGHS must never see a repeated
+    entry: it aborts the whole process on one.
     """
     ub, eq = problem.rows_ub, problem.rows_eq
     rows, cols, values = _by_column(
         np.concatenate((ub.entry_rows(), eq.entry_rows() + problem.num_ub)),
         np.concatenate((ub.indices, eq.indices)), np.concatenate((ub.data, eq.data)))
-    n = problem.num_vars
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+    start = np.zeros(problem.num_vars + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=problem.num_vars), out=start[1:])
+    return start, rows, values
+
+
+def _pass_model(highs, problem: LpProblem, cost: np.ndarray, columns=None,
+                b_ub: np.ndarray | None = None, b_eq: np.ndarray | None = None) -> None:
+    """Pass the problem to HiGHS as one row block [A_ub; A_eq], column-wise, as linprog lays it out.
+
+    columns is _columnwise(problem), computed here unless given. HiGHS
+    copies the numpy buffers as they are; every column is continuous. The
+    objective is cost, not problem.c, and b_ub / b_eq, where given, replace
+    the problem's right-hand sides. Raises NumericalFailure if HiGHS rejects
+    the model.
+    """
+    start, rows, values = _columnwise(problem) if columns is None else columns
+    b_ub = problem.b_ub if b_ub is None else b_ub
+    b_eq = problem.b_eq if b_eq is None else b_eq
     status = highs.passModel(
-        n, problem.num_ub + problem.num_eq, values.shape[0], _COLWISE, _MINIMIZE, 0.0,
-        cost, problem.lb, problem.ub,
-        np.concatenate((np.full(problem.num_ub, -np.inf), problem.b_eq)),
-        np.concatenate((problem.b_ub, problem.b_eq)),
-        start, rows, values, np.zeros(n, dtype=np.int32))
+        problem.num_vars, problem.num_ub + problem.num_eq, values.shape[0], _COLWISE,
+        _MINIMIZE, 0.0, cost, problem.lb, problem.ub,
+        np.concatenate((np.full(problem.num_ub, -np.inf), b_eq)), np.concatenate((b_ub, b_eq)),
+        start, rows, values, np.zeros(problem.num_vars, dtype=np.int32))
     if status == _highs.HighsStatus.kError:
         raise NumericalFailure("LP backend rejected the model")
 
 
-def _warm_basis(problem: LpProblem, warm_start: LpSolution):
-    """warm_start's HiGHS basis, once its shape is checked against the problem's."""
+def _warm_basis(problem: LpProblem, warm_start: LpSolution, cap_row: bool = False):
+    """warm_start's HiGHS basis, once its shape is checked against the problem's.
+
+    With cap_row, a start with one <=-row fewer than the problem is also
+    taken: the problem's last <=-row is then new, and its slack enters the
+    basis. In HiGHS's [A_ub; A_eq] row order that status goes after the
+    start's <=-rows, at index num_ub - 1.
+    """
     if warm_start.basis is None:
         raise ValueError("warm_start must be an OPTIMAL solution carrying a basis")
-    have = (warm_start.x.shape[0], warm_start.ineq_duals.shape[0] + warm_start.eq_duals.shape[0])
+    num_ub = warm_start.ineq_duals.shape[0]
+    extend = cap_row and num_ub == problem.num_ub - 1
+    have = (warm_start.x.shape[0], num_ub + warm_start.eq_duals.shape[0])
     want = (problem.num_vars, problem.num_ub + problem.num_eq)
-    if have != want:
+    if have != (want[0], want[1] - extend):
         raise ValueError(f"warm_start basis has {have[0]} columns and {have[1]} rows; "
                          f"the problem has {want[0]} and {want[1]}")
-    return warm_start.basis
+    if not extend:
+        return warm_start.basis
+    basis = _highs.HighsBasis()
+    basis.col_status = warm_start.basis.col_status
+    row_status = warm_start.basis.row_status
+    basis.row_status = (row_status[:num_ub] + [_highs.HighsBasisStatus.kBasic]
+                        + row_status[num_ub:])
+    basis.valid = True
+    return basis
 
 
 def _status_codes(statuses) -> np.ndarray:
@@ -573,46 +653,106 @@ def _reduced_costs(problem: LpProblem, eq_duals: np.ndarray,
     return rc
 
 
-def tie_break_weights(n: int) -> np.ndarray:
-    """The first n tie-break weights: uniform in [1, 2), 53 bits each, read
-    from SHAKE-128 of TIE_BREAK_SEED.
-
-    A longer stream starts with a shorter one, so column j's weight does not
-    depend on how many columns the LP has.
-    """
-    bits = np.frombuffer(hashlib.shake_128(TIE_BREAK_SEED).digest(8 * n), dtype="<u8")
+def _uniform_weights(seed: bytes, n: int) -> np.ndarray:
+    """The first n values of a stream uniform in [1, 2), 53 bits each, read
+    from SHAKE-128 of seed. A longer stream starts with a shorter one."""
+    bits = np.frombuffer(hashlib.shake_128(seed).digest(8 * n), dtype="<u8")
     return 1.0 + (bits >> np.uint64(11)) * 2.0 ** -53
 
 
-def solve(problem: LpProblem, warm_start: LpSolution | None = None) -> LpSolution:
-    """Solve to the canonical optimal vertex with exact basis duals (HiGHS dual simplex).
+def tie_break_weights(n: int) -> np.ndarray:
+    """The first n cost tie-break weights (TIE_BREAK_SEED's stream).
+
+    Column j's weight does not depend on how many columns the LP has.
+    """
+    return _uniform_weights(TIE_BREAK_SEED, n)
+
+
+def rhs_tie_break_weights(n: int) -> np.ndarray:
+    """The first n right-hand-side tie-break weights (RHS_TIE_BREAK_SEED's
+    stream), one per row in HiGHS's [A_ub; A_eq] order."""
+    return _uniform_weights(RHS_TIE_BREAK_SEED, n)
+
+
+def _optimal(highs) -> bool:
+    return highs.getModelStatus() == _highs.HighsModelStatus.kOptimal
+
+
+def _iterations(highs) -> int:
+    return int(highs.getInfo().simplex_iteration_count)
+
+
+def _canonical_restart(problem: LpProblem, stage1, tilted: np.ndarray, columns,
+                       cap_slack: float):
+    """Stages 1b and 2 of a canonical-basis solve, from stage 1's optimal basis.
+
+    Returns the HiGHS instance that ran stage 2, and the iterations of both
+    stages. Where stage 1b does not end optimal, stage 2 starts from stage
+    1's basis. Each stage runs on a fresh instance, and the previous one is
+    dropped first: an instance keeps its solver's work arrays until it is
+    freed, and three at once would set the command's peak memory.
+    """
+    v = RHS_TIE_BREAK_EPS * rhs_tie_break_weights(problem.num_ub + problem.num_eq)
+    b_ub = problem.b_ub + v[:problem.num_ub]
+    if problem.num_ub:
+        b_ub[-1] += cap_slack
+    highs = _new_highs(_CHOOSE)
+    _pass_model(highs, problem, tilted, columns, b_ub=b_ub, b_eq=problem.b_eq + v[problem.num_ub:])
+    highs.setBasis(stage1)
+    highs.run()
+    iterations = _iterations(highs)
+    start = highs.getBasis() if _optimal(highs) else stage1
+    del highs
+    final = _new_highs()
+    _pass_model(final, problem, problem.c, columns)
+    final.setBasis(start)
+    final.run()
+    return final, iterations + _iterations(final)
+
+
+def solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
+          canonical_basis: bool = False, cap_slack: float = 0.0) -> LpSolution:
+    """Solve to the canonical optimal vertex with exact basis duals (HiGHS simplex).
 
     Stage 1 solves with the tie-broken costs, cold or from warm_start's
     basis; stage 2 restores c and re-solves from stage 1's basis (see the
     module docstring). A stage-1 status other than optimal is returned as it
-    is. iterations counts both stages.
+    is. iterations counts every stage.
+
+    With canonical_basis, the solve also ends at one optimal basis whatever
+    its start (stages 1, 1b and 2 of the module docstring). The problem's
+    last <=-row is then taken to cap another objective at its optimum, and
+    stage 1b relaxes it by cap_slack on top of its tie-break; a warm start
+    may lack that row.
 
     warm_start, an OPTIMAL solution of an LP with the same number of
     variables, <=-rows and equality rows, seeds the simplex with its final
     basis; ValueError if the shapes differ. Raises NumericalFailure if the
     backend ends in any state other than optimal, infeasible or unbounded.
     """
-    highs = _highs._Highs()
-    for option, value in _OPTIONS:
-        highs.setOptionValue(option, value)
+    # Only a canonical-basis solve passes the model again; otherwise the
+    # column-wise arrays are not kept alive while HiGHS runs.
+    columns = _columnwise(problem) if canonical_basis else None
     cols = np.flatnonzero(np.isfinite(problem.lb) & (problem.lb < problem.ub)).astype(np.int32)
     tilted = problem.c.copy()
     tilted[cols] += TIE_BREAK_EPS * tie_break_weights(problem.num_vars)[cols]
-    _pass_model(highs, problem, tilted)
+    highs = _new_highs(_CHOOSE if canonical_basis else _DUAL)
+    _pass_model(highs, problem, tilted, columns)
     if warm_start is not None:
-        if highs.setBasis(_warm_basis(problem, warm_start)) == _highs.HighsStatus.kError:
+        basis = _warm_basis(problem, warm_start, cap_row=canonical_basis)
+        if highs.setBasis(basis) == _highs.HighsStatus.kError:
             raise ValueError("LP backend rejected the warm_start basis")
     highs.run()
-    iterations = int(highs.getInfo().simplex_iteration_count)
-    if cols.size and highs.getModelStatus() == _highs.HighsModelStatus.kOptimal:
+    iterations = _iterations(highs)
+    if _optimal(highs) and canonical_basis:
+        stage1 = highs.getBasis()
+        del highs
+        highs, more = _canonical_restart(problem, stage1, tilted, columns, cap_slack)
+        iterations += more
+    elif _optimal(highs) and cols.size:
         highs.changeColsCost(cols.size, cols, problem.c[cols])
         highs.run()
-        iterations += int(highs.getInfo().simplex_iteration_count)
+        iterations += _iterations(highs)
     status = highs.getModelStatus()
     if status == _highs.HighsModelStatus.kInfeasible:
         return LpSolution(status=SolveStatus.INFEASIBLE, iterations=iterations)
@@ -639,9 +779,13 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None) -> LpSolutio
                       iterations=iterations, basis=highs.getBasis(), **arrays)
 
 
-def _memo_key(problem: LpProblem, warm_start: LpSolution | None) -> bytes:
+def _memo_key(problem: LpProblem, warm_start: LpSolution | None, canonical_basis: bool,
+              cap_slack: float) -> bytes:
     h = hashlib.blake2b(digest_size=32)
-    for arr in (problem.c, problem.b_eq, problem.b_ub, problem.lb, problem.ub):
+    # A fixed column (lb == ub) adds no dual constraint, so its cost changes
+    # neither the optimal x nor the duals: the key leaves it out.
+    cost = np.where(problem.lb == problem.ub, 0.0, problem.c)
+    for arr in (cost, problem.b_eq, problem.b_ub, problem.lb, problem.ub):
         h.update(repr(arr.shape).encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     for rows in (problem.rows_eq, problem.rows_ub):
@@ -649,6 +793,8 @@ def _memo_key(problem: LpProblem, warm_start: LpSolution | None) -> bytes:
         for arr in (rows.data, rows.indices, rows.indptr):
             h.update(repr(arr.shape).encode())
             h.update(np.ascontiguousarray(arr).tobytes())
+    if canonical_basis:
+        h.update(b"canonical" + np.float64(cap_slack).tobytes())
     if warm_start is None:
         h.update(b"cold")
     elif warm_start.memo_key is not None:
@@ -660,12 +806,23 @@ def _memo_key(problem: LpProblem, warm_start: LpSolution | None) -> bytes:
     return h.digest()
 
 
-# Solutions visible to the innermost open solve_memo_scope, by _memo_key; new
-# entries go to its first map. A context variable rather than a parameter, so
-# the metrics and the scheduler share it without passing it through every
-# call; the scope resets it on exit.
-_MEMO: ContextVar[ChainMap[bytes, LpSolution] | None] = ContextVar("gridmarg_solve_memo",
-                                                                   default=None)
+def _priced(problem: LpProblem, solution: LpSolution) -> LpSolution:
+    """solution, an optimum of an LP that differs from problem at most in the
+    costs of fixed columns, with problem's objective value and reduced costs."""
+    if solution.status is not SolveStatus.OPTIMAL:
+        return solution
+    reduced_costs = _reduced_costs(problem, solution.eq_duals, solution.ineq_duals)
+    reduced_costs.flags.writeable = False
+    return replace(solution, objective_value=float(problem.c @ solution.x),
+                   reduced_costs=reduced_costs)
+
+
+# (costs, solution) pairs visible to the innermost open solve_memo_scope, by
+# _memo_key; new entries go to its first map. A context variable rather than
+# a parameter, so the metrics and the scheduler share it without passing it
+# through every call; the scope resets it on exit.
+_MEMO: ContextVar[ChainMap[bytes, tuple[np.ndarray, LpSolution]] | None] = ContextVar(
+    "gridmarg_solve_memo", default=None)
 
 
 @contextmanager
@@ -687,26 +844,35 @@ def solve_memo_scope(nested: bool = False) -> Iterator[None]:
         _MEMO.reset(token)
 
 
-def memo_solve(problem: LpProblem, warm_start: LpSolution | None = None) -> LpSolution:
+def memo_solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
+               canonical_basis: bool = False, cap_slack: float = 0.0) -> LpSolution:
     """solve() through the memo of the open scope; a plain solve() outside any scope.
 
     The key covers the warm-start basis: the same LP solved from another
     basis, or cold instead of warm, is solved again, since its duals may
     differ where the optimum is dual degenerate. A start that memo_solve
     stored is named by its own memo key, any other start by its basis codes.
-    The solution returned carries its key as memo_key.
+    The key leaves out the costs of fixed columns: an LP that differs from
+    a stored one only there is a hit, answered with the stored x and duals
+    and with this problem's objective value and reduced costs. The solution
+    returned carries its key as memo_key.
     """
     memo = _MEMO.get()
     if memo is None:
-        return solve(problem, warm_start=warm_start)
-    key = _memo_key(problem, warm_start)
+        return solve(problem, warm_start=warm_start, canonical_basis=canonical_basis,
+                     cap_slack=cap_slack)
+    key = _memo_key(problem, warm_start, canonical_basis, cap_slack)
     if key not in memo:
-        solution = solve(problem, warm_start=warm_start)
+        solution = solve(problem, warm_start=warm_start, canonical_basis=canonical_basis,
+                         cap_slack=cap_slack)
         # The solution itself is stored and returned (callers compare with `is`),
         # so it is tagged in place, before memo_solve hands it to anyone.
         object.__setattr__(solution, "memo_key", key)
-        memo[key] = solution
-    return memo[key]
+        memo[key] = (problem.c, solution)
+    cost, solution = memo[key]
+    if cost is problem.c or np.array_equal(cost, problem.c):
+        return solution
+    return _priced(problem, solution)
 
 
 @dataclass(frozen=True)

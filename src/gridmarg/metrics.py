@@ -14,7 +14,9 @@ Short-run rates hold installed capacity fixed:
     minimizes emissions subject to the same constraints plus cost <= C, and
     records balance duals mu2 and the cost-cap dual lam. The rate is
     mu2[z,t] - lam * mu1[z,t]: the emissions value of demand corrected for the
-    emissions shadow-price of holding cost at its minimum.
+    emissions shadow-price of holding cost at its minimum. Step 2 is solved to
+    one canonical optimal basis (see gridmarg.lp), so its duals do not depend
+    on its start, and it starts from step 1's basis.
 
 Long-run rates re-optimize capacity: two full expansion solves (base and
 EV-scaled) differenced over annual totals. The EV-scaled LP differs from the
@@ -169,7 +171,12 @@ def srme_dual(grid: GridModel, fixed_capacities: FixedCapacities) -> EmissionRat
                                      cap, new_cost=model.emissions_coeffs)
     else:
         prob2 = replace(model.problem, c=model.emissions_coeffs)
-    sol2 = lp.memo_solve(prob2)
+    # Step 2's right-hand-side tie-break (at most 2 * RHS_TIE_BREAK_EPS per
+    # row) moves the minimum cost by up to that much per unit of base dual,
+    # to first order; the cap is relaxed by as much while the tie-break is on.
+    cap_slack = 2.0 * lp.RHS_TIE_BREAK_EPS * float(np.abs(sol1.eq_duals).sum()
+                                                   + np.abs(sol1.ineq_duals).sum())
+    sol2 = lp.memo_solve(prob2, warm_start=sol1, canonical_basis=True, cap_slack=cap_slack)
     if sol2.status is not lp.SolveStatus.OPTIMAL:
         raise CostCapInfeasible(
             f"emissions-minimizing solve under cost cap {cap:g}: {sol2.status.value}")

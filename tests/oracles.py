@@ -1,15 +1,53 @@
-"""Independent brute-force oracles used to validate the optimization layer.
+"""Independent brute-force oracles used to validate the optimization layer,
+and the one spy the tests put on the solver.
 
-These deliberately share no code path with the solver: vertex enumeration
-walks every candidate basic solution of a small LP directly from the
-constraint data.
+The oracles deliberately share no code path with the solver: vertex
+enumeration walks every candidate basic solution of a small LP directly from
+the constraint data.
 """
 
+import inspect
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from gridmarg.lp import LpBuilder, LpProblem
+from gridmarg import lp
+from gridmarg.lp import LpBuilder, LpProblem, LpSolution
+
+
+@dataclass(frozen=True)
+class SolveCall:
+    """One solve that reached the backend: its problem, the warm start its
+    caller asked for, its other keyword options, and the solution returned."""
+
+    problem: LpProblem
+    warm_start: LpSolution | None
+    options: dict
+    solution: LpSolution
+
+
+def spy_on_solves(monkeypatch, cold: bool = False) -> list[SolveCall]:
+    """Record every call of gridmarg.lp.solve, in call order, while delegating to it.
+
+    With cold=True each solve runs without its warm start; the record still
+    names the start its caller asked for.
+    """
+    real, calls = lp.solve, []
+    signature = inspect.signature(real)
+
+    def spy(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        problem, warm_start = call.arguments["problem"], call.arguments["warm_start"]
+        if cold:
+            call.arguments["warm_start"] = None
+        solution = real(*call.args, **call.kwargs)
+        options = {k: v for k, v in call.arguments.items() if k not in ("problem", "warm_start")}
+        calls.append(SolveCall(problem, warm_start, options, solution))
+        return solution
+    monkeypatch.setattr(lp, "solve", spy)
+    return calls
 
 
 def random_feasible_lp(rng: np.random.Generator, n_vars: int, n_eq: int, n_ub: int) -> LpProblem:

@@ -3,19 +3,23 @@
 lp.solve breaks ties with a small seeded cost in stage 1 and takes the duals
 of the original LP in stage 2, so where the LP has many optimal vertices the
 primal answer no longer depends on where the simplex started. These checks
-compare warm-started solves with cold ones on the outputs that read x.
+compare warm-started solves with cold ones on the outputs that read x, and
+on SRME2, whose step 2 solves to one canonical basis so that its duals do
+not depend on the start either.
 """
 
 import numpy as np
 import pytest
 
-from gridmarg import lp
+from gridmarg.cli import _apply_flex_mode
 from gridmarg.errors import InfeasibleModel
 from gridmarg.grid import Generator, GridModel, ScenarioConfig, Zone
-from gridmarg.lp import LpBuilder, SolveStatus, solve, tie_break_weights, verify_kkt
-from gridmarg.metrics import consequential_report, srme_uniform
+from gridmarg.lp import (LpBuilder, SolveStatus, solve, tie_break_weights, verify_kkt,
+                         with_extra_le_row)
+from gridmarg.metrics import consequential_report, srme_dual, srme_uniform
 from gridmarg.planner import ScaleEV, build_expansion_lp, perturb_demand, solve_model
 
+from oracles import spy_on_solves
 from test_lp import synth_grid
 from toys import single_bus
 
@@ -27,17 +31,72 @@ def test_warm_srme1_rates_equal_the_cold_ones(kind, seed, tmp_path, monkeypatch)
     grid = synth_grid(kind, seed, tmp_path)
     caps = solve_model(build_expansion_lp(grid)).fixed_capacities()
     warm = srme_uniform(grid, caps)
-    dropped = []
-    real = lp.solve
-
-    def cold(problem, warm_start=None):   # every solve cold
-        dropped.append(warm_start)
-        return real(problem)
-    monkeypatch.setattr(lp, "solve", cold)
+    dropped = spy_on_solves(monkeypatch, cold=True)   # every solve cold
     cold_series = srme_uniform(grid, caps)
-    assert sum(start is not None for start in dropped) == len(grid.zone_ids())
+    assert sum(call.warm_start is not None for call in dropped) == len(grid.zone_ids())
     np.testing.assert_allclose(warm.rates, cold_series.rates, rtol=0, atol=1e-12)
     np.testing.assert_allclose(warm.alt_rates, cold_series.alt_rates, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("flex", ["none", "scenario", "delay8"])
+@pytest.mark.parametrize("kind,seed", GRIDS)
+def test_warm_srme2_rates_equal_the_cold_ones_bit_for_bit(kind, seed, flex, tmp_path,
+                                                          monkeypatch):
+    grid = _apply_flex_mode(synth_grid(kind, seed, tmp_path), flex)
+    caps = solve_model(build_expansion_lp(grid)).fixed_capacities()
+    warm = srme_dual(grid, caps)
+    calls = spy_on_solves(monkeypatch, cold=True)   # every solve cold
+    cold = srme_dual(grid, caps)
+    step2 = [call for call in calls if call.options["canonical_basis"]]
+    assert len(step2) == 1 and step2[0].warm_start is not None
+    np.testing.assert_array_equal(warm.rates, cold.rates)
+    assert warm.details == cold.details
+
+
+def _capped(problem, cap: float, new_cost):
+    # SRME2's step 2 in small: a cap on the old objective, and a new one.
+    idx = np.flatnonzero(problem.c)
+    return with_extra_le_row(problem, idx, problem.c[idx], cap, new_cost=new_cost)
+
+
+def test_a_canonical_solve_takes_a_start_one_cap_row_short_and_no_other_shape():
+    b = LpBuilder()
+    b.add_vars(3, cost=[1.0, 1.0, 2.0], ub=10.0)
+    b.add_eq([0, 1, 2], [1.0, 1.0, 1.0], 4.0)
+    problem = b.build()
+    base = solve(problem)
+    capped = _capped(problem, base.objective_value + 1e-7, [0.5, 0.5, 0.1])
+    warm = solve(capped, warm_start=base, canonical_basis=True)
+    cold = solve(capped, canonical_basis=True)
+    assert warm.status is cold.status is SolveStatus.OPTIMAL
+    assert verify_kkt(capped, warm).passed
+    for name in ("x", "eq_duals", "ineq_duals"):
+        np.testing.assert_array_equal(getattr(warm, name), getattr(cold, name))
+    # Only the canonical-basis solve takes the short start, and only one row short.
+    with pytest.raises(ValueError, match="rows"):
+        solve(capped, warm_start=base)
+    twice = _capped(capped, 10.0, capped.c)
+    with pytest.raises(ValueError, match="rows"):
+        solve(twice, warm_start=base, canonical_basis=True)
+    with pytest.raises(ValueError, match="rows"):
+        solve(problem, warm_start=warm, canonical_basis=True)
+
+
+def test_a_canonical_solve_whose_tie_broken_rows_are_infeasible_still_solves():
+    # x2 is fixed at 1 and the last row asks x2 == 1: with its right-hand
+    # side tie-broken, stage 1b is infeasible, and stage 2 starts from stage 1.
+    b = LpBuilder()
+    b.add_vars(2, cost=[1.0, 2.0], ub=5.0)
+    b.add_var(cost=0.0, lb=1.0, ub=1.0)
+    b.add_eq([0, 1, 2], [1.0, 1.0, 1.0], 4.0)
+    b.add_eq([2], [1.0], 1.0)
+    problem = b.build()
+    plain = solve(problem)
+    for start in (None, plain):
+        canonical = solve(problem, warm_start=start, canonical_basis=True)
+        assert canonical.status is SolveStatus.OPTIMAL
+        assert canonical.objective_value == plain.objective_value
+        assert verify_kkt(problem, canonical).passed
 
 
 def _capacity_deltas(report) -> dict[tuple[str, str], float]:

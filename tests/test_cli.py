@@ -13,6 +13,7 @@ from gridmarg.metrics import average_emission_rate, long_run_mer
 from gridmarg.planner import ScaleEV
 from gridmarg.scenario_io import load_scenario, write_scenario
 
+from oracles import spy_on_solves
 from toys import backfire, breakeven_wind, frozen_structure, merit_stack, single_bus
 from test_scenario_io import TUTORIAL
 
@@ -162,6 +163,37 @@ def test_metrics_lrmer_each_zone_separately(tmp_path):
     assert report["Z"]["lr_mer_tco2_per_mwh"] == pytest.approx(0.4, abs=1e-9)
 
 
+def test_metrics_lrmer_each_zone_separately_normalizes_by_each_zones_fleet(tmp_path):
+    # Two unlinked copies of frozen_structure whose EV loads differ in size:
+    # each zone's fleet is its own EV energy at ev_annual_mwh per vehicle.
+    one = frozen_structure()
+    zones, gens, loads = [], [], []
+    for zid, ev_mw in (("X", 5.0), ("Y", 10.0)):
+        zones.append(replace(one.zones[0], id=zid))
+        gens += [replace(g, id=f"{g.id}_{zid}", zone_id=zid) for g in one.generators]
+        load = one.flexible_loads[0]
+        loads.append(replace(load, id=f"ev_{zid}", zone_id=zid,
+                             baseline_profile=np.full(load.baseline_profile.shape, ev_mw)))
+    grid = replace(one, zones=tuple(zones), generators=tuple(gens), flexible_loads=tuple(loads))
+    scenario = scenario_file(tmp_path, grid)
+    out = tmp_path / "out"
+    assert main(["metrics", scenario, "--method", "lrmer", "--zone", "each-separately",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "consequential.json").read_text())
+    per_mwh = grid.config.ev_annual_mwh
+    for load in loads:
+        entry = report[load.zone_id]
+        vehicles = float(load.baseline_profile.sum()) / per_mwh
+        norm = entry["per_ev_normalization"]
+        assert norm["ev_tco2_per_vehicle"] == pytest.approx(entry["lr_mer_tco2_per_mwh"] * per_mwh)
+        assert norm["fleet_tco2"] == pytest.approx(norm["ev_tco2_per_vehicle"] * vehicles)
+        single = tmp_path / load.zone_id
+        assert main(["metrics", scenario, "--method", "lrmer", "--zone", load.zone_id,
+                     "--out", str(single)]) == 0
+        alone = json.loads((single / "consequential.json").read_text())
+        assert alone["per_ev_normalization"] == norm
+
+
 def test_metrics_lrmer_each_zone_separately_reports_zones_with_a_rate(tmp_path, capsys):
     # Tutorial zone A carries no EV load, so scaling its EVs moves no demand.
     out = tmp_path / "out"
@@ -246,7 +278,7 @@ def test_schedule_penalty_resolve_failure_exit_code(tmp_path, monkeypatch, statu
         if np.any(model.problem.c[served] != 0):  # only the penalty re-solve prices charging
             failed.append(model)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(lp, "solve", lambda problem, warm_start=None:
+                patch.setattr(lp, "solve", lambda problem, *args, **kwargs:
                               lp.LpSolution(status=status))
                 return real_solve_model(model, warm_start)
         return real_solve_model(model, warm_start)
@@ -256,6 +288,30 @@ def test_schedule_penalty_resolve_failure_exit_code(tmp_path, monkeypatch, statu
     assert main(["schedule", scenario, "--signal", "srme1", "--flex", "window24",
                  "--out", str(tmp_path / "out")]) == code
     assert len(failed) == 1
+
+
+def test_rigid_srme2_schedule_answers_its_penalty_solve_from_the_memo(tmp_path, monkeypatch):
+    # With --flex none the served columns are fixed, so the penalty only
+    # prices fixed columns: the memo answers it with the cost-min solution.
+    # SRME2's step 2 starts warm from its base solve.
+    calls = spy_on_solves(monkeypatch)
+    real_solve_model = scheduler.solve_model
+    penalty_backend_solves = []
+
+    def solve_model(model, warm_start=None):
+        served = np.concatenate(list(model.index.served.values()))
+        before = len(calls)
+        result = real_solve_model(model, warm_start)
+        if np.any(model.problem.c[served] != 0):  # only the penalty re-solve prices charging
+            penalty_backend_solves.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(scheduler, "solve_model", solve_model)
+    assert main(["schedule", str(TUTORIAL), "--signal", "srme2", "--flex", "none",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert penalty_backend_solves == [0]
+    step2 = [call for call in calls if call.options["canonical_basis"]]
+    assert step2 and all(call.warm_start is not None for call in step2)
 
 
 def test_sweep_single_cell_matches_metrics(tmp_path, capsys):
@@ -378,18 +434,6 @@ def test_parallel_sweep_byte_identical(tmp_path):
     assert blob == (repeat / "sweep_results.csv").read_bytes()  # run-to-run stable too
 
 
-def _spy_on_solves(monkeypatch) -> list[tuple]:
-    """Record (warm_start, solution) of every backend solve, in call order."""
-    real, calls = lp.solve, []
-
-    def spy(problem, warm_start=None):
-        solution = real(problem, warm_start=warm_start)
-        calls.append((warm_start, solution))
-        return solution
-    monkeypatch.setattr(lp, "solve", spy)
-    return calls
-
-
 def test_parallel_sweep_groups_byte_identical_at_any_worker_count(tmp_path):
     # Two flex-mode groups of six cells each; zone A carries no EV load, so
     # every other cell of a group fails and the chain must step over it.
@@ -414,7 +458,7 @@ def test_sweep_chains_base_solves_within_each_flex_group(tmp_path, monkeypatch):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"ev_multipliers": [0.9, 1.0, 1.1],
                                 "flexibility_modes": ["none", "delay8"]}))
-    calls = _spy_on_solves(monkeypatch)
+    calls = spy_on_solves(monkeypatch)
     out = tmp_path / "sweep"
     assert main(["sweep", str(TUTORIAL), "--spec", str(spec), "--parallel", "1",
                  "--out", str(out)]) == 0
@@ -423,11 +467,11 @@ def test_sweep_chains_base_solves_within_each_flex_group(tmp_path, monkeypatch):
     assert len(calls) == 12
     for group in (calls[:6], calls[6:]):
         bases = group[0::2]
-        assert bases[0][0] is None
+        assert bases[0].warm_start is None
         for prev, cur in zip(bases, bases[1:]):
-            assert cur[0] is prev[1]
-        for (_, base_solution), (pert_start, _) in zip(group[0::2], group[1::2]):
-            assert pert_start is base_solution
+            assert cur.warm_start is prev.solution
+        for base, pert in zip(group[0::2], group[1::2]):
+            assert pert.warm_start is base.solution
 
 
 def test_sweep_chain_steps_over_a_failed_cell(tmp_path, monkeypatch):
@@ -442,7 +486,7 @@ def test_sweep_chain_steps_over_a_failed_cell(tmp_path, monkeypatch):
             raise RuntimeError("injected failure")
         return report
     monkeypatch.setattr(cli, "long_run_mer", fails_at_run_1)
-    calls = _spy_on_solves(monkeypatch)
+    calls = spy_on_solves(monkeypatch)
     out = tmp_path / "sweep"
     assert main(["sweep", str(TUTORIAL), "--spec", str(spec), "--out", str(out)]) == 0
     runs = json.loads((out / "manifest.json").read_text())["runs"]
@@ -450,8 +494,8 @@ def test_sweep_chain_steps_over_a_failed_cell(tmp_path, monkeypatch):
     assert runs[1]["error"] == "RuntimeError: injected failure"
     assert len(calls) == 6
     base0, base1, base2 = calls[0], calls[2], calls[4]
-    assert base1[0] is base0[1]
-    assert base2[0] is base0[1]  # from the last cell that succeeded, not from run 1
+    assert base1.warm_start is base0.solution
+    assert base2.warm_start is base0.solution  # from the last cell that succeeded, not from run 1
     rows = read_csv_rows(out / "sweep_results.csv")
     assert {r["run_id"] for r in rows} == {"0", "2"}
 
@@ -505,10 +549,10 @@ def test_srme2_unbounded_base_solve_exits_3(tmp_path, monkeypatch):
     real = lp.solve
     calls = []
 
-    def first_real_then_unbounded(problem, warm_start=None):
+    def first_real_then_unbounded(problem, *args, **kwargs):
         calls.append(problem)
         if len(calls) == 1:
-            return real(problem, warm_start=warm_start)
+            return real(problem, *args, **kwargs)
         return lp.LpSolution(status=lp.SolveStatus.UNBOUNDED)
     monkeypatch.setattr(lp, "solve", first_real_then_unbounded)
     assert main(["metrics", scenario, "--method", "srme2", "--out", str(tmp_path / "o")]) == 3

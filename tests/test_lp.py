@@ -13,7 +13,7 @@ from gridmarg.planner import (ScaleEV, UniformAll, build_expansion_lp, build_ope
                               perturb_demand, solve_model)
 from gridmarg.scenario_io import load_scenario
 
-from oracles import random_feasible_lp, vertex_enumeration_minimum
+from oracles import random_feasible_lp, spy_on_solves, vertex_enumeration_minimum
 from test_lp_arrays import assert_highs_holds_scipys_csc
 from test_scenario_io import TUTORIAL
 from toys import backfire, breakeven_wind, merit_stack, storage_coupled
@@ -328,16 +328,8 @@ def test_native_basis_warm_starts_as_the_basis_rebuilt_from_codes(kind, seed, tm
 
 @pytest.fixture
 def backend_calls(monkeypatch):
-    """Count the solves that reach the backend (lp.solve) while delegating to it."""
-    import gridmarg.lp as lp_module
-    calls = []
-    real = lp_module.solve
-
-    def counting(problem, warm_start=None):
-        calls.append(warm_start)
-        return real(problem, warm_start=warm_start)
-    monkeypatch.setattr(lp_module, "solve", counting)
-    return calls
+    """The solves that reach the backend (lp.solve), recorded while delegating to it."""
+    return spy_on_solves(monkeypatch)
 
 
 def test_memo_hit_returns_the_earlier_solution_without_solving(backend_calls):
@@ -382,6 +374,45 @@ def test_memo_names_a_start_by_its_key_or_else_by_its_basis(backend_calls):
         from_loose = memo_solve(problem, warm_start=loose)
         assert memo_solve(problem, warm_start=loose_again) is from_loose
         assert len(backend_calls) == 2
+
+
+def _with_fixed_column(cost) -> LpProblem:
+    # min c.x  s.t. x0 + x1 + x2 = 4, x0, x1 in [0, 5], x2 fixed at 1.
+    b = LpBuilder()
+    b.add_vars(2, cost=cost[:2], ub=5.0)
+    b.add_var(cost=cost[2], lb=1.0, ub=1.0)
+    b.add_eq([0, 1, 2], [1.0, 1.0, 1.0], 4.0)
+    return b.build()
+
+
+def test_memo_hit_when_only_fixed_columns_costs_differ(backend_calls):
+    from gridmarg.lp import memo_solve, solve_memo_scope
+    first_lp, other_lp = _with_fixed_column([1.0, 2.0, 3.0]), _with_fixed_column([1.0, 2.0, 7.0])
+    with solve_memo_scope():
+        first = memo_solve(first_lp)
+        other = memo_solve(other_lp)
+    assert len(backend_calls) == 1
+    fresh = solve(other_lp)
+    assert other.objective_value == fresh.objective_value == 3.0 + 7.0
+    assert first.objective_value == 3.0 + 3.0
+    np.testing.assert_array_equal(other.x, fresh.x)
+    np.testing.assert_array_equal(other.reduced_costs, fresh.reduced_costs)
+    assert other.reduced_costs[2] == first.reduced_costs[2] + 4.0
+    assert verify_kkt(other_lp, other).passed
+    assert other.memo_key == first.memo_key
+    assert not other.reduced_costs.flags.writeable
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_memo_miss_when_a_free_columns_cost_differs(backend_calls, column):
+    from gridmarg.lp import memo_solve, solve_memo_scope
+    cost = [1.0, 2.0, 3.0]
+    cost[column] += 0.5
+    with solve_memo_scope():
+        memo_solve(_with_fixed_column([1.0, 2.0, 3.0]))
+        moved = memo_solve(_with_fixed_column(cost))
+    assert len(backend_calls) == 2
+    assert verify_kkt(_with_fixed_column(cost), moved).passed
 
 
 def test_memo_solve_outside_a_scope_always_solves(backend_calls):
@@ -448,7 +479,7 @@ def test_commands_convert_no_model_or_basis_element_by_element(command, backend_
     counting(lp_module, "_status_codes")
     counting(lp_module._highs, "HighsLp")
     assert main(command + ["--out", str(tmp_path / "out")]) == 0
-    assert any(start is not None for start in backend_calls)   # warm starts did run
+    assert any(call.warm_start is not None for call in backend_calls)   # warm starts did run
     assert counts == {"_status_codes": 0, "HighsLp": 0}
 
 

@@ -10,6 +10,7 @@ from gridmarg.planner import (FixedCapacities, ScaleEV, SingleHour, build_expans
                               build_operational_lp, perturb_demand, solve_model)
 from gridmarg.scenario_io import load_scenario
 
+from oracles import spy_on_solves
 from toys import (MERIT_STACK_MARGINAL_EF, breakeven_wind, frozen_structure, merit_stack,
                   negative_lr_toy, single_bus, storage_coupled, storage_roundtrip)
 from test_scenario_io import TUTORIAL
@@ -296,18 +297,10 @@ def test_warm_started_ev_scaled_solve_matches_cold(make_grid):
 
 
 def test_lr_mer_warm_starts_from_its_own_base(monkeypatch):
-    calls = []
-    real_solve = lp.solve
-
-    def recording_solve(problem, warm_start=None):
-        sol = real_solve(problem, warm_start=warm_start)
-        calls.append((sol, warm_start))
-        return sol
-
-    monkeypatch.setattr(lp, "solve", recording_solve)
+    calls = spy_on_solves(monkeypatch)
     report = long_run_mer(storage_coupled(), ScaleEV(0.05))
     assert len(calls) == 2
-    (base_sol, base_start), (_, pert_start) = calls
+    base_sol, base_start, pert_start = calls[0].solution, calls[0].warm_start, calls[1].warm_start
     assert base_start is None
     assert pert_start is base_sol
     assert report.base.solution is base_sol
@@ -345,7 +338,7 @@ def test_icev_comparison_arithmetic():
 
 def test_srme2_unbounded_base_solve_raises_unbounded(monkeypatch):
     from gridmarg.errors import UnboundedModel
-    monkeypatch.setattr(lp, "solve", lambda problem, warm_start=None:
+    monkeypatch.setattr(lp, "solve", lambda problem, *args, **kwargs:
                         lp.LpSolution(status=lp.SolveStatus.UNBOUNDED))
     with pytest.raises(UnboundedModel):
         srme_dual(merit_stack(), FixedCapacities.none())

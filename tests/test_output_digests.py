@@ -36,7 +36,7 @@ PINNED = {
         "consequential.json": "311b8f8a4b1042c704240ff152b6a55cd1b5dba54ff1771e537ce05f12139d5d",
     },
     "metrics-lrmer-each": {
-        "consequential.json": "af6ff662cfb2d7a6b48663181bd0770f1a25ac6ca271f2a4cadd7095ae719470",
+        "consequential.json": "151fd3b060390ca7604765b85a9343cc3d65e389cb0a2e49044c37176d7d505d",
     },
     "metrics-srme1": {
         "srme.csv": "3fb3d4fcf408e97690e419abcea596f7bee1ba7eb492e63d1ef6799499bf4cb2",

@@ -9,6 +9,7 @@ from gridmarg.planner import (FixedCapacities, build_expansion_lp, build_operati
 from gridmarg.scheduler import (PIN_SNAP_TOL, consequential_check, evaluate_fixed_schedule,
                                 pin_schedule, schedule_from_result, schedule_min_srme)
 
+from oracles import spy_on_solves
 from toys import backfire, solar_midday, storage_coupled, with_flex_window
 
 
@@ -187,13 +188,7 @@ def test_consequential_check_uses_pinned_operational_solves():
 
 def test_memo_keeps_only_the_cost_and_check_solves_of_the_penalty_loop(monkeypatch):
     from gridmarg import lp
-    solves = []
-    real = lp.solve
-
-    def counting(problem, warm_start=None):
-        solves.append(warm_start)
-        return real(problem, warm_start=warm_start)
-    monkeypatch.setattr(lp, "solve", counting)
+    solves = spy_on_solves(monkeypatch)
     grid = with_flex_window(solar_midday(), 0, 8)   # two passes with SRME2 rates
     _, plain = schedule_min_srme(grid, FixedCapacities.none(), method="SRME2")
     unscoped = len(solves)

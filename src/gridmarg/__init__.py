@@ -9,7 +9,8 @@ from .flex import ChargingSchedule, FlexWindow, ScheduleSource
 from .grid import (CostMultipliers, FlexibleLoad, Generator, GridModel, ScenarioConfig,
                    StorageUnit, TransmissionLine, Zone, annualized_capital_cost,
                    apply_sensitivity, resolve_scenario, scale_ev_penetration)
-from .lp import LpBuilder, LpProblem, LpSolution, ResidualReport, SolveStatus, solve, verify_kkt
+from .lp import (LpBuilder, LpMatrix, LpProblem, LpSolution, ResidualReport, SolveStatus, solve,
+                 verify_kkt)
 from .metrics import (SRME1, SRME2, ConsequentialReport, EmissionRateSeries,
                       average_emission_rate, icev_comparison, long_run_mer, srme_dual,
                       srme_uniform)

@@ -21,7 +21,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from . import lp, outputs
+from . import lp, outputs, planner
 from .errors import DegenerateDelta, GridmargError, InfeasibleModel, UnboundedModel, UnknownZone
 from .flex import ScheduleSource
 from .grid import CostMultipliers, GridModel, resolve_scenario
@@ -272,16 +272,18 @@ def _run_sweep_group(raw_grid: GridModel, cells: list[dict]) -> list[dict]:
     and costs, so each cell's base solve starts from the base solution of the
     last cell before it that succeeded; the first cell's base solve is cold.
     Which solves start from which basis depends on the spec alone, never on
-    the worker count.
+    the worker count. The cells also share their LP structures (one per
+    shape, see gridmarg.planner).
     """
     outcomes, warm_start = [], None
-    for cell in cells:
-        # Looked up by name at call time, so a wrapper bound to the module
-        # attribute (the benchmark's tracer) sees every cell.
-        outcome, base = _run_sweep_cell(raw_grid, cell, warm_start)
-        outcomes.append(outcome)
-        if base is not None:
-            warm_start = base
+    with planner.structure_scope():
+        for cell in cells:
+            # Looked up by name at call time, so a wrapper bound to the module
+            # attribute (the benchmark's tracer) sees every cell.
+            outcome, base = _run_sweep_cell(raw_grid, cell, warm_start)
+            outcomes.append(outcome)
+            if base is not None:
+                warm_start = base
     return outcomes
 
 
@@ -377,7 +379,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr,
                         force=True)
     try:
-        with lp.solve_memo_scope():
+        with lp.solve_memo_scope(), planner.structure_scope():
             return args.func(args)
     except InfeasibleModel as exc:
         log.error("infeasible: %s", exc)

@@ -55,11 +55,10 @@ def cumulative_bounds(baseline: np.ndarray, window: FlexWindow) -> tuple[np.ndar
     """
     horizon = len(baseline)
     cum = np.cumsum(baseline)
-    hours = np.arange(horizon)
-    floor_idx = hours - window.delay
-    floor = np.where(floor_idx >= 0, cum[np.clip(floor_idx, 0, horizon - 1)], 0.0)
-    ceil_idx = np.minimum(hours + window.advance, horizon - 1)
-    ceiling = cum[ceil_idx]
+    floor = np.zeros(horizon)
+    floor[window.delay:] = cum[:max(horizon - window.delay, 0)]
+    ceiling = np.full(horizon, cum[-1] if horizon else 0.0)
+    ceiling[:max(horizon - window.advance, 0)] = cum[window.advance:]
     return floor, ceiling
 
 
@@ -81,15 +80,13 @@ def check_window_feasible(baseline: np.ndarray, window: FlexWindow, max_rate: fl
         raise InfeasibleWindow(f"flexible_load {load_id}: negative max charge rate")
     floor, ceiling = cumulative_bounds(baseline, window)
     total = float(np.sum(baseline))
-    floor = floor.copy()
     floor[-1] = total
     tol = 1e-9 * max(1.0, total)
-    hours = np.arange(horizon)
+    ramp = max_rate * np.arange(horizon)
     # running_min[t] = min over t1 < t of ceiling[t1] - r*t1; the t1 = -1 term
     # (ceiling 0 at the slot before the horizon) is r.
-    running_min = np.minimum.accumulate(
-        np.concatenate(([max_rate], ceiling[:-1] - max_rate * hours[:-1])))
-    short = floor - max_rate * hours > running_min + tol
+    running_min = np.minimum.accumulate(np.concatenate(([max_rate], ceiling[:-1] - ramp[:-1])))
+    short = floor - ramp > running_min + tol
     if short.any():
         t = int(np.argmax(short))
         raise InfeasibleWindow(

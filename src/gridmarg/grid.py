@@ -75,7 +75,7 @@ class Zone:
         if len(self.demand) != horizon:
             raise ValidationError(
                 f"zone {self.id}: demand series has length {len(self.demand)}, expected {horizon}")
-        if np.any(self.demand < 0):
+        if (self.demand < 0).any():
             raise ValidationError(f"zone {self.id}: demand must be nonnegative")
         if not 0.0 <= self.clean_share_min <= 1.0:
             raise ValidationError(f"zone {self.id}: clean_share_min must lie in [0, 1]")
@@ -134,7 +134,7 @@ class Generator:
                 raise ValidationError(
                     f"generator {self.id}: capacity_factor_profile has length {len(prof)}, "
                     f"expected {horizon}")
-            if np.any(prof < 0) or np.any(prof > 1):
+            if (prof < 0).any() or (prof > 1).any():
                 raise ValidationError(
                     f"generator {self.id}: capacity_factor_profile must lie in [0, 1]")
         elif self.kind in (VARIABLE_RENEWABLE, HYDRO_LIKE):
@@ -221,7 +221,7 @@ class FlexibleLoad:
             raise ValidationError(
                 f"flexible_load {self.id}: baseline_profile has length "
                 f"{len(self.baseline_profile)}, expected {horizon}")
-        if np.any(self.baseline_profile < 0):
+        if (self.baseline_profile < 0).any():
             raise ValidationError(f"flexible_load {self.id}: baseline_profile must be nonnegative")
         if self.max_advance_hours < 0 or self.max_delay_hours < 0:
             raise ValidationError(f"flexible_load {self.id}: window hours must be nonnegative")

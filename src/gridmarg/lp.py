@@ -96,16 +96,17 @@ only the benchmark's tracer reads from this module, is imported on first
 access.
 
 For the same reason no solve imports ``scipy.sparse`` (282 modules, 16 MB).
-An LpProblem holds each constraint block as plain numpy CSR arrays
-(``CsrRows``), and everything the solve path needs is computed from them:
-HiGHS receives [A_ub; A_eq] column-wise, built here exactly as scipy's CSC
-conversion builds it for linprog (entries stably sorted by column, and a
-repeated (row, column) entry summed in row order), and the products in
-``_reduced_costs`` and ``verify_kkt`` add their terms in scipy's order, so
-every HiGHS input and every result is the one the scipy.sparse version gave,
-bit for bit. ``LpProblem.A_eq`` and ``A_ub`` are ``scipy.sparse.csr_matrix``
-views over the same arrays for readers outside the solve path (tests, the
-benchmark's checks and tracer); the first access imports scipy.sparse.
+An LpProblem's constraint matrix (``LpMatrix``) holds each block as plain
+numpy CSR arrays (``CsrRows``), and everything the solve path needs is
+computed from them: HiGHS receives [A_ub; A_eq] column-wise
+(``LpMatrix.columns``), built here exactly as scipy's CSC conversion builds
+it for linprog (entries stably sorted by column, and a repeated (row,
+column) entry summed in row order), and the products in ``_reduced_costs``
+and ``verify_kkt`` add their terms in scipy's order, so every HiGHS input
+and every result is the one the scipy.sparse version gave, bit for bit.
+``LpProblem.A_eq`` and ``A_ub`` are ``scipy.sparse.csr_matrix`` views over
+the same arrays for readers outside the solve path (tests, the benchmark's
+checks and tracer); the first access imports scipy.sparse.
 
 Nothing crosses into HiGHS element by element. The model goes in through
 the ``passModel`` overload that takes numpy buffers (float64 and int32,
@@ -118,8 +119,12 @@ read. A ``HighsBasis`` does not pickle, so neither does an optimal
 LpSolution: a sweep worker returns its outcome rows, never a solution.
 
 Every solve builds a fresh HiGHS instance, and an LpProblem is immutable
-once built. A warm start only changes where the simplex starts, and with the
-tie-break, not the vertex it reaches.
+once built. Problems of one shape share one LpMatrix: the planner assembles
+it once per grid topology and command, and each build fills only its own
+costs, right-hand sides and bounds. The matrix's arrays are read-only, and
+its column-wise form and digest are computed on first use, once per matrix
+rather than once per solve. A warm start only changes where the simplex
+starts, and with the tie-break, not the vertex it reaches.
 
 A sweep chains warm starts within each group of cells that share a
 flexibility mode: those cells build expansion LPs of one shape, so each
@@ -128,22 +133,24 @@ that succeeded, and only the group's first base solve is cold.
 
 Repeat solves are answered from a memo. Inside ``solve_memo_scope()`` (one
 per CLI command, and one per sweep cell), ``memo_solve`` keys each solve by
-a digest of the problem arrays plus where its warm start, if any, came
-from, and returns the stored solution of an earlier identical solve instead
-of solving again. HiGHS is deterministic, so the stored solution is the one
-a new solve would return, and a start is named by provenance: the memo key
-of the solve that produced it (``LpSolution.memo_key``). Only a start
-solved outside any scope, which has no key, is named by its basis codes. A nested scope (``solve_memo_scope(nested=True)``,
-one per scheduler pass) reads the enclosing scope's solutions but drops its
-own when it ends, so solves that cannot recur are not kept for the rest of
-the command. Outside a scope, ``memo_solve`` is a plain ``solve``.
-Solution arrays are read-only, so one solution can be shared by every
-caller that asked for it. The key leaves out the costs of fixed columns
-(lb == ub): such a column adds no dual constraint, so the stored x and
-duals are optimal for any cost on it, and a hit only recomputes the
-objective value and reduced costs for the caller's c. With rigid charging
-every served column is fixed, so the scheduler's penalty re-solve is
-answered by the cost-minimizing solve.
+a digest of the problem's vectors, its matrix's digest (``LpMatrix.digest``,
+so a shared matrix is hashed once, not on every solve), and where its warm
+start, if any, came from, and returns the stored solution of an earlier
+identical solve instead of solving again. HiGHS is deterministic, so the
+stored solution is the one a new solve would return, and a start is named
+by provenance: the memo key of the solve that produced it
+(``LpSolution.memo_key``). Only a start solved outside any scope, which has
+no key, is named by its basis codes. A nested scope
+(``solve_memo_scope(nested=True)``, one per scheduler pass) reads the
+enclosing scope's solutions but drops its own when it ends, so solves that
+cannot recur are not kept for the rest of the command. Outside a scope,
+``memo_solve`` is a plain ``solve``. Solution arrays are read-only, so one
+solution can be shared by every caller that asked for it. The key leaves
+out the costs of fixed columns (lb == ub): such a column adds no dual
+constraint, so the stored x and duals are optimal for any cost on it, and a
+hit only recomputes the objective value and reduced costs for the caller's
+c. With rigid charging every served column is fixed, so the scheduler's
+penalty re-solve is answered by the cost-minimizing solve.
 """
 
 from __future__ import annotations
@@ -273,31 +280,96 @@ class CsrRows:
         return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
 
 
+@dataclass(frozen=True, eq=False)
+class LpMatrix:
+    """The constraint rows of an LP, and what the solve path computes from them once.
+
+    rows_eq / rows_ub hold A_eq and A_ub (possibly with zero rows). One
+    matrix is shared by every LpProblem built on it, so its arrays are made
+    read-only here, and the column-wise [A_ub; A_eq] that HiGHS receives
+    (``columns``) and the content digest the solve memo keys on
+    (``digest``) are computed on first use and kept for the matrix's life.
+    A_eq / A_ub are scipy.sparse.csr_matrix views of the rows, built on
+    first access, for callers outside the solve path.
+    """
+
+    rows_eq: CsrRows
+    rows_ub: CsrRows
+
+    def __post_init__(self):
+        if self.rows_eq.num_cols != self.rows_ub.num_cols:
+            raise ValueError(f"A_eq has {self.rows_eq.num_cols} columns and A_ub "
+                             f"{self.rows_ub.num_cols}")
+        for mat, name in ((self.rows_eq, "A_eq"), (self.rows_ub, "A_ub")):
+            if mat.nnz and not np.isfinite(mat.data).all():
+                raise ValueError(f"{name} contains non-finite coefficients")
+            for arr in (mat.data, mat.indices, mat.indptr):
+                arr.flags.writeable = False
+
+    @property
+    def num_cols(self) -> int:
+        return self.rows_eq.num_cols
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """[A_ub; A_eq] column-wise, as linprog lays it out: (column starts, row indices, values).
+
+        The arrays are the ones scipy's csc conversion of the stacked rows
+        gives linprog: each column's entries in ascending row order, and a
+        repeated (row, column) entry merged into one. HiGHS must never see a
+        repeated entry: it aborts the whole process on one.
+        """
+        ub, eq = self.rows_ub, self.rows_eq
+        rows, cols, values = _by_column(
+            np.concatenate((ub.entry_rows(), eq.entry_rows() + ub.shape[0])),
+            np.concatenate((ub.indices, eq.indices)), np.concatenate((ub.data, eq.data)))
+        start = np.zeros(self.num_cols + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=self.num_cols), out=start[1:])
+        for arr in (start, rows, values):
+            arr.flags.writeable = False
+        return start, rows, values
+
+    @cached_property
+    def digest(self) -> bytes:
+        """BLAKE2b of the shapes and arrays of both row blocks."""
+        h = hashlib.blake2b(digest_size=32)
+        for rows in (self.rows_eq, self.rows_ub):
+            h.update(repr(rows.shape).encode())
+            for arr in (rows.data, rows.indices, rows.indptr):
+                h.update(repr(arr.shape).encode())
+                h.update(np.ascontiguousarray(arr).tobytes())
+        return h.digest()
+
+    @cached_property
+    def A_eq(self) -> "scipy.sparse.csr_matrix":
+        return self.rows_eq.to_scipy()
+
+    @cached_property
+    def A_ub(self) -> "scipy.sparse.csr_matrix":
+        return self.rows_ub.to_scipy()
+
+
 @dataclass(frozen=True)
 class LpProblem:
-    """Immutable standard-form LP. Arrays are owned by the problem; treat as read-only.
+    """Immutable standard-form LP: a shared constraint matrix and the problem's own vectors.
 
-    rows_eq / rows_ub hold the constraint matrices (possibly with zero rows).
-    A_eq / A_ub are scipy.sparse.csr_matrix views of them, built on first
-    access, for callers outside the solve path. Bounds default to [0, +inf)
-    per variable.
+    matrix holds A_eq and A_ub; rows_eq / rows_ub and A_eq / A_ub read
+    through to it. The vectors are owned by the problem; treat them as
+    read-only. Bounds default to [0, +inf) per variable.
     """
 
     c: np.ndarray
-    rows_eq: CsrRows
+    matrix: LpMatrix
     b_eq: np.ndarray
-    rows_ub: CsrRows
     b_ub: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
 
     def __post_init__(self):
         n = self.c.shape[0]
-        if self.rows_eq.num_cols != n or self.rows_ub.num_cols != n:
+        if self.matrix.num_cols != n:
             raise ValueError(
-                f"constraint matrices have {self.rows_eq.num_cols}/{self.rows_ub.num_cols} "
-                f"columns for {n} variables"
-            )
+                f"constraint matrices have {self.matrix.num_cols} columns for {n} variables")
         if self.rows_eq.shape[0] != self.b_eq.shape[0]:
             raise ValueError("A_eq rows do not match b_eq length")
         if self.rows_ub.shape[0] != self.b_ub.shape[0]:
@@ -306,9 +378,6 @@ class LpProblem:
             raise ValueError("bound vectors do not match variable count")
         if not np.isfinite(self.c).all():
             raise ValueError("objective coefficients must be finite")
-        for mat, name in ((self.rows_eq, "A_eq"), (self.rows_ub, "A_ub")):
-            if mat.nnz and not np.isfinite(mat.data).all():
-                raise ValueError(f"{name} contains non-finite coefficients")
         if not (np.isfinite(self.b_eq).all() and np.isfinite(self.b_ub).all()):
             raise ValueError("right-hand sides must be finite")
         # NaN passes the comparison below, and a lower bound of +inf or an upper
@@ -322,13 +391,21 @@ class LpProblem:
             j = int(np.argmax(self.lb > self.ub))
             raise ValueError(f"variable {j} has lower bound {self.lb[j]} > upper bound {self.ub[j]}")
 
-    @cached_property
-    def A_eq(self) -> "scipy.sparse.csr_matrix":
-        return self.rows_eq.to_scipy()
+    @property
+    def rows_eq(self) -> CsrRows:
+        return self.matrix.rows_eq
 
-    @cached_property
+    @property
+    def rows_ub(self) -> CsrRows:
+        return self.matrix.rows_ub
+
+    @property
+    def A_eq(self) -> "scipy.sparse.csr_matrix":
+        return self.matrix.A_eq
+
+    @property
     def A_ub(self) -> "scipy.sparse.csr_matrix":
-        return self.rows_ub.to_scipy()
+        return self.matrix.A_ub
 
     @property
     def num_vars(self) -> int:
@@ -356,64 +433,63 @@ class LpBuilder:
     """
 
     def __init__(self):
-        self._cost: list[float] = []
-        self._lb: list[float] = []
-        self._ub: list[float] = []
+        self.num_vars = 0
+        # (first variable, count, cost, lb, ub) per add_var(s) call, each value a
+        # scalar or one per variable; spread into arrays by build().
+        self._vars: list[tuple[int, int, object, object, object]] = []
         self._eq = _RowBlocks()
         self._le = _RowBlocks()
 
-    @property
-    def num_vars(self) -> int:
-        return len(self._cost)
-
     def add_var(self, cost: float = 0.0, lb: float = 0.0, ub: float = np.inf) -> int:
-        self._cost.append(float(cost))
-        self._lb.append(float(lb))
-        self._ub.append(float(ub))
-        return len(self._cost) - 1
+        return int(self.add_vars(1, float(cost), float(lb), float(ub))[0])
 
     def add_vars(self, n: int, cost=0.0, lb=0.0, ub=np.inf) -> np.ndarray:
         """Add n variables sharing scalar or per-variable cost/bounds; returns index array."""
-        cost = np.broadcast_to(np.asarray(cost, dtype=float), (n,))
-        lb = np.broadcast_to(np.asarray(lb, dtype=float), (n,))
-        ub = np.broadcast_to(np.asarray(ub, dtype=float), (n,))
-        start = len(self._cost)
-        self._cost.extend(cost.tolist())
-        self._lb.extend(lb.tolist())
-        self._ub.extend(ub.tolist())
-        return np.arange(start, start + n)
+        values = []
+        for value in (cost, lb, ub):
+            if np.ndim(value):   # copied: later edits to the caller's array do not reach the LP
+                value = np.array(value, dtype=float)
+                if value.shape != (n,):
+                    raise ValueError(f"{value.shape} values for {n} variables")
+            values.append(value)
+        start = self.num_vars
+        self.num_vars += n
+        self._vars.append((start, n, *values))
+        return np.arange(start, self.num_vars)
 
-    def add_eq_rows(self, idx, coef, rhs) -> np.ndarray:
-        """Add one row sum(coef*x[idx]) == rhs per block row; returns the equality row indices."""
+    def add_eq_rows(self, idx, coef, rhs=0.0) -> np.ndarray:
+        """Add one row sum(coef*x[idx]) == rhs per block row; returns the equality row indices.
+
+        rhs is one value per row, or one scalar for every row.
+        """
         return self._eq.add(idx, coef, rhs, self.num_vars)
 
-    def add_le_rows(self, idx, coef, rhs) -> np.ndarray:
-        """Add one row sum(coef*x[idx]) <= rhs per block row; returns the inequality row indices."""
+    def add_le_rows(self, idx, coef, rhs=0.0) -> np.ndarray:
+        """Add one row sum(coef*x[idx]) <= rhs per block row; returns the inequality row indices.
+
+        rhs is one value per row, or one scalar for every row.
+        """
         return self._le.add(idx, coef, rhs, self.num_vars)
 
-    def add_eq(self, idx, coef, rhs: float) -> int:
+    def add_eq(self, idx, coef, rhs: float = 0.0) -> int:
         """Add sum(coef*x[idx]) == rhs; returns the equality row index."""
         return int(self.add_eq_rows(*_one_row(idx, coef), [rhs])[0])
 
-    def add_le(self, idx, coef, rhs: float) -> int:
+    def add_le(self, idx, coef, rhs: float = 0.0) -> int:
         """Add sum(coef*x[idx]) <= rhs; returns the inequality row index."""
         return int(self.add_le_rows(*_one_row(idx, coef), [rhs])[0])
 
-    def fix_var(self, idx: int, value: float) -> None:
-        self._lb[idx] = float(value)
-        self._ub[idx] = float(value)
+    def matrix(self) -> LpMatrix:
+        """The rows added so far, without costs, bounds or right-hand sides."""
+        return LpMatrix(self._eq.csr(self.num_vars), self._le.csr(self.num_vars))
 
     def build(self) -> LpProblem:
-        n = len(self._cost)
-        return LpProblem(
-            c=np.asarray(self._cost, dtype=float),
-            rows_eq=self._eq.csr(n),
-            b_eq=self._eq.rhs(),
-            rows_ub=self._le.csr(n),
-            b_ub=self._le.rhs(),
-            lb=np.asarray(self._lb, dtype=float),
-            ub=np.asarray(self._ub, dtype=float),
-        )
+        c, lb, ub = np.empty(self.num_vars), np.empty(self.num_vars), np.empty(self.num_vars)
+        for start, n, *values in self._vars:
+            for arr, value in zip((c, lb, ub), values):
+                arr[start:start + n] = value
+        return LpProblem(c=c, matrix=self.matrix(), b_eq=self._eq.rhs(), b_ub=self._le.rhs(),
+                         lb=lb, ub=ub)
 
 
 def _one_row(idx, coef) -> tuple[np.ndarray, np.ndarray]:
@@ -440,9 +516,15 @@ class _RowBlocks:
         families = [np.asarray(i, dtype=np.int64) for i in idx]
         if any(f.ndim != 2 for f in families) or len({f.shape[0] for f in families}) > 1:
             raise ValueError("row blocks must be 2-D index arrays with equal row counts")
-        values = [np.broadcast_to(np.asarray(c, dtype=float), f.shape)
-                  for f, c in zip(families, coef, strict=True)]
         nrows = families[0].shape[0]
+        widths = [f.shape[1] for f in families]
+        data = np.empty((nrows, sum(widths)))
+        end = 0
+        for width, c in zip(widths, coef, strict=True):
+            data[:, end:end + width] = c   # broadcast to the family's shape
+            end += width
+        if np.ndim(rhs) == 0:
+            rhs = np.full(nrows * len(families), rhs, dtype=float)
         rhs = np.asarray(rhs, dtype=float).reshape(-1)
         if rhs.shape[0] != nrows * len(families):
             raise ValueError(f"{rhs.shape[0]} right-hand sides for {nrows * len(families)} rows")
@@ -451,9 +533,9 @@ class _RowBlocks:
         if bad.any():
             raise ValueError(f"row references undeclared variable index "
                              f"{int(flat[np.argmax(bad)])} (have {num_vars})")
-        self._lengths.append(np.tile([f.shape[1] for f in families], nrows))
+        self._lengths.append(np.tile(widths, nrows))
         self._indices.append(flat)
-        self._data.append(np.concatenate(values, axis=1).reshape(-1))
+        self._data.append(data.reshape(-1))
         self._rhs.append(rhs)
         start = self.num_rows
         self.num_rows += rhs.shape[0]
@@ -520,12 +602,12 @@ def with_extra_le_row(problem: LpProblem, idx, coef, rhs: float,
                                coef[0])
     ub = problem.rows_ub
     indptr = np.append(ub.indptr, np.int32(ub.nnz + cols.shape[0]))
+    rows_ub = CsrRows(np.concatenate((ub.data, vals)), np.concatenate((ub.indices, cols)),
+                      indptr, n)
     return LpProblem(
         c=problem.c if new_cost is None else np.asarray(new_cost, dtype=float),
-        rows_eq=problem.rows_eq,
+        matrix=LpMatrix(problem.rows_eq, rows_ub),
         b_eq=problem.b_eq,
-        rows_ub=CsrRows(np.concatenate((ub.data, vals)), np.concatenate((ub.indices, cols)),
-                        indptr, n),
         b_ub=np.append(problem.b_ub, float(rhs)),
         lb=problem.lb,
         ub=problem.ub,
@@ -569,34 +651,17 @@ def _new_highs(strategy: int = _DUAL):
     return highs
 
 
-def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[A_ub; A_eq] column-wise, as linprog lays it out: (column starts, row indices, values).
-
-    The arrays are the ones scipy's csc conversion of the stacked rows gives
-    linprog: each column's entries in ascending row order, and a repeated
-    (row, column) entry merged into one. HiGHS must never see a repeated
-    entry: it aborts the whole process on one.
-    """
-    ub, eq = problem.rows_ub, problem.rows_eq
-    rows, cols, values = _by_column(
-        np.concatenate((ub.entry_rows(), eq.entry_rows() + problem.num_ub)),
-        np.concatenate((ub.indices, eq.indices)), np.concatenate((ub.data, eq.data)))
-    start = np.zeros(problem.num_vars + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=problem.num_vars), out=start[1:])
-    return start, rows, values
-
-
-def _pass_model(highs, problem: LpProblem, cost: np.ndarray, columns=None,
+def _pass_model(highs, problem: LpProblem, cost: np.ndarray,
                 b_ub: np.ndarray | None = None, b_eq: np.ndarray | None = None) -> None:
     """Pass the problem to HiGHS as one row block [A_ub; A_eq], column-wise, as linprog lays it out.
 
-    columns is _columnwise(problem), computed here unless given. HiGHS
-    copies the numpy buffers as they are; every column is continuous. The
-    objective is cost, not problem.c, and b_ub / b_eq, where given, replace
-    the problem's right-hand sides. Raises NumericalFailure if HiGHS rejects
+    The matrix goes in as problem.matrix.columns; HiGHS copies the numpy
+    buffers as they are, and every column is continuous. The objective is
+    cost, not problem.c, and b_ub / b_eq, where given, replace the
+    problem's right-hand sides. Raises NumericalFailure if HiGHS rejects
     the model.
     """
-    start, rows, values = _columnwise(problem) if columns is None else columns
+    start, rows, values = problem.matrix.columns
     b_ub = problem.b_ub if b_ub is None else b_ub
     b_eq = problem.b_eq if b_eq is None else b_eq
     status = highs.passModel(
@@ -682,8 +747,7 @@ def _iterations(highs) -> int:
     return int(highs.getInfo().simplex_iteration_count)
 
 
-def _canonical_restart(problem: LpProblem, stage1, tilted: np.ndarray, columns,
-                       cap_slack: float):
+def _canonical_restart(problem: LpProblem, stage1, tilted: np.ndarray, cap_slack: float):
     """Stages 1b and 2 of a canonical-basis solve, from stage 1's optimal basis.
 
     Returns the HiGHS instance that ran stage 2, and the iterations of both
@@ -697,14 +761,14 @@ def _canonical_restart(problem: LpProblem, stage1, tilted: np.ndarray, columns,
     if problem.num_ub:
         b_ub[-1] += cap_slack
     highs = _new_highs(_CHOOSE)
-    _pass_model(highs, problem, tilted, columns, b_ub=b_ub, b_eq=problem.b_eq + v[problem.num_ub:])
+    _pass_model(highs, problem, tilted, b_ub=b_ub, b_eq=problem.b_eq + v[problem.num_ub:])
     highs.setBasis(stage1)
     highs.run()
     iterations = _iterations(highs)
     start = highs.getBasis() if _optimal(highs) else stage1
     del highs
     final = _new_highs()
-    _pass_model(final, problem, problem.c, columns)
+    _pass_model(final, problem, problem.c)
     final.setBasis(start)
     final.run()
     return final, iterations + _iterations(final)
@@ -730,14 +794,11 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
     basis; ValueError if the shapes differ. Raises NumericalFailure if the
     backend ends in any state other than optimal, infeasible or unbounded.
     """
-    # Only a canonical-basis solve passes the model again; otherwise the
-    # column-wise arrays are not kept alive while HiGHS runs.
-    columns = _columnwise(problem) if canonical_basis else None
     cols = np.flatnonzero(np.isfinite(problem.lb) & (problem.lb < problem.ub)).astype(np.int32)
     tilted = problem.c.copy()
     tilted[cols] += TIE_BREAK_EPS * tie_break_weights(problem.num_vars)[cols]
     highs = _new_highs(_CHOOSE if canonical_basis else _DUAL)
-    _pass_model(highs, problem, tilted, columns)
+    _pass_model(highs, problem, tilted)
     if warm_start is not None:
         basis = _warm_basis(problem, warm_start, cap_row=canonical_basis)
         if highs.setBasis(basis) == _highs.HighsStatus.kError:
@@ -747,7 +808,7 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
     if _optimal(highs) and canonical_basis:
         stage1 = highs.getBasis()
         del highs
-        highs, more = _canonical_restart(problem, stage1, tilted, columns, cap_slack)
+        highs, more = _canonical_restart(problem, stage1, tilted, cap_slack)
         iterations += more
     elif _optimal(highs) and cols.size:
         highs.changeColsCost(cols.size, cols, problem.c[cols])
@@ -788,11 +849,8 @@ def _memo_key(problem: LpProblem, warm_start: LpSolution | None, canonical_basis
     for arr in (cost, problem.b_eq, problem.b_ub, problem.lb, problem.ub):
         h.update(repr(arr.shape).encode())
         h.update(np.ascontiguousarray(arr).tobytes())
-    for rows in (problem.rows_eq, problem.rows_ub):
-        h.update(repr(rows.shape).encode())
-        for arr in (rows.data, rows.indices, rows.indptr):
-            h.update(repr(arr.shape).encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
+    # The matrix enters by its digest, computed once per matrix.
+    h.update(problem.matrix.digest)
     if canonical_basis:
         h.update(b"canonical" + np.float64(cap_slack).tobytes())
     if warm_start is None:

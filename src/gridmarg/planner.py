@@ -18,11 +18,36 @@ windows (see flex module), a rate cap, and total-energy conservation.
 
 In OPERATIONAL mode every investment/retirement variable is pinned to the
 supplied capacities and the objective keeps only operational terms (fuel,
-variable O&M, startup, non-served-energy penalty).
+variable O&M, startup, non-served-energy penalty). Both modes have the same
+columns and rows; they differ only in costs and bounds.
+
+A build runs in two steps after validating the grid:
+
+  * the structure step (``_assemble``) lays out the columns and rows, records
+    them in a ModelIndex, and assembles the constraint matrix (an
+    ``lp.LpMatrix``) and the emissions coefficients. It reads only the grid
+    fields that reach a matrix coefficient or a shape (``_structure_key``):
+    entity ids and zones, capacity-factor profiles, storage efficiencies,
+    line losses, min-stable fractions and commitment flags, clean shares,
+    clean and emission factors, the buildable/retirable/expandable flags,
+    rigid or windowed charging, and whether NSE and a CO2 cap are on.
+  * the vector step (``_fill``) writes the costs, right-hand sides, bounds
+    and cost offset from the grid by index assignment, and runs every check
+    on those values (pinned capacities, charging windows).
+
+Inside ``structure_scope()`` (one per CLI command, one per sweep group) a
+structure is assembled once per key and shared by every build with that
+key, so demand perturbations, EV scaling, pinned schedules, cost
+multipliers and operational pinning build no new matrix. Outside a scope
+every build assembles its own. Either way the LP is the same, array for
+array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,7 +56,7 @@ from . import lp
 from .errors import (InfeasibleModel, MissingCapacity, ModelBuildError, UnboundedModel,
                      UnknownZone, ValidationError)
 from .flex import FlexWindow, check_window_feasible, cumulative_bounds
-from .grid import HYDRO_LIKE, VARIABLE_RENEWABLE, GridModel
+from .grid import HYDRO_LIKE, VARIABLE_RENEWABLE, FlexibleLoad, GridModel
 
 MODE_EXPANSION = "capacity_expansion"
 MODE_OPERATIONAL = "operational_fixed"
@@ -126,9 +151,16 @@ class ModelIndex:
     new_line: dict[str, int] = field(default_factory=dict)
     nse: dict[str, np.ndarray] = field(default_factory=dict)
     served: dict[str, np.ndarray] = field(default_factory=dict)
+    cumulative: dict[str, np.ndarray] = field(default_factory=dict)   # windowed loads only
     balance_rows: dict[str, np.ndarray] = field(default_factory=dict)
     clean_share_rows: dict[str, int] = field(default_factory=dict)
     co2_cap_row: int | None = None
+    # <=-rows whose right-hand side is a capacity: per generator its hourly
+    # capacity rows; per storage unit its charge, discharge and state-of-charge
+    # caps, and per line its forward and backward caps, one array row per hour.
+    gen_cap_rows: dict[str, np.ndarray] = field(default_factory=dict)
+    storage_cap_rows: dict[str, np.ndarray] = field(default_factory=dict)
+    line_cap_rows: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
@@ -141,6 +173,15 @@ class ExpansionModel:
     mode: str
     cost_offset: float                 # constant objective part (fixed O&M on existing fleet)
     emissions_coeffs: np.ndarray       # tCO2 per unit of each LP variable (generation only)
+
+
+@dataclass(frozen=True)
+class LpStructure:
+    """What the structure step assembles: shared by every model built from it."""
+
+    index: ModelIndex
+    matrix: lp.LpMatrix
+    emissions_coeffs: np.ndarray       # read-only
 
 
 @dataclass(frozen=True)
@@ -169,6 +210,47 @@ def build_operational_lp(grid: GridModel, fixed_capacities: FixedCapacities) -> 
     return _build(grid, MODE_OPERATIONAL, fixed_capacities)
 
 
+# Structures of the innermost open structure_scope, by _structure_key. A
+# context variable, like lp's solve memo, so that builds deep in metrics and
+# the scheduler share it without passing it through every call.
+_STRUCTURES: ContextVar[dict[tuple, LpStructure] | None] = ContextVar(
+    "gridmarg_lp_structures", default=None)
+
+
+@contextmanager
+def structure_scope() -> Iterator[None]:
+    """Share assembled LP structures among the builds inside the with block."""
+    token = _STRUCTURES.set({})
+    try:
+        yield
+    finally:
+        _STRUCTURES.reset(token)
+
+
+def _structure_key(grid: GridModel) -> tuple:
+    """Every grid field that reaches a matrix coefficient or a shape, or the
+    emissions coefficients. Other fields reach only the vectors."""
+    def profile(gen):
+        cf = gen.capacity_factor_profile
+        return None if cf is None else cf.tobytes()
+
+    return (
+        grid.horizon, grid.config.nse_penalty is not None, grid.config.co2_cap_tons is not None,
+        tuple((z.id, z.clean_share_min) for z in grid.zones),
+        tuple((g.id, g.zone_id, g.kind, g.buildable, g.retirable, g.has_commitment,
+               g.min_stable_fraction, g.emissions_factor, g.is_clean, profile(g))
+              for g in grid.generators),
+        tuple((s.id, s.zone_id, s.buildable, s.charge_efficiency, s.discharge_efficiency)
+              for s in grid.storage_units),
+        tuple((l.id, l.from_zone, l.to_zone, l.expandable, l.loss_fraction) for l in grid.lines),
+        tuple((l.id, l.zone_id, _is_rigid(l)) for l in grid.flexible_loads),
+    )
+
+
+def _is_rigid(load: FlexibleLoad) -> bool:
+    return FlexWindow(load.max_advance_hours, load.max_delay_hours).is_rigid
+
+
 def _pin(fixed: FixedCapacities, table: str, key: str) -> float:
     mapping = getattr(fixed, table)
     if key not in mapping:
@@ -189,15 +271,21 @@ def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> Expansi
         grid.validate()
     except ValidationError as exc:
         raise ModelBuildError(str(exc)) from exc
+    structures = _STRUCTURES.get()
+    if structures is None:
+        return _fill(_assemble(grid), grid, mode, fixed)
+    key = _structure_key(grid)
+    if key not in structures:
+        structures[key] = _assemble(grid)
+    return _fill(structures[key], grid, mode, fixed)
 
+
+def _assemble(grid: GridModel) -> LpStructure:
+    """The structure step: lay out the columns and rows, and assemble the matrix."""
     horizon = grid.horizon
-    cfg = grid.config
-    expansion = mode == MODE_EXPANSION
     b = lp.LpBuilder()
     ix = ModelIndex()
     emis: list[tuple[np.ndarray, float]] = []
-    cost_offset = 0.0
-    zeros = np.zeros(horizon)
     prev_hour = np.roll(np.arange(horizon), 1)   # cyclic wrap: hour 0 follows hour H-1
 
     def each_hour(var: int) -> np.ndarray:
@@ -213,7 +301,7 @@ def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> Expansi
     inject: dict[str, list[tuple[np.ndarray, float]]] = {z.id: [] for z in grid.zones}
 
     for gen in grid.generators:
-        gvars = b.add_vars(horizon, cost=gen.marginal_cost)
+        gvars = b.add_vars(horizon)
         ix.gen[gen.id] = gvars
         inject[gen.zone_id].append((gvars, 1.0))
         if gen.emissions_factor:
@@ -221,34 +309,22 @@ def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> Expansi
 
         n_idx = r_idx = None
         if gen.buildable:
-            n_idx = b.add_var(cost=(gen.inv_cost_annual + gen.fixed_om) if expansion else 0.0)
-            if not expansion:
-                b.fix_var(n_idx, _pin(fixed, "new_gen", gen.id))
-            ix.new_gen[gen.id] = n_idx
+            n_idx = ix.new_gen[gen.id] = b.add_var()
         if gen.retirable:
-            r_idx = b.add_var(cost=-gen.fixed_om if expansion else 0.0,
-                              ub=gen.existing_cap_mw)
-            if not expansion:
-                b.fix_var(r_idx, _pin(fixed, "retired_gen", gen.id))
-            ix.retired_gen[gen.id] = r_idx
-        if expansion:
-            cost_offset += gen.fixed_om * gen.existing_cap_mw
+            r_idx = ix.retired_gen[gen.id] = b.add_var()
 
-        avail = np.asarray(gen.availability(horizon), dtype=float)
         if gen.has_commitment:
             uvars = b.add_vars(horizon)
-            svars = b.add_vars(horizon, cost=gen.startup_cost)
+            svars = b.add_vars(horizon)
             ix.commit[gen.id] = uvars
             ix.startup[gen.id] = svars
             # Per hour, in order: gen <= u, min_stable*u <= gen, u <= surviving
             # capacity, u_t - u_{t-1} <= s_t.
             idx = [np.column_stack((gvars, uvars))]
             coef = [(1.0, -1.0)]
-            rhs = [0.0]
             if gen.min_stable_fraction > 0:
                 idx.append(np.column_stack((uvars, gvars)))
                 coef.append((gen.min_stable_fraction, -1.0))
-                rhs.append(0.0)
             cap_idx, cap_coef = [uvars], [1.0]
             if n_idx is not None:
                 cap_idx.append(each_hour(n_idx))
@@ -258,12 +334,12 @@ def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> Expansi
                 cap_coef.append(1.0)
             idx.append(np.column_stack(cap_idx))
             coef.append(cap_coef)
-            rhs.append(gen.existing_cap_mw)
             idx.append(np.column_stack((uvars, uvars[prev_hour], svars)))
             coef.append((1.0, -1.0, -1.0))
-            rhs.append(0.0)
-            b.add_le_rows(tuple(idx), tuple(coef), np.tile(rhs, horizon))
+            rows = b.add_le_rows(tuple(idx), tuple(coef))
+            ix.gen_cap_rows[gen.id] = rows[len(idx) - 2::len(idx)]   # the capacity rows
         else:
+            avail = np.asarray(gen.availability(horizon), dtype=float)
             idx, coef = [gvars], [np.ones(horizon)]
             if n_idx is not None:
                 idx.append(each_hour(n_idx))
@@ -271,12 +347,11 @@ def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> Expansi
             if r_idx is not None:
                 idx.append(each_hour(r_idx))
                 coef.append(avail)
-            b.add_le_rows(np.column_stack(idx), np.column_stack(coef),
-                          avail * gen.existing_cap_mw)
+            ix.gen_cap_rows[gen.id] = b.add_le_rows(np.column_stack(idx), np.column_stack(coef))
 
     for sto in grid.storage_units:
         ch = b.add_vars(horizon)
-        dis = b.add_vars(horizon, cost=sto.var_om)
+        dis = b.add_vars(horizon)
         soc = b.add_vars(horizon)
         ix.charge[sto.id], ix.discharge[sto.id], ix.soc[sto.id] = ch, dis, soc
         inject[sto.zone_id].append((dis, 1.0))
@@ -284,21 +359,14 @@ def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> Expansi
 
         p_idx = e_idx = None
         if sto.buildable:
-            p_idx = b.add_var(cost=sto.inv_cost_power if expansion else 0.0)
-            e_idx = b.add_var(cost=sto.inv_cost_energy if expansion else 0.0)
-            if not expansion:
-                b.fix_var(p_idx, _pin(fixed, "storage_power", sto.id))
-                b.fix_var(e_idx, _pin(fixed, "storage_energy", sto.id))
-            ix.new_storage_power[sto.id] = p_idx
-            ix.new_storage_energy[sto.id] = e_idx
+            p_idx = ix.new_storage_power[sto.id] = b.add_var()
+            e_idx = ix.new_storage_energy[sto.id] = b.add_var()
 
         # Per hour, in order: charge, discharge and state-of-charge caps.
         idx, coef = zip(capped(ch, p_idx), capped(dis, p_idx), capped(soc, e_idx))
-        b.add_le_rows(idx, coef, np.tile([sto.existing_power_mw, sto.existing_power_mw,
-                                          sto.existing_energy_mwh], horizon))
+        ix.storage_cap_rows[sto.id] = b.add_le_rows(idx, coef).reshape(horizon, 3)
         b.add_eq_rows(np.column_stack((soc, soc[prev_hour], ch, dis)),
-                      (1.0, -1.0, -sto.charge_efficiency, 1.0 / sto.discharge_efficiency),
-                      zeros)
+                      (1.0, -1.0, -sto.charge_efficiency, 1.0 / sto.discharge_efficiency))
 
     for line in grid.lines:
         fwd = b.add_vars(horizon)
@@ -311,39 +379,25 @@ def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> Expansi
         inject[line.to_zone].append((bwd, -1.0))
         l_idx = None
         if line.expandable:
-            l_idx = b.add_var(cost=line.expansion_cost if expansion else 0.0)
-            if not expansion:
-                b.fix_var(l_idx, _pin(fixed, "lines", line.id))
-            ix.new_line[line.id] = l_idx
+            l_idx = ix.new_line[line.id] = b.add_var()
         # Per hour, in order: forward and backward flow caps.
         idx, coef = zip(capped(fwd, l_idx), capped(bwd, l_idx))
-        b.add_le_rows(idx, coef, np.full(2 * horizon, line.capacity_mw))
+        ix.line_cap_rows[line.id] = b.add_le_rows(idx, coef).reshape(horizon, 2)
 
-    if cfg.nse_penalty is not None:
+    if grid.config.nse_penalty is not None:
         for zone in grid.zones:
-            nse = b.add_vars(horizon, cost=cfg.nse_penalty)
+            nse = b.add_vars(horizon)
             ix.nse[zone.id] = nse
             inject[zone.id].append((nse, 1.0))
 
     for load in grid.flexible_loads:
-        baseline = load.effective_baseline()
-        window = FlexWindow(load.max_advance_hours, load.max_delay_hours)
-        rate = load.effective_max_charge_rate()
-        check_window_feasible(baseline, window, rate, load.id)
-        if window.is_rigid:
-            served = b.add_vars(horizon, lb=baseline, ub=baseline)
-        else:
-            served = b.add_vars(horizon, ub=rate)
-            floor, ceiling = cumulative_bounds(baseline, window)
-            total = float(np.sum(baseline))
-            floor = floor.copy()
-            ceiling = ceiling.copy()
-            floor[-1] = total   # conservation: all requested energy is served
-            ceiling[-1] = total
-            cum = b.add_vars(horizon, lb=floor, ub=ceiling)
-            b.add_eq([cum[0], served[0]], [1.0, -1.0], 0.0)
-            b.add_eq_rows(np.column_stack((cum[1:], cum[:-1], served[1:])),
-                          (1.0, -1.0, -1.0), zeros[1:])
+        served = b.add_vars(horizon)
+        if not _is_rigid(load):
+            # Cumulative served energy, bounded by the window (see _fill).
+            cum = b.add_vars(horizon)
+            ix.cumulative[load.id] = cum
+            b.add_eq([cum[0], served[0]], [1.0, -1.0])
+            b.add_eq_rows(np.column_stack((cum[1:], cum[:-1], served[1:])), (1.0, -1.0, -1.0))
         ix.served[load.id] = served
         inject[load.zone_id].append((served, -1.0))
 
@@ -352,7 +406,7 @@ def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> Expansi
         terms = inject[zone.id]
         idx = (np.column_stack([vars_ for vars_, _ in terms]) if terms
                else np.zeros((horizon, 0), dtype=int))
-        ix.balance_rows[zone.id] = b.add_eq_rows(idx, [c for _, c in terms], zone.demand)
+        ix.balance_rows[zone.id] = b.add_eq_rows(idx, [c for _, c in terms])
 
     # Zonal clean-share floors: clean generation >= share * consumption.
     for zone in grid.zones:
@@ -365,21 +419,102 @@ def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> Expansi
             terms.append((ix.nse[zone.id], -share))
         terms += [(ix.served[load.id], share) for load in grid.flexible_loads
                   if load.zone_id == zone.id]
-        ix.clean_share_rows[zone.id] = b.add_le(*_row(terms), -share * float(np.sum(zone.demand)))
+        ix.clean_share_rows[zone.id] = b.add_le(*_row(terms))
 
-    if cfg.co2_cap_tons is not None:
+    if grid.config.co2_cap_tons is not None:
         terms = [(ix.gen[gen.id], gen.emissions_factor) for gen in grid.generators
                  if gen.emissions_factor]
         if terms:
-            ix.co2_cap_row = b.add_le(*_row(terms), float(cfg.co2_cap_tons))
+            ix.co2_cap_row = b.add_le(*_row(terms))
 
-    problem = b.build()
-    emissions_coeffs = np.zeros(problem.num_vars)
+    emissions_coeffs = np.zeros(b.num_vars)
     for vars_, factor in emis:
         emissions_coeffs[vars_] = factor
+    emissions_coeffs.flags.writeable = False
+    return LpStructure(index=ix, matrix=b.matrix(), emissions_coeffs=emissions_coeffs)
+
+
+def _fill(structure: LpStructure, grid: GridModel, mode: str,
+          fixed: FixedCapacities | None) -> ExpansionModel:
+    """The vector step: costs, right-hand sides, bounds and cost offset, by index.
+
+    Every check on values (pinned capacities, charging windows) runs here,
+    so it runs on every build, shared structure or not.
+    """
+    ix = structure.index
+    horizon = grid.horizon
+    expansion = mode == MODE_EXPANSION
+    n = structure.matrix.num_cols
+    c, lb, ub = np.zeros(n), np.zeros(n), np.full(n, np.inf)
+    b_eq = np.zeros(structure.matrix.rows_eq.shape[0])
+    b_ub = np.zeros(structure.matrix.rows_ub.shape[0])
+    cost_offset = 0.0
+
+    def invest(col: int, cost: float, table: str, key: str) -> None:
+        """An investment column: its cost when expanding, else pinned to the fixed capacity."""
+        if expansion:
+            c[col] = cost
+        else:
+            lb[col] = ub[col] = _pin(fixed, table, key)
+
+    for gen in grid.generators:
+        c[ix.gen[gen.id]] = gen.marginal_cost
+        if gen.buildable:
+            invest(ix.new_gen[gen.id], gen.inv_cost_annual + gen.fixed_om, "new_gen", gen.id)
+        if gen.retirable:
+            ub[ix.retired_gen[gen.id]] = gen.existing_cap_mw
+            invest(ix.retired_gen[gen.id], -gen.fixed_om, "retired_gen", gen.id)
+        if expansion:
+            cost_offset += gen.fixed_om * gen.existing_cap_mw
+        if gen.has_commitment:
+            c[ix.startup[gen.id]] = gen.startup_cost
+            b_ub[ix.gen_cap_rows[gen.id]] = gen.existing_cap_mw
+        else:
+            avail = np.asarray(gen.availability(horizon), dtype=float)
+            b_ub[ix.gen_cap_rows[gen.id]] = avail * gen.existing_cap_mw
+
+    for sto in grid.storage_units:
+        c[ix.discharge[sto.id]] = sto.var_om
+        if sto.buildable:
+            invest(ix.new_storage_power[sto.id], sto.inv_cost_power, "storage_power", sto.id)
+            invest(ix.new_storage_energy[sto.id], sto.inv_cost_energy, "storage_energy", sto.id)
+        b_ub[ix.storage_cap_rows[sto.id]] = (sto.existing_power_mw, sto.existing_power_mw,
+                                             sto.existing_energy_mwh)
+
+    for line in grid.lines:
+        if line.expandable:
+            invest(ix.new_line[line.id], line.expansion_cost, "lines", line.id)
+        b_ub[ix.line_cap_rows[line.id]] = line.capacity_mw
+
+    for nse in ix.nse.values():
+        c[nse] = grid.config.nse_penalty
+
+    for load in grid.flexible_loads:
+        baseline = load.effective_baseline()
+        window = FlexWindow(load.max_advance_hours, load.max_delay_hours)
+        rate = load.effective_max_charge_rate()
+        check_window_feasible(baseline, window, rate, load.id)
+        served = ix.served[load.id]
+        if window.is_rigid:
+            lb[served] = ub[served] = baseline
+        else:
+            ub[served] = rate
+            cum = ix.cumulative[load.id]
+            lb[cum], ub[cum] = cumulative_bounds(baseline, window)
+            # Conservation: all requested energy is served.
+            lb[cum[-1]] = ub[cum[-1]] = float(np.sum(baseline))
+
+    for zone in grid.zones:
+        b_eq[ix.balance_rows[zone.id]] = zone.demand
+        if zone.id in ix.clean_share_rows:
+            b_ub[ix.clean_share_rows[zone.id]] = (-zone.clean_share_min
+                                                  * float(np.sum(zone.demand)))
+    if ix.co2_cap_row is not None:
+        b_ub[ix.co2_cap_row] = float(grid.config.co2_cap_tons)
+
+    problem = lp.LpProblem(c=c, matrix=structure.matrix, b_eq=b_eq, b_ub=b_ub, lb=lb, ub=ub)
     return ExpansionModel(problem=problem, grid=grid, index=ix, mode=mode,
-                          cost_offset=cost_offset if expansion else 0.0,
-                          emissions_coeffs=emissions_coeffs)
+                          cost_offset=cost_offset, emissions_coeffs=structure.emissions_coeffs)
 
 
 # --- decode ----------------------------------------------------------------------

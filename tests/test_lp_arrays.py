@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from gridmarg.lp import (CsrRows, LpProblem, _highs, _pass_model, _reduced_costs,
+from gridmarg.lp import (CsrRows, LpMatrix, LpProblem, _highs, _pass_model, _reduced_costs,
                          with_extra_le_row)
 
 MAX_COLS = 5
@@ -37,8 +37,8 @@ def csr_rows(draw, num_cols: int, max_rows: int = 4, max_row_len: int = 4) -> Cs
 def problems(draw) -> LpProblem:
     n = draw(st.integers(1, MAX_COLS))
     rows_eq, rows_ub = draw(csr_rows(n)), draw(csr_rows(n))
-    return LpProblem(c=np.ones(n), rows_eq=rows_eq, b_eq=np.zeros(rows_eq.shape[0]),
-                     rows_ub=rows_ub, b_ub=np.zeros(rows_ub.shape[0]),
+    return LpProblem(c=np.ones(n), matrix=LpMatrix(rows_eq, rows_ub),
+                     b_eq=np.zeros(rows_eq.shape[0]), b_ub=np.zeros(rows_ub.shape[0]),
                      lb=np.zeros(n), ub=np.full(n, np.inf))
 
 
@@ -111,8 +111,8 @@ def test_products_equal_scipys(data):
 def test_reduced_costs_equal_scipys(problem, data):
     mu, gamma = data.draw(vector(problem.num_eq)), data.draw(vector(problem.num_ub))
     c = data.draw(vector(problem.num_vars))
-    problem = LpProblem(c=c, rows_eq=problem.rows_eq, b_eq=problem.b_eq,
-                        rows_ub=problem.rows_ub, b_ub=problem.b_ub, lb=problem.lb, ub=problem.ub)
+    problem = LpProblem(c=c, matrix=problem.matrix, b_eq=problem.b_eq, b_ub=problem.b_ub,
+                        lb=problem.lb, ub=problem.ub)
     want = c.copy()
     if problem.num_eq:
         want -= problem.A_eq.T @ mu
@@ -139,9 +139,8 @@ def test_extra_row_equals_scipys_vstack(problem, data):
 def test_scipy_views_share_the_problem_arrays():
     rows = CsrRows(np.array([1.0, 2.0]), np.array([1, 0], dtype=np.int32),
                    np.array([0, 2, 2], dtype=np.int32), 3)
-    problem = LpProblem(c=np.zeros(3), rows_eq=rows, b_eq=np.zeros(2),
-                        rows_ub=CsrRows(np.zeros(0), np.zeros(0, dtype=np.int32),
-                                        np.zeros(1, dtype=np.int32), 3),
+    empty = CsrRows(np.zeros(0), np.zeros(0, dtype=np.int32), np.zeros(1, dtype=np.int32), 3)
+    problem = LpProblem(c=np.zeros(3), matrix=LpMatrix(rows, empty), b_eq=np.zeros(2),
                         b_ub=np.zeros(0), lb=np.zeros(3), ub=np.ones(3))
     view = problem.A_eq
     assert view is problem.A_eq

@@ -63,7 +63,7 @@ def cumulative_bounds(baseline: np.ndarray, window: FlexWindow) -> tuple[np.ndar
 
 
 def check_window_feasible(baseline: np.ndarray, window: FlexWindow, max_rate: float,
-                          load_id: str = "") -> None:
+                          load_id: str = "") -> tuple[np.ndarray, np.ndarray]:
     """Raise InfeasibleWindow when the rate cap cannot clear the cumulative floor.
 
     The window polytope {0 <= s_t <= r, floor_t <= cumsum(s)_t <= ceiling_t,
@@ -72,27 +72,30 @@ def check_window_feasible(baseline: np.ndarray, window: FlexWindow, max_rate: fl
     floor[t2] - ceiling[t1] <= r * (t2 - t1), with ceiling[-1] = 0 and the
     final floor lifted to E by conservation. Checked in O(H) via a running
     minimum of ceiling[t] - r*t.
+
+    Returns cumulative_bounds(baseline, window), the final floor not lifted.
     """
+    floor, ceiling = cumulative_bounds(baseline, window)
     horizon = len(baseline)
     if horizon == 0:
-        return
+        return floor, ceiling
     if max_rate < 0:
         raise InfeasibleWindow(f"flexible_load {load_id}: negative max charge rate")
-    floor, ceiling = cumulative_bounds(baseline, window)
     total = float(np.sum(baseline))
-    floor[-1] = total
+    need = np.append(floor[:-1], total)
     tol = 1e-9 * max(1.0, total)
     ramp = max_rate * np.arange(horizon)
     # running_min[t] = min over t1 < t of ceiling[t1] - r*t1; the t1 = -1 term
     # (ceiling 0 at the slot before the horizon) is r.
     running_min = np.minimum.accumulate(np.concatenate(([max_rate], ceiling[:-1] - ramp[:-1])))
-    short = floor - ramp > running_min + tol
+    short = need - ramp > running_min + tol
     if short.any():
         t = int(np.argmax(short))
         raise InfeasibleWindow(
             f"flexible_load {load_id}: max charge rate {max_rate:g} MW cannot meet the "
-            f"cumulative floor of {floor[t]:g} MWh by hour {t} "
+            f"cumulative floor of {need[t]:g} MWh by hour {t} "
             f"(window advance={window.advance}, delay={window.delay})")
+    return floor, ceiling
 
 
 @dataclass(frozen=True)

@@ -40,13 +40,6 @@ def annualized_capital_cost(overnight_cost: float, wacc: float, lifetime_years: 
     return overnight_cost * wacc * q / (q - 1.0)
 
 
-def _as_series(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name}: hourly series must be one-dimensional")
-    return arr
-
-
 def _require_finite(entity, where: str) -> None:
     """Reject NaN and infinite numbers in an entity's float and series fields.
 

@@ -21,25 +21,25 @@ optimal solution also carries its final simplex basis; passing it as
 same matrix with a few bounds or right-hand sides moved) starts the simplex
 from that basis instead of from scratch.
 
-Every solve runs in two stages on one HiGHS instance, so that an LP with
-many optimal vertices still has one answer, whichever basis the simplex
-starts from. This is the perturbation method (Bertsimas & Tsitsiklis,
-*Introduction to Linear Optimization*, section 3.4) applied to the costs:
+Every solve runs in two stages, so that an LP with many optimal vertices
+still has one answer, whichever basis the simplex starts from. This is the
+perturbation method (Bertsimas & Tsitsiklis, *Introduction to Linear
+Optimization*, section 3.4) applied to the costs:
 
   1. Solve with costs c + TIE_BREAK_EPS * w, cold or from the warm start.
      w is uniform in [1, 2), read from SHAKE-128 of TIE_BREAK_SEED
      (``tie_break_weights``), and is added only to columns with a finite
      lower bound below their upper bound. Generic costs make the optimal
      vertex unique. A status other than optimal is returned as it is.
-  2. Restore c (``changeColsCost``) and run again from stage 1's basis. The
-     duals, reduced costs and objective are those of the original LP. Where
-     stage 1's vertex is optimal for c too, as in every cost-minimizing
-     solve measured on the synthetic grids, this stage takes 0 iterations
-     and x does not move. SRME2's step 2, which minimizes emissions under a
-     cost cap, was the measured exception: on the synthetic 168 h expansion
-     grid this stage took 470 to 1,164 iterations, so x was stage 2's, not
-     the canonical vertex. It now takes the canonical-basis solve below,
-     whose last stage took 0 iterations on every synthetic 168 h grid.
+  2. Restore c (``changeColsCost``) and run again from stage 1's basis, on
+     stage 1's HiGHS instance. The duals, reduced costs and objective are
+     those of the original LP. Where stage 1's vertex is optimal for c too,
+     as in every cost-minimizing solve measured on the synthetic grids,
+     this stage takes 0 iterations and x does not move. SRME2's step 2,
+     which minimizes emissions under a cost cap, was the measured
+     exception: on the synthetic 168 h expansion grid this stage took 470
+     to 1,164 iterations, so x was stage 2's, not the canonical vertex. It
+     now takes the canonical-basis solve below.
 
 So where stage 2 does not move, a cold and a warm solve of one LP reach the
 same x, to round-off (3e-11 MW on the synthetic 336 h expansion grid); on
@@ -55,34 +55,43 @@ A canonical-basis solve (``solve(..., canonical_basis=True)``) also settles
 the duals: it ends at one optimal basis whatever its start. A basis is
 unique only where both the costs and the right-hand sides are generic, so
 it adds a right-hand-side tie-break (Bertsimas & Tsitsiklis, ch. 5;
-Megiddo 1991 on recovering an optimal basis):
+Megiddo 1991 on recovering an optimal basis). It runs in two stages:
 
-  1. Solve with the tie-broken costs, cold or from the warm start, letting
-     HiGHS choose the simplex variant. The warm start may lack the LP's last
-     <=-row, a cap on the objective the start minimized; that row's slack
-     then enters the basis, so the start stays primal feasible and HiGHS
-     picks primal simplex.
-  1b. Add RHS_TIE_BREAK_EPS * v to every row's right-hand side (v uniform
+  1. From the warm start, or cold, solve with the tie-broken costs and with
+     RHS_TIE_BREAK_EPS * v added to every row's right-hand side (v uniform
      in [1, 2) from SHAKE-128 of RHS_TIE_BREAK_SEED,
-     ``rhs_tie_break_weights``), relax the last <=-row by the caller's
-     cap_slack so the cap stays feasible, and re-solve from stage 1's basis.
-     Costs and right-hand sides are now generic, so this LP has one optimal
-     basis, and every start reaches it.
-  2. Restore c and b in a fresh HiGHS instance and solve from stage 1b's
-     basis. A fresh instance keeps stage 1b's internal state (factorization,
-     edge weights) out of the path: restored on stage 1b's own instance, x
+     ``rhs_tie_break_weights``), the last <=-row relaxed by the caller's
+     cap_slack as well, so that a cap on the objective the start minimized
+     stays feasible. Costs and right-hand sides are now generic, so this
+     LP has one optimal basis, and every start reaches it. The warm start
+     may lack that last row; its slack then enters the basis.
+  2. Restore c and b in a fresh HiGHS instance and solve from stage 1's
+     basis. A fresh instance keeps stage 1's internal state (factorization,
+     edge weights) out of the path: restored on stage 1's own instance, x
      differed from the fresh instance's by up to 4e-9 on the synthetic
-     168 h grids. Where stage 1b ends other than optimal, stage 2 starts
-     from stage 1.
+     168 h grids. This stage took 0 iterations on every synthetic 168 h
+     grid.
+
+Where the tie-broken rows are infeasible though the LP is not (a row that
+restates a fixed column, say), stage 1 runs again with the cost tie-break
+alone, and stage 2 starts from that basis, which settles x but not the
+duals. From a warm start stage 1 runs primal simplex, forced. A start one
+cap row short is primal feasible for b but not quite for the tie-broken b,
+so HiGHS's own choice picks dual simplex there, which took 1,380-1,954
+iterations on the synthetic 168 h expansion grids against 155-270 for
+primal. Dual saves less on the fleet grids (339-584 iterations against
+922-1,089) than it loses on the expansion grids. A cold stage 1 starts
+from the slack basis, which is not primal feasible, and runs dual simplex:
+a cold step 2 took 0.27-0.33 s with dual and 0.89-3.59 s with primal on
+the synthetic 168 h grids.
 
 Only SRME2's step 2 (``metrics.srme_dual``) asks for it. Its rates are
 duals, and with the cost tie-break alone a warm step 2 moved 9 of 504 SRME2
 rates on the synthetic 168 h expansion grid, so it had to run cold. With
 the canonical basis, warm and cold rates are bit-identical on the synthetic
-168 h grids, and the warm step 2 takes 0.07-0.13 s against the cold
-two-stage solve's 0.21-0.38 s. Every other warm-started solve feeds outputs
-that read x alone, which the cost tie-break already settles, so it keeps
-the two stages and skips the extra model hand-offs.
+168 h grids. Every other warm-started solve feeds outputs that read x
+alone, which the cost tie-break already settles, so it keeps the two
+stages on one instance and skips the extra model hand-off.
 
 The bindings are scipy's compiled extension ``scipy.optimize._highspy._core``,
 loaded from its file instead of imported through ``scipy.optimize``.
@@ -220,7 +229,7 @@ REPORT_TOL = 1e-6   # tolerance at which residual reports pass
 # with a finite lower bound below its upper bound; w is tie_break_weights().
 TIE_BREAK_EPS = 1e-4
 TIE_BREAK_SEED = b"gridmarg tie-break v1"
-# Stage 1b of a canonical-basis solve adds RHS_TIE_BREAK_EPS * v to every
+# Stage 1 of a canonical-basis solve also adds RHS_TIE_BREAK_EPS * v to every
 # row's right-hand side; v is rhs_tie_break_weights().
 RHS_TIE_BREAK_EPS = 1e-5
 RHS_TIE_BREAK_SEED = b"gridmarg rhs tie-break v1"
@@ -633,12 +642,11 @@ def _by_column(rows: np.ndarray, cols: np.ndarray, data: np.ndarray):
     return rows[first], cols[first], merged
 
 
-# linprog(method="highs-ds")'s settings: presolve, dual simplex, no log. A
-# canonical-basis solve lets HiGHS choose the simplex variant in stages 1
-# and 1b instead.
+# linprog(method="highs-ds")'s settings: presolve, dual simplex, no log.
+# Stage 1 of a warm canonical-basis solve runs primal simplex instead.
 _OPTIONS = (("output_flag", False), ("presolve", "on"), ("solver", "simplex"))
 _DUAL = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-_CHOOSE = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyChoose)
+_PRIMAL = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
 _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 
@@ -747,31 +755,16 @@ def _iterations(highs) -> int:
     return int(highs.getInfo().simplex_iteration_count)
 
 
-def _canonical_restart(problem: LpProblem, stage1, tilted: np.ndarray, cap_slack: float):
-    """Stages 1b and 2 of a canonical-basis solve, from stage 1's optimal basis.
-
-    Returns the HiGHS instance that ran stage 2, and the iterations of both
-    stages. Where stage 1b does not end optimal, stage 2 starts from stage
-    1's basis. Each stage runs on a fresh instance, and the previous one is
-    dropped first: an instance keeps its solver's work arrays until it is
-    freed, and three at once would set the command's peak memory.
-    """
-    v = RHS_TIE_BREAK_EPS * rhs_tie_break_weights(problem.num_ub + problem.num_eq)
-    b_ub = problem.b_ub + v[:problem.num_ub]
-    if problem.num_ub:
-        b_ub[-1] += cap_slack
-    highs = _new_highs(_CHOOSE)
-    _pass_model(highs, problem, tilted, b_ub=b_ub, b_eq=problem.b_eq + v[problem.num_ub:])
-    highs.setBasis(stage1)
+def _run(problem: LpProblem, cost: np.ndarray, basis, strategy: int = _DUAL,
+         b_ub: np.ndarray | None = None, b_eq: np.ndarray | None = None):
+    """A fresh HiGHS instance holding the problem with these costs (and
+    right-hand sides, where given), run from basis, or cold if it is None."""
+    highs = _new_highs(strategy)
+    _pass_model(highs, problem, cost, b_ub=b_ub, b_eq=b_eq)
+    if basis is not None and highs.setBasis(basis) == _highs.HighsStatus.kError:
+        raise ValueError("LP backend rejected the warm_start basis")
     highs.run()
-    iterations = _iterations(highs)
-    start = highs.getBasis() if _optimal(highs) else stage1
-    del highs
-    final = _new_highs()
-    _pass_model(final, problem, problem.c)
-    final.setBasis(start)
-    final.run()
-    return final, iterations + _iterations(final)
+    return highs
 
 
 def solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
@@ -784,10 +777,13 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
     is. iterations counts every stage.
 
     With canonical_basis, the solve also ends at one optimal basis whatever
-    its start (stages 1, 1b and 2 of the module docstring). The problem's
-    last <=-row is then taken to cap another objective at its optimum, and
-    stage 1b relaxes it by cap_slack on top of its tie-break; a warm start
-    may lack that row.
+    its start. Stage 1 then also tie-breaks the right-hand sides and, from a
+    warm start, runs primal simplex; stage 2 restores c and b in a fresh
+    instance. Where the tie-broken rows are infeasible, stage 1 runs again
+    with the cost tie-break alone (see the module docstring). The problem's
+    last <=-row is taken to cap another objective at its optimum, and stage
+    1 relaxes it by cap_slack on top of its tie-break; a warm start may lack
+    that row.
 
     warm_start, an OPTIMAL solution of an LP with the same number of
     variables, <=-rows and equality rows, seeds the simplex with its final
@@ -797,23 +793,36 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
     cols = np.flatnonzero(np.isfinite(problem.lb) & (problem.lb < problem.ub)).astype(np.int32)
     tilted = problem.c.copy()
     tilted[cols] += TIE_BREAK_EPS * tie_break_weights(problem.num_vars)[cols]
-    highs = _new_highs(_CHOOSE if canonical_basis else _DUAL)
-    _pass_model(highs, problem, tilted)
-    if warm_start is not None:
-        basis = _warm_basis(problem, warm_start, cap_row=canonical_basis)
-        if highs.setBasis(basis) == _highs.HighsStatus.kError:
-            raise ValueError("LP backend rejected the warm_start basis")
-    highs.run()
-    iterations = _iterations(highs)
-    if _optimal(highs) and canonical_basis:
-        stage1 = highs.getBasis()
-        del highs
-        highs, more = _canonical_restart(problem, stage1, tilted, cap_slack)
-        iterations += more
-    elif _optimal(highs) and cols.size:
-        highs.changeColsCost(cols.size, cols, problem.c[cols])
-        highs.run()
-        iterations += _iterations(highs)
+    start = (None if warm_start is None
+             else _warm_basis(problem, warm_start, cap_row=canonical_basis))
+    if canonical_basis:
+        v = RHS_TIE_BREAK_EPS * rhs_tie_break_weights(problem.num_ub + problem.num_eq)
+        b_ub = problem.b_ub + v[:problem.num_ub]
+        if problem.num_ub:
+            b_ub[-1] += cap_slack
+        strategy = _DUAL if start is None else _PRIMAL
+        highs = _run(problem, tilted, start, strategy, b_ub=b_ub,
+                     b_eq=problem.b_eq + v[problem.num_ub:])
+        iterations = _iterations(highs)
+        # Each instance is dropped before the next is made: an instance keeps
+        # its solver's work arrays until it is freed, and two at once would
+        # set the command's peak memory.
+        if not _optimal(highs):
+            del highs
+            highs = _run(problem, tilted, start, strategy)
+            iterations += _iterations(highs)
+        if _optimal(highs):
+            basis = highs.getBasis()
+            del highs
+            highs = _run(problem, problem.c, basis)
+            iterations += _iterations(highs)
+    else:
+        highs = _run(problem, tilted, start)
+        iterations = _iterations(highs)
+        if _optimal(highs) and cols.size:
+            highs.changeColsCost(cols.size, cols, problem.c[cols])
+            highs.run()
+            iterations += _iterations(highs)
     status = highs.getModelStatus()
     if status == _highs.HighsModelStatus.kInfeasible:
         return LpSolution(status=SolveStatus.INFEASIBLE, iterations=iterations)

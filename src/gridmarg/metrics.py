@@ -38,8 +38,7 @@ from .errors import (CostCapInfeasible, DegenerateDelta, InfeasibleModel,
                      InfeasiblePerturbation, UnknownZone, ZeroDemand)
 from .grid import GridModel
 from .planner import (DispatchResult, FixedCapacities, ScaleEV, UniformAll, _resolve_zones,
-                      build_expansion_lp, build_operational_lp, degenerate_hour_mask,
-                      perturb_demand, solve_model)
+                      build_expansion_lp, build_operational_lp, perturb_demand, solve_model)
 
 SRME1 = "SRME1"
 SRME2 = "SRME2"
@@ -53,7 +52,6 @@ class EmissionRateSeries:
     method: str                             # SRME1 | SRME2
     zone_ids: tuple[str, ...]
     alt_rates: np.ndarray | None = None     # SRME1 only: annual-zonal-load normalization
-    degenerate_hours: np.ndarray | None = None   # (H,) flags from the base solve
     details: dict[str, float] = field(default_factory=dict)
 
     def rate_for(self, zone_id: str) -> np.ndarray:
@@ -123,8 +121,7 @@ def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities,
     targets = _resolve_zones(grid, zones)
 
     frac = grid.config.srme1_fraction
-    base_model = build_operational_lp(grid, fixed_capacities)
-    base_result = solve_model(base_model)
+    base_result = solve_model(build_operational_lp(grid, fixed_capacities))
     base_hourly = base_result.zonal_emissions.sum(axis=0)
 
     rates = np.zeros((len(zone_ids), grid.horizon))
@@ -151,7 +148,6 @@ def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities,
         method=SRME1,
         zone_ids=tuple(zone_ids),
         alt_rates=alt,
-        degenerate_hours=degenerate_hour_mask(base_model, base_result.solution),
     )
 
 
@@ -191,7 +187,6 @@ def srme_dual(grid: GridModel, fixed_capacities: FixedCapacities) -> EmissionRat
         rates=rates,
         method=SRME2,
         zone_ids=base.zone_ids,
-        degenerate_hours=degenerate_hour_mask(model, sol1),
         details={"base_objective": float(cbar), "cost_cap": float(cap),
                  "step2_cost": step2_cost, "lambda_second": lam,
                  "step2_emissions": float(model.emissions_coeffs @ sol2.x)},

@@ -55,8 +55,8 @@ import numpy as np
 from . import lp
 from .errors import (InfeasibleModel, MissingCapacity, ModelBuildError, UnboundedModel,
                      UnknownZone, ValidationError)
-from .flex import FlexWindow, check_window_feasible, cumulative_bounds
-from .grid import HYDRO_LIKE, VARIABLE_RENEWABLE, FlexibleLoad, GridModel
+from .flex import FlexWindow, check_window_feasible
+from .grid import FlexibleLoad, GridModel
 
 MODE_EXPANSION = "capacity_expansion"
 MODE_OPERATIONAL = "operational_fixed"
@@ -493,14 +493,14 @@ def _fill(structure: LpStructure, grid: GridModel, mode: str,
         baseline = load.effective_baseline()
         window = FlexWindow(load.max_advance_hours, load.max_delay_hours)
         rate = load.effective_max_charge_rate()
-        check_window_feasible(baseline, window, rate, load.id)
+        bounds = check_window_feasible(baseline, window, rate, load.id)
         served = ix.served[load.id]
         if window.is_rigid:
             lb[served] = ub[served] = baseline
         else:
             ub[served] = rate
             cum = ix.cumulative[load.id]
-            lb[cum], ub[cum] = cumulative_bounds(baseline, window)
+            lb[cum], ub[cum] = bounds
             # Conservation: all requested energy is served.
             lb[cum[-1]] = ub[cum[-1]] = float(np.sum(baseline))
 
@@ -538,7 +538,6 @@ class DispatchResult:
     zonal_emissions: np.ndarray          # (zones, H) tCO2 per hour
     served_demand: np.ndarray            # (zones, H) MWh per hour, fixed - nse + flex
     prices: np.ndarray                   # (zones, H) $/MWh from balance duals
-    curtailment: dict[str, np.ndarray]
     nse: np.ndarray                      # (zones, H) MW
     charge: dict[str, np.ndarray]
     discharge: dict[str, np.ndarray]
@@ -598,15 +597,9 @@ def decode_solution(model: ExpansionModel, sol: lp.LpSolution) -> DispatchResult
     retired = {gid: float(x[i]) for gid, i in ix.retired_gen.items()}
 
     zonal_emissions = np.zeros((nzones, horizon))
-    curtailment: dict[str, np.ndarray] = {}
     for gen in grid.generators:
-        g = generation[gen.id]
         if gen.emissions_factor:
-            zonal_emissions[zpos[gen.zone_id]] += g * gen.emissions_factor
-        if gen.kind in (VARIABLE_RENEWABLE, HYDRO_LIKE):
-            fleet = (gen.existing_cap_mw + new_gen.get(gen.id, 0.0)
-                     - retired.get(gen.id, 0.0))
-            curtailment[gen.id] = gen.availability(horizon) * fleet - g
+            zonal_emissions[zpos[gen.zone_id]] += generation[gen.id] * gen.emissions_factor
 
     nse = np.zeros((nzones, horizon))
     prices = np.zeros((nzones, horizon))
@@ -639,7 +632,6 @@ def decode_solution(model: ExpansionModel, sol: lp.LpSolution) -> DispatchResult
         zonal_emissions=zonal_emissions,
         served_demand=served_demand,
         prices=prices,
-        curtailment=curtailment,
         nse=nse,
         charge={sid: x[vars_].copy() for sid, vars_ in ix.charge.items()},
         discharge={sid: x[vars_].copy() for sid, vars_ in ix.discharge.items()},
@@ -649,30 +641,4 @@ def decode_solution(model: ExpansionModel, sol: lp.LpSolution) -> DispatchResult
         flex_served=flex_served,
         solution=sol,
     )
-
-
-def degenerate_hour_mask(model: ExpansionModel, sol: lp.LpSolution,
-                         tol: float = 1e-7) -> np.ndarray:
-    """Conservative hour flags: a balance-coupled variable sits at a bound with ~zero
-    reduced cost, the textbook signature of a degenerate optimal basis.
-
-    Internal-state variables (soc, commitment, startup) are excluded; they do
-    not by themselves make hourly rates ambiguous.
-    """
-    horizon = model.grid.horizon
-    mask = np.zeros(horizon, dtype=bool)
-    x, rc = sol.x, sol.reduced_costs
-    lb, ub = model.problem.lb, model.problem.ub
-    groups = [model.index.gen, model.index.charge, model.index.discharge,
-              model.index.flow_fwd, model.index.flow_bwd, model.index.nse,
-              model.index.served]
-    for group in groups:
-        for vars_ in group.values():
-            at_lb = np.abs(x[vars_] - lb[vars_]) <= tol * np.maximum(1.0, np.abs(lb[vars_]))
-            finite = np.isfinite(ub[vars_])
-            at_ub = finite & (np.abs(x[vars_] - ub[vars_]) <= tol * np.maximum(1.0, np.abs(ub[vars_])))
-            pinned = np.abs(ub[vars_] - lb[vars_]) <= 1e-12  # fixed vars are not degeneracy
-            suspicious = (at_lb | at_ub) & ~pinned & (np.abs(rc[vars_]) <= tol)
-            mask |= suspicious
-    return mask
 

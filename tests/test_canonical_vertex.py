@@ -11,6 +11,7 @@ not depend on the start either.
 import numpy as np
 import pytest
 
+from gridmarg import lp
 from gridmarg.cli import _apply_flex_mode
 from gridmarg.errors import InfeasibleModel
 from gridmarg.grid import Generator, GridModel, ScenarioConfig, Zone
@@ -24,6 +25,17 @@ from test_lp import synth_grid
 from toys import single_bus
 
 GRIDS = [(kind, seed) for kind in ("fleet", "expansion") for seed in (1, 2, 3)]
+
+
+def _count_runs(monkeypatch) -> list[None]:
+    """One entry per HiGHS run from here on, in any instance."""
+    real, runs = lp._highs._Highs.run, []
+
+    def run(self):
+        runs.append(None)
+        return real(self)
+    monkeypatch.setattr(lp._highs._Highs, "run", run)
+    return runs
 
 
 @pytest.mark.parametrize("kind,seed", GRIDS)
@@ -50,6 +62,10 @@ def test_warm_srme2_rates_equal_the_cold_ones_bit_for_bit(kind, seed, flex, tmp_
     step2 = [call for call in calls if call.options["canonical_basis"]]
     assert len(step2) == 1 and step2[0].warm_start is not None
     np.testing.assert_array_equal(warm.rates, cold.rates)
+    # A feasible step 2 runs HiGHS twice: tie-broken, then restored.
+    runs = _count_runs(monkeypatch)
+    solve(step2[0].problem, warm_start=step2[0].warm_start, **step2[0].options)
+    assert len(runs) == 2
     assert warm.details == cold.details
 
 
@@ -82,9 +98,10 @@ def test_a_canonical_solve_takes_a_start_one_cap_row_short_and_no_other_shape():
         solve(problem, warm_start=warm, canonical_basis=True)
 
 
-def test_a_canonical_solve_whose_tie_broken_rows_are_infeasible_still_solves():
+def test_a_canonical_solve_whose_tie_broken_rows_are_infeasible_still_solves(monkeypatch):
     # x2 is fixed at 1 and the last row asks x2 == 1: with its right-hand
-    # side tie-broken, stage 1b is infeasible, and stage 2 starts from stage 1.
+    # side tie-broken, stage 1 is infeasible, so it runs again with the cost
+    # tie-break alone, and stage 2 starts from there: three HiGHS runs.
     b = LpBuilder()
     b.add_vars(2, cost=[1.0, 2.0], ub=5.0)
     b.add_var(cost=0.0, lb=1.0, ub=1.0)
@@ -92,8 +109,11 @@ def test_a_canonical_solve_whose_tie_broken_rows_are_infeasible_still_solves():
     b.add_eq([2], [1.0], 1.0)
     problem = b.build()
     plain = solve(problem)
+    runs = _count_runs(monkeypatch)
     for start in (None, plain):
+        runs.clear()
         canonical = solve(problem, warm_start=start, canonical_basis=True)
+        assert len(runs) == 3
         assert canonical.status is SolveStatus.OPTIMAL
         assert canonical.objective_value == plain.objective_value
         assert verify_kkt(problem, canonical).passed

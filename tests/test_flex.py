@@ -65,9 +65,13 @@ def test_feasibility_check_agrees_with_lp(seed):
         window = FlexWindow(int(rng.integers(0, 4)), int(rng.integers(0, 4)))
         rate = float(np.round(rng.uniform(0.5, 9.0), 3))
         try:
-            check_window_feasible(baseline, window, rate, "rnd")
+            bounds = check_window_feasible(baseline, window, rate, "rnd")
             analytic = True
         except InfeasibleWindow:
             analytic = False
+        else:
+            # The check returns the window's bounds, the final floor not lifted.
+            for got, want in zip(bounds, cumulative_bounds(baseline, window), strict=True):
+                np.testing.assert_array_equal(got, want)
         assert analytic == _window_lp_feasible(baseline, window, rate), (
             baseline, window, rate)

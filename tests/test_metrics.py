@@ -129,7 +129,6 @@ def test_srme2_merit_order_exact():
     series = srme_dual(merit_stack(), FixedCapacities.none())
     np.testing.assert_allclose(series.rates[0], MERIT_STACK_MARGINAL_EF, atol=1e-9)
     assert series.details["lambda_second"] >= 0
-    assert not series.degenerate_hours.any()
 
 
 def test_srme2_all_renewable_zero():
@@ -200,10 +199,19 @@ def _random_system(rng, horizon=24):
                      config=ScenarioConfig(horizon_hours=horizon))
 
 
+def _emissions_slope(grid, caps, base, zid, hour, mw) -> float:
+    """(emissions with mw more demand at (zid, hour) - base emissions) / mw."""
+    pert = perturb_demand(grid, [zid], SingleHour(zid, hour, mw))
+    return (solve_model(build_operational_lp(pert, caps)).total_emissions
+            - base.total_emissions) / mw
+
+
 def test_srme2_finite_difference_property_on_random_systems():
     # The defining property, sampled over random multi-zone storage systems:
-    # wherever the base optimum is not flagged degenerate, the dual-based
-    # rate reproduces the +1 MW re-solve to well inside 1e-4 tCO2/MWh.
+    # wherever the +1 MW and -1 MW re-solves agree, the dual-based rate
+    # reproduces them to well inside 1e-4 tCO2/MWh. Where they disagree the
+    # emissions response has a kink at that hour, and the rate may be
+    # either one-sided difference, depending on the optimal basis.
     rng = np.random.default_rng(2024)
     checked = 0
     for _ in range(14):
@@ -214,12 +222,12 @@ def test_srme2_finite_difference_property_on_random_systems():
         for zid in grid.zone_ids():
             zi = series.zone_ids.index(zid)
             for hour in (int(h) for h in rng.choice(24, size=4, replace=False)):
-                if series.degenerate_hours[hour]:
+                up, down = (_emissions_slope(grid, caps, base, zid, hour, mw)
+                            for mw in (1.0, -1.0))
+                if abs(up - down) > 1e-4:
                     continue
-                pg = perturb_demand(grid, [zid], SingleHour(zid, hour, 1.0))
-                pert = solve_model(build_operational_lp(pg, caps))
-                fd = pert.total_emissions - base.total_emissions
-                assert series.rates[zi, hour] == pytest.approx(fd, abs=1e-4), (zid, hour)
+                assert series.rates[zi, hour] == pytest.approx(up, abs=1e-4), (zid, hour)
+                assert series.rates[zi, hour] == pytest.approx(down, abs=1e-4), (zid, hour)
                 checked += 1
     assert checked >= 15  # the screen must not have skipped everything
 

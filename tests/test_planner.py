@@ -4,8 +4,8 @@ import pytest
 from gridmarg.errors import (InfeasibleModel, MissingCapacity, ModelBuildError, UnknownZone)
 from gridmarg.grid import FlexibleLoad, Generator, GridModel, ScenarioConfig, Zone
 from gridmarg.planner import (FixedCapacities, ScaleEV, SingleHour, UniformAll,
-                              build_expansion_lp, build_operational_lp, degenerate_hour_mask,
-                              perturb_demand, solve_model)
+                              build_expansion_lp, build_operational_lp, perturb_demand,
+                              solve_model)
 
 from toys import (MERIT_STACK_MARGINAL_EF, breakeven_wind, merit_stack, nondegenerate_48h,
                   single_bus, storage_arbitrage_2h, storage_roundtrip)
@@ -200,28 +200,6 @@ def test_price_sanity_interior_marginal_unit():
     # And the marginal emission factor sequence the merit order implies.
     np.testing.assert_array_equal(MERIT_STACK_MARGINAL_EF,
                                   [0.9, 0.5, 0.2, 0.2, 0.5, 0.9])
-
-
-def test_degenerate_hour_mask_flags_ties_only():
-    grid = merit_stack()
-    model = build_expansion_lp(grid)
-    result = solve_model(model)
-    assert not degenerate_hour_mask(model, result.solution).any()
-
-    # Two identical-cost units sharing the margin: a classic degenerate tie.
-    tied = GridModel(
-        zones=(Zone(id="Z", demand=np.array([30.0])),),
-        generators=(
-            Generator(id="a", zone_id="Z", kind="thermal", existing_cap_mw=40.0,
-                      heat_rate=10.0, fuel_price=2.0, emissions_factor=0.5),
-            Generator(id="b", zone_id="Z", kind="thermal", existing_cap_mw=40.0,
-                      heat_rate=10.0, fuel_price=2.0, emissions_factor=0.7),
-        ),
-        config=ScenarioConfig(horizon_hours=1),
-    )
-    model = build_expansion_lp(tied)
-    result = solve_model(model)
-    assert degenerate_hour_mask(model, result.solution).any()
 
 
 def test_perturb_demand_scale_ev():

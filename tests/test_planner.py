@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gridmarg.errors import (InfeasibleModel, MissingCapacity, ModelBuildError, UnknownZone)
+from gridmarg.flex import FlexWindow, cumulative_bounds
 from gridmarg.grid import FlexibleLoad, Generator, GridModel, ScenarioConfig, Zone
 from gridmarg.planner import (FixedCapacities, ScaleEV, SingleHour, UniformAll,
                               build_expansion_lp, build_operational_lp, perturb_demand,
@@ -239,6 +240,35 @@ def test_perturb_demand_uniform_and_single_hour():
     bumped = perturb_demand(multi, "west", UniformAll(0.10))
     np.testing.assert_allclose(bumped.zones[0].demand, 11.0)
     np.testing.assert_allclose(bumped.zones[1].demand, 10.0)
+
+
+def test_windowed_load_columns_carry_the_window_bounds():
+    # A windowed load's cumulative columns take cumulative_bounds as they are,
+    # except the last, pinned to the requested total; a rigid load's served
+    # columns are pinned to its baseline.
+    horizon = 6
+    ev = np.array([0.0, 4.0, 6.0, 0.0, 3.0, 1.0])
+    grid = single_bus(demand=30.0, horizon=horizon)
+    grid = GridModel(
+        zones=grid.zones, generators=grid.generators, config=grid.config,
+        flexible_loads=(
+            FlexibleLoad(id="ev", zone_id="Z", baseline_profile=ev, max_advance_hours=1,
+                         max_delay_hours=2, max_charge_rate_mw=8.0),
+            FlexibleLoad(id="bus", zone_id="Z", baseline_profile=ev[::-1].copy())))
+    model = build_expansion_lp(grid)
+    lb, ub, ix = model.problem.lb, model.problem.ub, model.index
+    floor, ceiling = cumulative_bounds(ev, FlexWindow(advance=1, delay=2))
+    cum = ix.cumulative["ev"]
+    np.testing.assert_array_equal(lb[cum[:-1]], floor[:-1])
+    np.testing.assert_array_equal(ub[cum[:-1]], ceiling[:-1])
+    assert lb[cum[-1]] == ub[cum[-1]] == float(np.sum(ev))
+    np.testing.assert_array_equal(ub[ix.served["ev"]], 8.0)
+    assert "bus" not in ix.cumulative
+    np.testing.assert_array_equal(lb[ix.served["bus"]], ev[::-1])
+    np.testing.assert_array_equal(ub[ix.served["bus"]], ev[::-1])
+    result = solve_model(model)
+    assert float(np.sum(result.served_demand)) == pytest.approx(
+        30.0 * horizon + 2 * float(np.sum(ev)), rel=1e-9)
 
 
 def test_every_built_model_passes_kkt_verification():

@@ -161,7 +161,7 @@ def cmd_schedule(args) -> int:
 
     expansion = solve_model(build_expansion_lp(grid))
     cost_schedule = schedule_from_result(grid, expansion, ScheduleSource.COST_MIN)
-    cost_report = evaluate_fixed_schedule(grid, cost_schedule)
+    cost_report = evaluate_fixed_schedule(grid, cost_schedule, warm_start=expansion.solution)
 
     if args.signal == "cost":
         schedule, trace = cost_schedule, None
@@ -169,7 +169,7 @@ def cmd_schedule(args) -> int:
     else:
         schedule, trace = schedule_min_srme(grid, expansion.fixed_capacities(),
                                             method=args.signal.upper())
-        report = evaluate_fixed_schedule(grid, schedule)
+        report = evaluate_fixed_schedule(grid, schedule, warm_start=expansion.solution)
 
     outputs.write_schedule_csv(schedule, outdir / "schedule.csv")
     if trace is not None:

@@ -149,7 +149,8 @@ identical solve instead of solving again. HiGHS is deterministic, so the
 stored solution is the one a new solve would return, and a start is named
 by provenance: the memo key of the solve that produced it
 (``LpSolution.memo_key``). Only a start solved outside any scope, which has
-no key, is named by its basis codes. A nested scope
+no key, is named by its basis codes, and a start that is the stored
+optimum of the same LP answers it. A nested scope
 (``solve_memo_scope(nested=True)``, one per scheduler pass) reads the
 enclosing scope's solutions but drops its own when it ends, so solves that
 cannot recur are not kept for the rest of the command. Outside a scope,
@@ -849,8 +850,7 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
                       iterations=iterations, basis=highs.getBasis(), **arrays)
 
 
-def _memo_key(problem: LpProblem, warm_start: LpSolution | None, canonical_basis: bool,
-              cap_slack: float) -> bytes:
+def _lp_key(problem: LpProblem, canonical_basis: bool, cap_slack: float) -> bytes:
     h = hashlib.blake2b(digest_size=32)
     # A fixed column (lb == ub) adds no dual constraint, so its cost changes
     # neither the optimal x nor the duals: the key leaves it out.
@@ -862,6 +862,11 @@ def _memo_key(problem: LpProblem, warm_start: LpSolution | None, canonical_basis
     h.update(problem.matrix.digest)
     if canonical_basis:
         h.update(b"canonical" + np.float64(cap_slack).tobytes())
+    return h.digest()
+
+
+def _memo_key(lp_key: bytes, warm_start: LpSolution | None) -> bytes:
+    h = hashlib.blake2b(lp_key, digest_size=32)
     if warm_start is None:
         h.update(b"cold")
     elif warm_start.memo_key is not None:
@@ -884,11 +889,11 @@ def _priced(problem: LpProblem, solution: LpSolution) -> LpSolution:
                    reduced_costs=reduced_costs)
 
 
-# (costs, solution) pairs visible to the innermost open solve_memo_scope, by
-# _memo_key; new entries go to its first map. A context variable rather than
-# a parameter, so the metrics and the scheduler share it without passing it
-# through every call; the scope resets it on exit.
-_MEMO: ContextVar[ChainMap[bytes, tuple[np.ndarray, LpSolution]] | None] = ContextVar(
+# (costs, solution, _lp_key) triples visible to the innermost open
+# solve_memo_scope, by _memo_key; new entries go to its first map. A context
+# variable rather than a parameter, so the metrics and the scheduler share it
+# without passing it through every call; the scope resets it on exit.
+_MEMO: ContextVar[ChainMap[bytes, tuple[np.ndarray, LpSolution, bytes]] | None] = ContextVar(
     "gridmarg_solve_memo", default=None)
 
 
@@ -919,24 +924,28 @@ def memo_solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
     basis, or cold instead of warm, is solved again, since its duals may
     differ where the optimum is dual degenerate. A start that memo_solve
     stored is named by its own memo key, any other start by its basis codes.
-    The key leaves out the costs of fixed columns: an LP that differs from
-    a stored one only there is a hit, answered with the stored x and duals
-    and with this problem's objective value and reduced costs. The solution
-    returned carries its key as memo_key.
+    A start that is the stored optimum of this same LP is a hit on it: a
+    solve from its basis would stop there at once. The key leaves out the
+    costs of fixed columns: an LP that differs from a stored one only there
+    is a hit, answered with the stored x and duals and with this problem's
+    objective value and reduced costs. The solution returned carries its key
+    as memo_key.
     """
     memo = _MEMO.get()
     if memo is None:
         return solve(problem, warm_start=warm_start, canonical_basis=canonical_basis,
                      cap_slack=cap_slack)
-    key = _memo_key(problem, warm_start, canonical_basis, cap_slack)
+    lp_key = _lp_key(problem, canonical_basis, cap_slack)
+    own = warm_start is not None and memo.get(warm_start.memo_key, (None,) * 3)[2] == lp_key
+    key = warm_start.memo_key if own else _memo_key(lp_key, warm_start)
     if key not in memo:
         solution = solve(problem, warm_start=warm_start, canonical_basis=canonical_basis,
                          cap_slack=cap_slack)
         # The solution itself is stored and returned (callers compare with `is`),
         # so it is tagged in place, before memo_solve hands it to anyone.
         object.__setattr__(solution, "memo_key", key)
-        memo[key] = (problem.c, solution)
-    cost, solution = memo[key]
+        memo[key] = (problem.c, solution, lp_key)
+    cost, solution, _ = memo[key]
     if cost is problem.c or np.array_equal(cost, problem.c):
         return solution
     return _priced(problem, solution)
@@ -995,7 +1004,8 @@ def verify_kkt(problem: LpProblem, solution: LpSolution,
 
     # Dual feasibility via recomputed reduced costs.
     rc = _reduced_costs(problem, mu, gamma)
-    at_lb = np.abs(x - problem.lb) <= 1e-9 * np.maximum(1.0, np.abs(problem.lb))
+    finite_lb = np.isfinite(problem.lb)
+    at_lb = finite_lb & (np.abs(x - problem.lb) <= 1e-9 * np.maximum(1.0, np.abs(problem.lb)))
     at_ub = finite_ub & (np.abs(x - problem.ub) <= 1e-9 * np.maximum(1.0, np.abs(problem.ub)))
     dual = float(np.max(-gamma, initial=0.0))  # <=-row duals must be nonnegative
     interior = ~(at_lb | at_ub)
@@ -1013,13 +1023,12 @@ def verify_kkt(problem: LpProblem, solution: LpSolution,
     if problem.num_ub:
         scale = np.maximum(1.0, np.abs(problem.b_ub))
         comp = float(np.max(np.abs(gamma * slack) / scale, initial=0.0))
-    lb_gap = x - problem.lb
-    comp = max(comp, float(np.max(np.abs(np.maximum(rc, 0.0) * lb_gap)
-                                  / np.maximum(1.0, np.abs(problem.lb)), initial=0.0)))
-    if finite_ub.any():
-        ub_gap = (problem.ub - x)[finite_ub]
-        comp = max(comp, float(np.max(np.abs(np.minimum(rc[finite_ub], 0.0) * ub_gap)
-                                      / np.maximum(1.0, np.abs(problem.ub[finite_ub])), initial=0.0)))
+    lb_gap = (x - problem.lb)[finite_lb]
+    comp = max(comp, float(np.max(np.abs(np.maximum(rc[finite_lb], 0.0) * lb_gap)
+                                  / np.maximum(1.0, np.abs(problem.lb[finite_lb])), initial=0.0)))
+    ub_gap = (problem.ub - x)[finite_ub]
+    comp = max(comp, float(np.max(np.abs(np.minimum(rc[finite_ub], 0.0) * ub_gap)
+                                  / np.maximum(1.0, np.abs(problem.ub[finite_ub])), initial=0.0)))
 
     # Duality gap: primal objective vs dual objective built from the same duals.
     pobj = float(problem.c @ x)
@@ -1030,7 +1039,6 @@ def verify_kkt(problem: LpProblem, solution: LpSolution,
         dobj -= float(problem.b_ub @ gamma)
     pos_rc = np.maximum(rc, 0.0)
     neg_rc = np.minimum(rc, 0.0)
-    finite_lb = np.isfinite(problem.lb)
     dobj += float(problem.lb[finite_lb] @ pos_rc[finite_lb])
     dobj += float(problem.ub[finite_ub] @ neg_rc[finite_ub])
     gap = abs(pobj - dobj) / max(1.0, abs(pobj))

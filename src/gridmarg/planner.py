@@ -13,8 +13,9 @@ cost get a linearized commitment block: committed capacity u, startup s,
 
 with the hour-0 startup wrapping to hour H-1 (cyclic, like storage). Storage
 follows soc_t = soc_{t-1} + eta_c*charge - discharge/eta_d with cyclic wrap.
-Flexible loads contribute served-charging variables constrained by their
-windows (see flex module), a rate cap, and total-energy conservation.
+Flexible loads contribute served-charging and cumulative-served variables
+constrained by their windows (see flex module), a rate cap, and total-energy
+conservation; a rigid load (zero window) differs only in its bounds.
 
 In OPERATIONAL mode every investment/retirement variable is pinned to the
 supplied capacities and the objective keeps only operational terms (fuel,
@@ -30,16 +31,16 @@ A build runs in two steps after validating the grid:
     entity ids and zones, capacity-factor profiles, storage efficiencies,
     line losses, min-stable fractions and commitment flags, clean shares,
     clean and emission factors, the buildable/retirable/expandable flags,
-    rigid or windowed charging, and whether NSE and a CO2 cap are on.
+    the flexible loads' ids and zones, and whether NSE and a CO2 cap are on.
   * the vector step (``_fill``) writes the costs, right-hand sides, bounds
     and cost offset from the grid by index assignment, and runs every check
     on those values (pinned capacities, charging windows).
 
 Inside ``structure_scope()`` (one per CLI command, one per sweep group) a
 structure is assembled once per key and shared by every build with that
-key, so demand perturbations, EV scaling, pinned schedules, cost
-multipliers and operational pinning build no new matrix. Outside a scope
-every build assembles its own. Either way the LP is the same, array for
+key, so demand perturbations, EV scaling, charging windows, pinned
+schedules, cost multipliers and operational pinning build no new matrix.
+Outside a scope every build assembles its own. Either way the LP is the same, array for
 array.
 """
 
@@ -56,7 +57,7 @@ from . import lp
 from .errors import (InfeasibleModel, MissingCapacity, ModelBuildError, UnboundedModel,
                      UnknownZone, ValidationError)
 from .flex import FlexWindow, check_window_feasible
-from .grid import FlexibleLoad, GridModel
+from .grid import GridModel
 
 MODE_EXPANSION = "capacity_expansion"
 MODE_OPERATIONAL = "operational_fixed"
@@ -151,7 +152,7 @@ class ModelIndex:
     new_line: dict[str, int] = field(default_factory=dict)
     nse: dict[str, np.ndarray] = field(default_factory=dict)
     served: dict[str, np.ndarray] = field(default_factory=dict)
-    cumulative: dict[str, np.ndarray] = field(default_factory=dict)   # windowed loads only
+    cumulative: dict[str, np.ndarray] = field(default_factory=dict)   # served through hour t
     balance_rows: dict[str, np.ndarray] = field(default_factory=dict)
     clean_share_rows: dict[str, int] = field(default_factory=dict)
     co2_cap_row: int | None = None
@@ -243,12 +244,8 @@ def _structure_key(grid: GridModel) -> tuple:
         tuple((s.id, s.zone_id, s.buildable, s.charge_efficiency, s.discharge_efficiency)
               for s in grid.storage_units),
         tuple((l.id, l.from_zone, l.to_zone, l.expandable, l.loss_fraction) for l in grid.lines),
-        tuple((l.id, l.zone_id, _is_rigid(l)) for l in grid.flexible_loads),
+        tuple((l.id, l.zone_id) for l in grid.flexible_loads),
     )
-
-
-def _is_rigid(load: FlexibleLoad) -> bool:
-    return FlexWindow(load.max_advance_hours, load.max_delay_hours).is_rigid
 
 
 def _pin(fixed: FixedCapacities, table: str, key: str) -> float:
@@ -392,13 +389,11 @@ def _assemble(grid: GridModel) -> LpStructure:
 
     for load in grid.flexible_loads:
         served = b.add_vars(horizon)
-        if not _is_rigid(load):
-            # Cumulative served energy, bounded by the window (see _fill).
-            cum = b.add_vars(horizon)
-            ix.cumulative[load.id] = cum
-            b.add_eq([cum[0], served[0]], [1.0, -1.0])
-            b.add_eq_rows(np.column_stack((cum[1:], cum[:-1], served[1:])), (1.0, -1.0, -1.0))
-        ix.served[load.id] = served
+        # Cumulative served energy, bounded by the window (see _fill).
+        cum = b.add_vars(horizon)
+        ix.served[load.id], ix.cumulative[load.id] = served, cum
+        b.add_eq([cum[0], served[0]], [1.0, -1.0])
+        b.add_eq_rows(np.column_stack((cum[1:], cum[:-1], served[1:])), (1.0, -1.0, -1.0))
         inject[load.zone_id].append((served, -1.0))
 
     # Power balance: one equality per (zone, hour).
@@ -496,6 +491,8 @@ def _fill(structure: LpStructure, grid: GridModel, mode: str,
         bounds = check_window_feasible(baseline, window, rate, load.id)
         served = ix.served[load.id]
         if window.is_rigid:
+            # The cumulative columns keep [0, inf): they never bind, and
+            # SRME2's right-hand-side tie-break on their rows stays feasible.
             lb[served] = ub[served] = baseline
         else:
             ub[served] = rate
@@ -528,8 +525,6 @@ class DispatchResult:
     total_cost: float
     objective_value: float
     generation: dict[str, np.ndarray]
-    commitment: dict[str, np.ndarray]
-    startups: dict[str, np.ndarray]
     new_gen_capacity: dict[str, float]
     retired_gen_capacity: dict[str, float]
     new_storage_power: dict[str, float]
@@ -541,9 +536,6 @@ class DispatchResult:
     nse: np.ndarray                      # (zones, H) MW
     charge: dict[str, np.ndarray]
     discharge: dict[str, np.ndarray]
-    soc: dict[str, np.ndarray]
-    flows_fwd: dict[str, np.ndarray]
-    flows_bwd: dict[str, np.ndarray]
     flex_served: dict[str, np.ndarray]
     solution: lp.LpSolution
 
@@ -591,8 +583,6 @@ def decode_solution(model: ExpansionModel, sol: lp.LpSolution) -> DispatchResult
     zpos = {zid: i for i, zid in enumerate(zone_ids)}
 
     generation = {gid: x[vars_].copy() for gid, vars_ in ix.gen.items()}
-    commitment = {gid: x[vars_].copy() for gid, vars_ in ix.commit.items()}
-    startups = {gid: x[vars_].copy() for gid, vars_ in ix.startup.items()}
     new_gen = {gid: float(x[i]) for gid, i in ix.new_gen.items()}
     retired = {gid: float(x[i]) for gid, i in ix.retired_gen.items()}
 
@@ -622,8 +612,6 @@ def decode_solution(model: ExpansionModel, sol: lp.LpSolution) -> DispatchResult
         total_cost=float(sol.objective_value) + model.cost_offset,
         objective_value=float(sol.objective_value),
         generation=generation,
-        commitment=commitment,
-        startups=startups,
         new_gen_capacity=new_gen,
         retired_gen_capacity=retired,
         new_storage_power={sid: float(x[i]) for sid, i in ix.new_storage_power.items()},
@@ -635,9 +623,6 @@ def decode_solution(model: ExpansionModel, sol: lp.LpSolution) -> DispatchResult
         nse=nse,
         charge={sid: x[vars_].copy() for sid, vars_ in ix.charge.items()},
         discharge={sid: x[vars_].copy() for sid, vars_ in ix.discharge.items()},
-        soc={sid: x[vars_].copy() for sid, vars_ in ix.soc.items()},
-        flows_fwd={lid: x[vars_].copy() for lid, vars_ in ix.flow_fwd.items()},
-        flows_bwd={lid: x[vars_].copy() for lid, vars_ in ix.flow_bwd.items()},
         flex_served=flex_served,
         solution=sol,
     )

@@ -10,7 +10,9 @@ the current schedule up by the configured EV perturbation), not on schedule
 stability; the schedule delta norm is reported for diagnostics only.
 
 Final schedules are evaluated under full capacity expansion at base and
-EV-scaled levels, which is where structural (capacity) effects enter.
+EV-scaled levels, which is where structural (capacity) effects enter. A
+pinned schedule changes only the bounds of the charging columns, so each
+evaluation can start from the unpinned expansion optimum.
 """
 
 from __future__ import annotations
@@ -173,9 +175,12 @@ def schedule_min_srme(grid: GridModel, fixed_capacities: FixedCapacities,
     return schedule, trace
 
 
-def evaluate_fixed_schedule(grid: GridModel, schedule: ChargingSchedule) -> ConsequentialReport:
+def evaluate_fixed_schedule(grid: GridModel, schedule: ChargingSchedule,
+                            warm_start: lp.LpSolution | None = None) -> ConsequentialReport:
     """Full capacity expansion at base and EV-scaled levels with charging pinned.
 
+    The pinned LP has the shape of grid's own expansion LP, so warm_start,
+    typically that LP's optimum, seeds the base solve (see long_run_mer).
     Raises ScheduleMismatch unless each load's scheduled energy matches its
     baseline request to 1e-6 MWh.
     """
@@ -188,5 +193,6 @@ def evaluate_fixed_schedule(grid: GridModel, schedule: ChargingSchedule) -> Cons
             raise ScheduleMismatch(
                 f"load {load.id!r}: scheduled {scheduled:g} MWh vs requested {requested:g} MWh")
     pinned = pin_schedule(grid, schedule.per_load)
-    return long_run_mer(pinned, ScaleEV(grid.config.perturbation_fraction))
+    return long_run_mer(pinned, ScaleEV(grid.config.perturbation_fraction),
+                        warm_start=warm_start)
 

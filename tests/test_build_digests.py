@@ -3,7 +3,9 @@
 The digests were recorded from the row-by-row LpBuilder that the block
 builder replaced. A change to the values, dtypes, row order or entry order
 within a row of any built array changes a digest, and with it the model
-HiGHS receives.
+HiGHS receives. The five grids with a rigid flexible load were pinned again
+when rigid loads gained the cumulative columns and rows of windowed ones;
+with those columns and rows dropped, each LP equals the one pinned before.
 """
 
 import hashlib
@@ -119,12 +121,12 @@ PINNED = {
                  "operational": "271f8f49adb9e7f364f781afacba3b0f199f22a62ff4ffd5c1a952a15e4ad284"},
     "backfire_window_3_5": {"expansion": "28a25f2d7e3c29fd6e7c8cdf1d24bb0574e6471338628e50c1af56f9d02a2d5e",
                             "operational": "f238b78be44ffce5890b9f0c4efb84120f4b099756408e56351e8c9263ae41cc"},
-    "breakeven_wind": {"expansion": "523ee7fe03d501bca1afb61a94d432476dbf96b758189bf789909fa9248c5220",
-                       "operational": "bab0a70ca0bb97e6927afcdce576d9649d89c8bbe265faa1cdb0373a57076e51"},
-    "every_feature": {"expansion": "8ad489cbae529405372e08262261aef96ed86b97398ecc7b41e82277e8d828a5",
-                      "operational": "41bc5b03570e6ec8634c4b3a6ef67d7d2042b47391a06d8235689d82f6db5ef9"},
-    "frozen_structure": {"expansion": "17dcecf8b1e2d56b9e42773aed19ba9862a409173746bd7ce7db3334ed3266bb",
-                         "operational": "17dcecf8b1e2d56b9e42773aed19ba9862a409173746bd7ce7db3334ed3266bb"},
+    "breakeven_wind": {"expansion": "18f233aa706ccfb9cd1065372354c1ee61ad8fff31813457a014498e760619c8",
+                       "operational": "83bef869e70ea237fe349b4ea6cf32bb9e77a623affa7e1b58ad63ea50a815b0"},
+    "every_feature": {"expansion": "acf0af298067ed7dae1b046ecc816fc269801286ea5d6190d10de3b13e397b53",
+                      "operational": "62309c2fede7ba409044dcb6f0c2508bae7a76ade9b051eb69980585eba37ff3"},
+    "frozen_structure": {"expansion": "42f020c77081a3d0ca1a9728aa0ba2556f9311bda8bf3ce30d8713858f6c0403",
+                         "operational": "42f020c77081a3d0ca1a9728aa0ba2556f9311bda8bf3ce30d8713858f6c0403"},
     "merit_stack": {"expansion": "b957220d59452f62aca7faf4ec728f30af4b356e578991c118f16f9f05bea192",
                     "operational": "b957220d59452f62aca7faf4ec728f30af4b356e578991c118f16f9f05bea192"},
     "negative_lr_toy": {"expansion": "8980744999ea1f19d5f898c08476b3979811d9c0e8c629053e5904f7c04dc113",
@@ -135,16 +137,16 @@ PINNED = {
                    "operational": "5925283d258c234eb7efb4abb0771dfe0e2811c810110653556006a0b5a39001"},
     "single_bus_no_nse": {"expansion": "1ca04d1abc20113c7165888bf57bd6e41652ddfcbced7dbf1a9d7d48f520cd66",
                           "operational": "1ca04d1abc20113c7165888bf57bd6e41652ddfcbced7dbf1a9d7d48f520cd66"},
-    "solar_midday": {"expansion": "7ffea933f42d6b0a9c663b0bee0053f1baabb64c6f0ffd3fae022d6ccc91a8fa",
-                     "operational": "7ffea933f42d6b0a9c663b0bee0053f1baabb64c6f0ffd3fae022d6ccc91a8fa"},
+    "solar_midday": {"expansion": "12e690a2e0706a6fbce705f5340ca72ebdcfe37fdc12c1954cee452c15cc5f0b",
+                     "operational": "12e690a2e0706a6fbce705f5340ca72ebdcfe37fdc12c1954cee452c15cc5f0b"},
     "storage_arbitrage_2h": {"expansion": "235c96f361848bf576f4249e7ae75126b862662addfe7caa84b931b51e1a3090",
                              "operational": "235c96f361848bf576f4249e7ae75126b862662addfe7caa84b931b51e1a3090"},
     "storage_coupled": {"expansion": "ed83b656edddf81e1459f41fd7f4aaff9e521a6ea046d797839688fd1a923f50",
                         "operational": "ed83b656edddf81e1459f41fd7f4aaff9e521a6ea046d797839688fd1a923f50"},
     "storage_roundtrip": {"expansion": "5e7b8600dd612e495e0fbd8d192eebc915d44e13a26dea5e530f21ece9f51fec",
                           "operational": "5e7b8600dd612e495e0fbd8d192eebc915d44e13a26dea5e530f21ece9f51fec"},
-    "tutorial": {"expansion": "29e1f6043a460cb3c1ec072e66f09bb2de352336759037245dba3008db3d3cb9",
-                 "operational": "29e1f6043a460cb3c1ec072e66f09bb2de352336759037245dba3008db3d3cb9"},
+    "tutorial": {"expansion": "36136d628bb02842cbc3f216e4a4bc97805dfd180f8384299b4b73ddeb439f87",
+                 "operational": "36136d628bb02842cbc3f216e4a4bc97805dfd180f8384299b4b73ddeb439f87"},
 }
 
 

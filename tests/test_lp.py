@@ -108,6 +108,24 @@ def test_verify_kkt_flags_perturbed_dual():
     assert not report.passed
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_kkt_on_a_free_column():
+    # min x0  s.t.  x0 + x1 = 3, x1 <= 1, x0 >= 0, x1 free: x = (2, 1).
+    b = LpBuilder()
+    b.add_var(cost=1.0)
+    b.add_var(lb=-np.inf)
+    b.add_eq([0, 1], [1.0, 1.0], 3.0)
+    b.add_le([1], [1.0], 1.0)
+    problem = b.build()
+    sol = solve(problem)
+    np.testing.assert_allclose(sol.x, [2.0, 1.0], atol=1e-12)
+    assert verify_kkt(problem, sol).passed
+    # A free column has no bound to sit at: a reduced cost of either sign is infeasible.
+    for shift in (1e-3, -1e-3):
+        report = verify_kkt(problem, replace(sol, ineq_duals=sol.ineq_duals + shift))
+        assert report.max_dual_infeasibility == pytest.approx(1e-3, rel=1e-6)
+
+
 def test_infeasible_and_unbounded_status():
     b = LpBuilder()
     b.add_var(cost=1.0)
@@ -356,6 +374,22 @@ def test_memo_keeps_cold_and_each_warm_start_basis_apart(backend_calls):
         memo_solve(problem, warm_start=start_b)
         memo_solve(problem)
         assert len(backend_calls) == 3
+
+
+def test_memo_answers_a_warm_start_from_the_same_lps_stored_optimum(backend_calls):
+    from gridmarg.lp import memo_solve, solve_memo_scope
+    problem = _two_var([1.0, 2.0], [5.0, 5.0], [1.0, 1.0], 4.0)
+    other = _two_var([2.0, 1.0], [5.0, 5.0], [1.0, 1.0], 4.0)
+    with solve_memo_scope():
+        first = memo_solve(problem)
+        assert memo_solve(_two_var([1.0, 2.0], [5.0, 5.0], [1.0, 1.0], 4.0),
+                          warm_start=first) is first
+        from_first = memo_solve(other, warm_start=first)   # another LP: solved
+        assert memo_solve(other, warm_start=from_first) is from_first
+        # The same LP as a canonical-basis solve is another solve.
+        memo_solve(problem, warm_start=first, canonical_basis=True)
+    assert len(backend_calls) == 3
+    np.testing.assert_array_equal(solve(problem, warm_start=first).x, first.x)
 
 
 def test_memo_names_a_start_by_its_key_or_else_by_its_basis(backend_calls):

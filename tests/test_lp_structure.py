@@ -6,8 +6,9 @@ only the costs, right-hand sides and bounds. These tests pin what that may
 not change: a build from a shared structure returns the LP a build with an
 empty cache returns, array for array and dtype for dtype, with the same
 index and cost offset; a grid that differs in any field that reaches the
-matrix gets its own structure; every check on values still runs; and the
-CLI assembles each LP shape once per command without changing its solves.
+matrix gets its own structure, while rigid, windowed and pinned charging
+share one; every check on values still runs; and the CLI assembles each LP
+shape once per command without changing its solves.
 """
 
 import functools
@@ -105,8 +106,6 @@ def changed(grid, collection: str, entity_id: str, **changes):
 # --- derived LPs -----------------------------------------------------------------
 
 FRACTIONS = st.floats(-0.5, 1.0)
-# Vector-only changes: the derived LP must share the base's matrix.
-SAME_SHAPE = {"uniform", "single_hour", "scale_ev", "capacities", "multipliers"}
 
 
 @st.composite
@@ -160,7 +159,7 @@ def derived_grids(draw):
 def test_a_derived_lp_from_a_shared_structure_equals_a_fresh_build(case):
     base, derived, fixed, kind = case
     primed, shared = assert_shared_equals_fresh(base, derived, fixed)
-    if kind in SAME_SHAPE and not isinstance(shared, tuple):
+    if not isinstance(shared, tuple):   # every kind of change reaches only the vectors
         assert shared.problem.matrix is primed.problem.matrix
         assert shared.index is primed.index
 
@@ -194,9 +193,6 @@ STRUCTURE_CHANGES = {
     "clean_share_added": ("zones", "B", {"clean_share_min": 0.2}),
     "is_clean": ("generators", "hydro", {"is_clean": False}),
     "emissions_factor": ("generators", "ccgt", {"emissions_factor": 0.4}),
-    "windowed_to_rigid": ("flexible_loads", "ev_A", {"max_advance_hours": 0, "max_delay_hours": 0,
-                                                     "max_charge_rate_mw": None}),
-    "rigid_to_windowed": ("flexible_loads", "ev_B", {"max_delay_hours": 2}),
     "buildable": ("generators", "peaker", {"buildable": False}),
     "retirable": ("generators", "coal", {"retirable": False}),
     "storage_buildable": ("storage_units", "bat_A", {"buildable": False}),
@@ -249,6 +245,21 @@ def test_a_grid_that_differs_only_in_vectors_shares_the_structure(change, monkey
     primed, shared = assert_shared_equals_fresh(base, variant, pinned_capacities(base))
     assert shared.problem.matrix is primed.problem.matrix
     assert len(keys) == 2   # base in the scope, the fresh build outside it
+
+
+def test_rigid_windowed_and_pinned_charging_share_one_structure(monkeypatch):
+    windowed = every_feature()   # ev_A windowed, ev_B rigid
+    rigid = cli._apply_flex_mode(windowed, "none")
+    delayed = cli._apply_flex_mode(windowed, "delay8")
+    pinned = pin_schedule(windowed, {l.id: l.effective_baseline()
+                                     for l in windowed.flexible_loads})
+    keys = spy_on_assembly(monkeypatch)
+    with structure_scope():
+        models = [build_expansion_lp(g) for g in (windowed, rigid, delayed, pinned)]
+    assert len(keys) == 1
+    assert all(m.problem.matrix is models[0].problem.matrix for m in models)
+    for grid, model in zip((rigid, delayed, pinned), models[1:]):
+        assert_same_model(model, build_expansion_lp(grid))
 
 
 # --- checks on values still run --------------------------------------------------

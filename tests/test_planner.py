@@ -109,8 +109,9 @@ def test_storage_arbitrage_two_hour_closed_form():
 
 
 def test_cyclic_storage_balance():
-    result = solve_model(build_expansion_lp(storage_roundtrip()))
-    soc = result.soc["batt"]
+    model = build_expansion_lp(storage_roundtrip())
+    result = solve_model(model)
+    soc = result.solution.x[model.index.soc["batt"]]
     ch = result.charge["batt"]
     dis = result.discharge["batt"]
     # Wrap: hour 0 links back to hour H-1.
@@ -129,11 +130,13 @@ def test_linearized_commitment_pays_startup():
                               min_stable_fraction=0.5, startup_cost=100.0),),
         config=ScenarioConfig(horizon_hours=2),
     )
-    result = solve_model(build_expansion_lp(grid))
+    model = build_expansion_lp(grid)
+    result = solve_model(model)
+    x = result.solution.x
     # Hour 0 commitment is capped at 20 by the min-stable level (gen 10 >= 0.5 u),
     # so 30 MW must start for hour 1.
-    np.testing.assert_allclose(result.commitment["gas"], [20.0, 50.0], atol=1e-7)
-    np.testing.assert_allclose(result.startups["gas"], [0.0, 30.0], atol=1e-7)
+    np.testing.assert_allclose(x[model.index.commit["gas"]], [20.0, 50.0], atol=1e-7)
+    np.testing.assert_allclose(x[model.index.startup["gas"]], [0.0, 30.0], atol=1e-7)
     assert result.total_cost == pytest.approx(60 * 20 + 30 * 100, rel=1e-9)
 
 
@@ -245,7 +248,8 @@ def test_perturb_demand_uniform_and_single_hour():
 def test_windowed_load_columns_carry_the_window_bounds():
     # A windowed load's cumulative columns take cumulative_bounds as they are,
     # except the last, pinned to the requested total; a rigid load's served
-    # columns are pinned to its baseline.
+    # columns are pinned to its baseline, and its cumulative columns keep
+    # [0, inf).
     horizon = 6
     ev = np.array([0.0, 4.0, 6.0, 0.0, 3.0, 1.0])
     grid = single_bus(demand=30.0, horizon=horizon)
@@ -263,7 +267,8 @@ def test_windowed_load_columns_carry_the_window_bounds():
     np.testing.assert_array_equal(ub[cum[:-1]], ceiling[:-1])
     assert lb[cum[-1]] == ub[cum[-1]] == float(np.sum(ev))
     np.testing.assert_array_equal(ub[ix.served["ev"]], 8.0)
-    assert "bus" not in ix.cumulative
+    np.testing.assert_array_equal(lb[ix.cumulative["bus"]], 0.0)
+    np.testing.assert_array_equal(ub[ix.cumulative["bus"]], np.inf)
     np.testing.assert_array_equal(lb[ix.served["bus"]], ev[::-1])
     np.testing.assert_array_equal(ub[ix.served["bus"]], ev[::-1])
     result = solve_model(model)
@@ -285,10 +290,10 @@ def test_every_built_model_passes_kkt_verification():
 def test_tutorial_line_flows_decode():
     from gridmarg.scenario_io import load_scenario
     from test_scenario_io import TUTORIAL
-    grid = load_scenario(TUTORIAL)
-    result = solve_model(build_expansion_lp(grid))
+    model = build_expansion_lp(load_scenario(TUTORIAL))
+    x = solve_model(model).solution.x
     # Coal exports saturate the 30 MW line toward B every hour; nothing flows back.
-    np.testing.assert_allclose(result.flows_fwd["ab"], 30.0, atol=1e-7)
-    np.testing.assert_allclose(result.flows_bwd["ab"], 0.0, atol=1e-9)
+    np.testing.assert_allclose(x[model.index.flow_fwd["ab"]], 30.0, atol=1e-7)
+    np.testing.assert_allclose(x[model.index.flow_bwd["ab"]], 0.0, atol=1e-9)
 
 

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from gridmarg.cli import main
 from gridmarg.errors import ModelBuildError, ScheduleMismatch
 from gridmarg.flex import ChargingSchedule, ScheduleSource
 from gridmarg.grid import FlexibleLoad, Generator, GridModel, ScenarioConfig, Zone
@@ -10,6 +13,7 @@ from gridmarg.scheduler import (PIN_SNAP_TOL, consequential_check, evaluate_fixe
                                 pin_schedule, schedule_from_result, schedule_min_srme)
 
 from oracles import spy_on_solves
+from test_cli import scenario_file
 from toys import backfire, solar_midday, storage_coupled, with_flex_window
 
 
@@ -137,6 +141,34 @@ def test_evaluate_fixed_schedule_is_fixed_point_of_expansion():
     report = evaluate_fixed_schedule(grid, schedule)
     assert report.base_total_cost == pytest.approx(exp.total_cost, rel=1e-9, abs=1e-6)
     assert report.base_total_emissions == pytest.approx(exp.total_emissions, rel=1e-9)
+
+
+def test_schedule_evaluations_start_from_the_expansion_optimum(tmp_path, monkeypatch):
+    # Pinning a schedule changes only the bounds of the charging columns, so
+    # both pinned evaluations start warm; only the first expansion solve is cold.
+    grid = backfire()
+    ix = build_expansion_lp(grid).index
+    invest = list(ix.new_gen.values())
+    served = ix.served["ev"]
+
+    def run(out: str, cold: bool) -> tuple[dict, list]:
+        with monkeypatch.context() as patch:
+            calls = spy_on_solves(patch, cold=cold)
+            argv = ["schedule", scenario_file(tmp_path, grid), "--signal", "srme1", "--flex",
+                    "scenario", "--out", str(tmp_path / out)]
+            assert main(argv) == 0
+        return json.loads((tmp_path / out / "comparison.json").read_text()), calls
+
+    warm, calls = run("warm", cold=False)
+    expansion = [c for c in calls if np.any(c.problem.lb[invest] < c.problem.ub[invest])]
+    pinned = [c for c in expansion if np.all(c.problem.lb[served] == c.problem.ub[served])]
+    assert len(pinned) == 4   # base and EV-scaled, for the cost and the signal schedule
+    assert [c.warm_start is None for c in expansion] == [True] + [False] * (len(expansion) - 1)
+    cold, _ = run("cold", cold=True)
+    for report in ("cost_reference", "signal_schedule"):
+        for key in ("base_total_emissions_tco2", "pert_total_emissions_tco2",
+                    "base_total_cost_usd", "pert_total_cost_usd"):
+            assert warm[report][key] == pytest.approx(cold[report][key], rel=1e-9)
 
 
 def test_evaluate_rejects_mismatched_energy():

@@ -1,23 +1,38 @@
 """Scenario file loading and writing.
 
 A scenario is a single JSON document with sections `config`, `zones`,
-`generators`, `storage`, `lines`, `flexible_loads`. Hourly series are not
-inlined; entities reference sidecar CSV files (header `hour,value`, hour
-0-based) resolved relative to the scenario file:
+`generators`, `storage`, `lines`, `flexible_loads`. The dataclasses in
+`grid.py` are the schema: each field of ScenarioConfig, Zone, Generator,
+StorageUnit, TransmissionLine and FlexibleLoad is the JSON key of the same
+name, `config.cost_multipliers` is an object with the fields of
+CostMultipliers, and a field with no default is required. A field's
+annotation sets the JSON type it takes:
+
+    str       a string (ids, zones, kind)
+    float     a number; an integer reads as a float
+    int       an integer: not 3.7, not 3.0, not true
+    bool      true or false, not "false" or 0
+
+`null` is accepted only where a field is optional (`... | None`), and
+write_scenario emits it for None. Hourly series are not inlined; an array
+field is read from a sidecar CSV (header `hour,value`, hour 0-based) that
+its key names, resolved relative to the scenario file:
 
     zones[*].demand_series                 MW
     generators[*].capacity_factor_series   availability fraction in [0, 1]
     flexible_loads[*].baseline_series      MW
 
-write_scenario emits the same formats, so load(write(grid)) reproduces the
-grid field-for-field.
+An unknown key, a missing required field or a value of the wrong type
+raises ParseError naming the file, the field and its owner; the CLI exits 1.
+write_scenario emits every field in the same formats, so load(write(grid))
+reproduces the grid field-for-field.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +41,20 @@ from .errors import MissingSeries, ParseError
 from .grid import (CostMultipliers, FlexibleLoad, Generator, GridModel,
                    ScenarioConfig, StorageUnit, TransmissionLine, Zone)
 
-_CONFIG_KEYS = {
-    "horizon_hours": int,
-    "ev_penetration_multiplier": float,
-    "perturbation_fraction": float,
-    "srme1_fraction": float,
-    "emissions_penalty": float,
-    "convergence_threshold": float,
-    "max_iterations": int,
-    "icev_tco2_per_year": float,
-    "ev_annual_mwh": float,
+# JSON section -> (GridModel field, entity class, the entity's name in messages).
+_SECTIONS = {
+    "zones": ("zones", Zone, "zone"),
+    "generators": ("generators", Generator, "generator"),
+    "storage": ("storage_units", StorageUnit, "storage"),
+    "lines": ("lines", TransmissionLine, "line"),
+    "flexible_loads": ("flexible_loads", FlexibleLoad, "flexible_load"),
+}
+
+# Array field -> (JSON key naming its CSV, suffix of the CSV name write_scenario gives it).
+_SERIES = {
+    "demand": ("demand_series", "demand"),
+    "capacity_factor_profile": ("capacity_factor_series", "cf"),
+    "baseline_profile": ("baseline_series", "baseline"),
 }
 
 
@@ -91,42 +110,102 @@ def write_series(path: Path, values: np.ndarray) -> None:
             fh.write(f"{h},{float(v)!r}\n")
 
 
-def _require(entry: dict, key: str, where: str):
-    if key not in entry:
-        raise ParseError(f"{where}: missing required field {key!r}")
-    return entry[key]
+class _Mistyped(Exception):
+    """A JSON value of the wrong type; the message says what the field takes."""
 
 
-def _check_keys(entry: dict, allowed: set[str], where: str) -> None:
-    extra = set(entry) - allowed
+def _string(value, path: Path, where: str) -> str:
+    if not isinstance(value, str):
+        raise _Mistyped("a string")
+    return value
+
+
+def _number(value, path: Path, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _Mistyped("a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise _Mistyped("a finite number") from None
+
+
+def _integer(value, path: Path, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _Mistyped("an integer")
+    return value
+
+
+def _boolean(value, path: Path, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise _Mistyped("true or false")
+    return value
+
+
+def _series(value, path: Path, where: str) -> np.ndarray:
+    if not isinstance(value, str):
+        raise _Mistyped("a series file name")
+    return read_series(path.parent / value)
+
+
+def _cost_multipliers(value, path: Path, where: str) -> CostMultipliers:
+    return _read(CostMultipliers, value, path, where)
+
+
+_CONVERTERS = {"str": _string, "float": _number, "int": _integer, "bool": _boolean,
+               "np.ndarray": _series, "CostMultipliers": _cost_multipliers}
+
+
+def _schema(cls) -> dict:
+    """JSON key -> (field name, converter, nullable, required) for each field of cls.
+
+    The annotations are strings (grid.py defers them), so `X | None` is
+    read off the text.
+    """
+    schema = {}
+    for f in fields(cls):
+        key = _SERIES[f.name][0] if f.name in _SERIES else f.name
+        schema[key] = (f.name, _CONVERTERS[f.type.removesuffix(" | None")],
+                       f.type.endswith(" | None"),
+                       f.default is MISSING and f.default_factory is MISSING)
+    return schema
+
+
+_SCHEMAS = {cls: _schema(cls) for cls in (ScenarioConfig, CostMultipliers,
+                                          *(cls for _, cls, _ in _SECTIONS.values()))}
+
+
+def _read(cls, raw, path: Path, where: str):
+    """Build one cls from its JSON object, checking every key against the schema."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: {where} must be an object, got {json.dumps(raw)}")
+    schema = _SCHEMAS[cls]
+    extra = raw.keys() - schema.keys()
     if extra:
-        raise ParseError(f"{where}: unknown field(s) {sorted(extra)}")
-
-
-def _parse_config(raw: dict) -> ScenarioConfig:
-    _check_keys(raw, set(_CONFIG_KEYS) | {"cost_multipliers", "co2_cap_tons", "nse_penalty"},
-                "config")
+        raise ParseError(f"{path}: {where}: unknown field(s) {sorted(extra)}")
     kwargs = {}
-    for key, conv in _CONFIG_KEYS.items():
-        if key in raw:
-            try:
-                kwargs[key] = conv(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"config.{key}: {exc}") from exc
-    if "horizon_hours" not in kwargs:
-        raise ParseError("config: missing required field 'horizon_hours'")
-    if "cost_multipliers" in raw:
-        cm = raw["cost_multipliers"]
-        _check_keys(cm, {"renewable_capex", "gas_price"}, "config.cost_multipliers")
-        kwargs["cost_multipliers"] = CostMultipliers(
-            renewable_capex=float(cm.get("renewable_capex", 1.0)),
-            gas_price=float(cm.get("gas_price", 1.0)),
-        )
-    cap = raw.get("co2_cap_tons")
-    kwargs["co2_cap_tons"] = None if cap is None else float(cap)
-    if "nse_penalty" in raw:
-        kwargs["nse_penalty"] = None if raw["nse_penalty"] is None else float(raw["nse_penalty"])
-    return ScenarioConfig(**kwargs)
+    for key, (name, convert, nullable, required) in schema.items():
+        if key not in raw:
+            if required:
+                raise ParseError(f"{path}: {where}: missing required field {key!r}")
+            continue
+        value = raw[key]
+        if value is None and nullable:
+            kwargs[name] = None
+            continue
+        try:
+            kwargs[name] = convert(value, path, f"{where}.{key}")
+        except _Mistyped as exc:
+            raise ParseError(f"{path}: {key!r} of {where} must be {exc}, "
+                             f"got {json.dumps(value)}") from None
+    return cls(**kwargs)
+
+
+def _owner(section: str, index: int, entry) -> str:
+    """How messages name an entity: `generator 'coal_a'`, or `generators[3]` without an id."""
+    entity_id = entry.get("id") if isinstance(entry, dict) else None
+    if isinstance(entity_id, str):
+        return f"{_SECTIONS[section][2]} {entity_id!r}"
+    return f"{section}[{index}]"
 
 
 def load_scenario(path) -> GridModel:
@@ -134,192 +213,57 @@ def load_scenario(path) -> GridModel:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"scenario file not found: {path}")
-    base = path.parent
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # json detects UTF-8, -16 or -32 from the bytes
             doc = json.load(fh, object_pairs_hook=_finite_numbers(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer of over 4300 digits
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
-    _check_keys(doc, {"config", "zones", "generators", "storage", "lines", "flexible_loads"},
-                str(path))
+    extra = doc.keys() - {"config", *_SECTIONS}
+    if extra:
+        raise ParseError(f"{path}: unknown section(s) {sorted(extra)}")
     if "config" not in doc:
         raise ParseError(f"{path}: missing 'config' section")
     if "zones" not in doc:
         raise ParseError(f"{path}: missing 'zones' section")
 
-    config = _parse_config(doc["config"])
-
-    zones = []
-    for entry in doc["zones"]:
-        where = f"zone {entry.get('id', '?')}"
-        _check_keys(entry, {"id", "demand_series", "clean_share_min"}, where)
-        zones.append(Zone(
-            id=str(_require(entry, "id", where)),
-            demand=read_series(base / _require(entry, "demand_series", where)),
-            clean_share_min=float(entry.get("clean_share_min", 0.0)),
-        ))
-
-    generators = []
-    gen_keys = {"id", "zone_id", "kind", "existing_cap_mw", "buildable", "retirable",
-                "inv_cost_annual", "fixed_om", "var_om", "heat_rate", "fuel_price",
-                "emissions_factor", "capacity_factor_series", "min_stable_fraction",
-                "startup_cost", "is_clean"}
-    for entry in doc.get("generators", []):
-        where = f"generator {entry.get('id', '?')}"
-        _check_keys(entry, gen_keys, where)
-        profile = None
-        if "capacity_factor_series" in entry:
-            profile = read_series(base / entry["capacity_factor_series"])
-        generators.append(Generator(
-            id=str(_require(entry, "id", where)),
-            zone_id=str(_require(entry, "zone_id", where)),
-            kind=str(_require(entry, "kind", where)),
-            existing_cap_mw=float(entry.get("existing_cap_mw", 0.0)),
-            buildable=bool(entry.get("buildable", False)),
-            retirable=bool(entry.get("retirable", False)),
-            inv_cost_annual=float(entry.get("inv_cost_annual", 0.0)),
-            fixed_om=float(entry.get("fixed_om", 0.0)),
-            var_om=float(entry.get("var_om", 0.0)),
-            heat_rate=float(entry.get("heat_rate", 0.0)),
-            fuel_price=float(entry.get("fuel_price", 0.0)),
-            emissions_factor=float(entry.get("emissions_factor", 0.0)),
-            capacity_factor_profile=profile,
-            min_stable_fraction=float(entry.get("min_stable_fraction", 0.0)),
-            startup_cost=float(entry.get("startup_cost", 0.0)),
-            is_clean=bool(entry.get("is_clean", False)),
-        ))
-
-    storage_units = []
-    sto_keys = {"id", "zone_id", "existing_power_mw", "existing_energy_mwh", "buildable",
-                "inv_cost_power", "inv_cost_energy", "charge_efficiency",
-                "discharge_efficiency", "var_om"}
-    for entry in doc.get("storage", []):
-        where = f"storage {entry.get('id', '?')}"
-        _check_keys(entry, sto_keys, where)
-        storage_units.append(StorageUnit(
-            id=str(_require(entry, "id", where)),
-            zone_id=str(_require(entry, "zone_id", where)),
-            existing_power_mw=float(entry.get("existing_power_mw", 0.0)),
-            existing_energy_mwh=float(entry.get("existing_energy_mwh", 0.0)),
-            buildable=bool(entry.get("buildable", False)),
-            inv_cost_power=float(entry.get("inv_cost_power", 0.0)),
-            inv_cost_energy=float(entry.get("inv_cost_energy", 0.0)),
-            charge_efficiency=float(entry.get("charge_efficiency", 1.0)),
-            discharge_efficiency=float(entry.get("discharge_efficiency", 1.0)),
-            var_om=float(entry.get("var_om", 0.0)),
-        ))
-
-    lines = []
-    line_keys = {"id", "from_zone", "to_zone", "capacity_mw", "expandable",
-                 "expansion_cost", "loss_fraction"}
-    for entry in doc.get("lines", []):
-        where = f"line {entry.get('id', '?')}"
-        _check_keys(entry, line_keys, where)
-        lines.append(TransmissionLine(
-            id=str(_require(entry, "id", where)),
-            from_zone=str(_require(entry, "from_zone", where)),
-            to_zone=str(_require(entry, "to_zone", where)),
-            capacity_mw=float(_require(entry, "capacity_mw", where)),
-            expandable=bool(entry.get("expandable", False)),
-            expansion_cost=float(entry.get("expansion_cost", 0.0)),
-            loss_fraction=float(entry.get("loss_fraction", 0.0)),
-        ))
-
-    flexible_loads = []
-    flex_keys = {"id", "zone_id", "baseline_series", "max_advance_hours", "max_delay_hours",
-                 "max_charge_rate_mw", "penetration_scale"}
-    for entry in doc.get("flexible_loads", []):
-        where = f"flexible_load {entry.get('id', '?')}"
-        _check_keys(entry, flex_keys, where)
-        rate = entry.get("max_charge_rate_mw")
-        flexible_loads.append(FlexibleLoad(
-            id=str(_require(entry, "id", where)),
-            zone_id=str(_require(entry, "zone_id", where)),
-            baseline_profile=read_series(base / _require(entry, "baseline_series", where)),
-            max_advance_hours=int(entry.get("max_advance_hours", 0)),
-            max_delay_hours=int(entry.get("max_delay_hours", 0)),
-            max_charge_rate_mw=None if rate is None else float(rate),
-            penetration_scale=float(entry.get("penetration_scale", 1.0)),
-        ))
-
-    grid = GridModel(
-        zones=tuple(zones),
-        generators=tuple(generators),
-        storage_units=tuple(storage_units),
-        lines=tuple(lines),
-        flexible_loads=tuple(flexible_loads),
-        config=config,
-    )
+    config = _read(ScenarioConfig, doc["config"], path, "config")
+    sections = {}
+    for section, (attr, cls, _) in _SECTIONS.items():
+        entries = doc.get(section, [])
+        if not isinstance(entries, list):
+            raise ParseError(f"{path}: {section!r} must be a list, got {json.dumps(entries)}")
+        sections[attr] = tuple(_read(cls, entry, path, _owner(section, i, entry))
+                               for i, entry in enumerate(entries))
+    grid = GridModel(config=config, **sections)
     grid.validate()
     return grid
+
+
+def _write(entity, base: Path) -> dict:
+    """One entity's JSON object: every field, writing each series to its sidecar CSV."""
+    out = {}
+    for key, (name, *_) in _SCHEMAS[type(entity)].items():
+        value = getattr(entity, name)
+        if name in _SERIES and value is not None:
+            series, value = value, f"{entity.id}_{_SERIES[name][1]}.csv"
+            write_series(base / value, series)
+        elif is_dataclass(value):
+            value = _write(value, base)
+        out[key] = value
+    return out
 
 
 def write_scenario(grid: GridModel, path) -> None:
     """Write a grid as scenario JSON plus sidecar series CSVs in the same directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    base = path.parent
-
-    config = {key: getattr(grid.config, key) for key in _CONFIG_KEYS}
-    config["cost_multipliers"] = asdict(grid.config.cost_multipliers)
-    config["nse_penalty"] = grid.config.nse_penalty
-    if grid.config.co2_cap_tons is not None:
-        config["co2_cap_tons"] = grid.config.co2_cap_tons
-
-    zones = []
-    for zone in grid.zones:
-        series = f"{zone.id}_demand.csv"
-        write_series(base / series, zone.demand)
-        zones.append({"id": zone.id, "demand_series": series,
-                      "clean_share_min": zone.clean_share_min})
-
-    generators = []
-    for gen in grid.generators:
-        entry = {
-            "id": gen.id, "zone_id": gen.zone_id, "kind": gen.kind,
-            "existing_cap_mw": gen.existing_cap_mw, "buildable": gen.buildable,
-            "retirable": gen.retirable, "inv_cost_annual": gen.inv_cost_annual,
-            "fixed_om": gen.fixed_om, "var_om": gen.var_om, "heat_rate": gen.heat_rate,
-            "fuel_price": gen.fuel_price, "emissions_factor": gen.emissions_factor,
-            "min_stable_fraction": gen.min_stable_fraction, "startup_cost": gen.startup_cost,
-            "is_clean": gen.is_clean,
-        }
-        if gen.capacity_factor_profile is not None:
-            series = f"{gen.id}_cf.csv"
-            write_series(base / series, gen.capacity_factor_profile)
-            entry["capacity_factor_series"] = series
-        generators.append(entry)
-
-    storage = [{
-        "id": s.id, "zone_id": s.zone_id, "existing_power_mw": s.existing_power_mw,
-        "existing_energy_mwh": s.existing_energy_mwh, "buildable": s.buildable,
-        "inv_cost_power": s.inv_cost_power, "inv_cost_energy": s.inv_cost_energy,
-        "charge_efficiency": s.charge_efficiency, "discharge_efficiency": s.discharge_efficiency,
-        "var_om": s.var_om,
-    } for s in grid.storage_units]
-
-    lines = [{
-        "id": l.id, "from_zone": l.from_zone, "to_zone": l.to_zone,
-        "capacity_mw": l.capacity_mw, "expandable": l.expandable,
-        "expansion_cost": l.expansion_cost, "loss_fraction": l.loss_fraction,
-    } for l in grid.lines]
-
-    flexible_loads = []
-    for load in grid.flexible_loads:
-        series = f"{load.id}_baseline.csv"
-        write_series(base / series, load.baseline_profile)
-        entry = {"id": load.id, "zone_id": load.zone_id, "baseline_series": series,
-                 "max_advance_hours": load.max_advance_hours,
-                 "max_delay_hours": load.max_delay_hours,
-                 "penetration_scale": load.penetration_scale}
-        if load.max_charge_rate_mw is not None:
-            entry["max_charge_rate_mw"] = load.max_charge_rate_mw
-        flexible_loads.append(entry)
-
-    doc = {"config": config, "zones": zones, "generators": generators,
-           "storage": storage, "lines": lines, "flexible_loads": flexible_loads}
+    doc = {"config": _write(grid.config, path.parent)}
+    for section, (attr, _, _) in _SECTIONS.items():
+        doc[section] = [_write(entity, path.parent) for entity in getattr(grid, attr)]
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

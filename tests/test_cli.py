@@ -95,6 +95,44 @@ def test_non_finite_scenario_number_exits_1_naming_it(tmp_path, capsys, case, co
     assert "Traceback" not in err
 
 
+# A tutorial copy with one value of the wrong JSON type or shape: (edit, what the error names).
+MALFORMED = {
+    "huge_integer": (lambda doc: doc["generators"][0].update(existing_cap_mw=10**400),
+                     "'existing_cap_mw' of generator 'coal_a' must be a finite number"),
+    "text_in_number": (lambda doc: doc["generators"][0].update(existing_cap_mw="150 MW"),
+                       "'existing_cap_mw' of generator 'coal_a' must be a number"),
+    "null_required_number": (lambda doc: doc["lines"][0].update(capacity_mw=None),
+                             "'capacity_mw' of line 'ab' must be a number"),
+    "zones_object": (lambda doc: doc.update(zones={z["id"]: z for z in doc["zones"]}),
+                     "'zones' must be a list"),
+    "line_as_list": (lambda doc: doc["lines"].__setitem__(0, list(doc["lines"][0].values())),
+                     "lines[0] must be an object"),
+    "config_number": (lambda doc: doc.update(config=24), "config must be an object"),
+    "cost_multipliers_number": (lambda doc: doc["config"].update(cost_multipliers=1.0),
+                                "config.cost_multipliers must be an object"),
+    "bool_as_text": (lambda doc: doc["generators"][0].update(buildable="false"),
+                     "'buildable' of generator 'coal_a' must be true or false"),
+    "fractional_hours": (lambda doc: doc["flexible_loads"][0].update(max_delay_hours=3.7),
+                         "'max_delay_hours' of flexible_load 'ev_b' must be an integer"),
+    "null_id": (lambda doc: doc["generators"][0].update(id=None),
+                "'id' of generators[0] must be a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_exits_1_with_one_parse_error(tmp_path, capsys, case):
+    edit, named = MALFORMED[case]
+    shutil.copytree(TUTORIAL.parent, tmp_path / "scenario")
+    path = tmp_path / "scenario" / "scenario.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR gridmarg: ParseError: "), err
+    assert named in err[0]
+
+
 def test_infeasible_exits_2(tmp_path):
     grid = single_bus(demand=120.0, cap=100.0, nse_penalty=None)
     scenario = scenario_file(tmp_path, grid)

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,17 @@ def test_malformed_json_reports_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{\n  "config": {,}\n}\n')
     with pytest.raises(ParseError, match="line 2"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("text, named", [
+    (b'{"config": {"horizon_hours": 24}, "zones": [], "\xff": 1}', "utf-8"),
+    (b'{"config": {"horizon_hours": 1' + b"0" * 5000 + b'}, "zones": []}', "digits"),
+])
+def test_unreadable_json_raises_parse_error(tmp_path, text, named):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    with pytest.raises(ParseError, match=named):
         load_scenario(path)
 
 
@@ -160,36 +171,46 @@ def test_validate_rejects_non_finite_numbers_naming_entity_and_field(collection,
         grid.validate()
 
 
-def assert_grids_equal(a: GridModel, b: GridModel):
-    assert a.config == b.config
-    for za, zb in zip(a.zones, b.zones):
-        assert za.id == zb.id and za.clean_share_min == zb.clean_share_min
-        np.testing.assert_array_equal(za.demand, zb.demand)
-    for ga, gb in zip(a.generators, b.generators):
-        for f in ("id", "zone_id", "kind", "existing_cap_mw", "buildable", "retirable",
-                  "inv_cost_annual", "fixed_om", "var_om", "heat_rate", "fuel_price",
-                  "emissions_factor", "min_stable_fraction", "startup_cost", "is_clean"):
-            assert getattr(ga, f) == getattr(gb, f), f
-        if ga.capacity_factor_profile is None:
-            assert gb.capacity_factor_profile is None
+def assert_grids_equal(a, b, where="grid"):
+    """Every field of two grids, entities or configs equal; arrays also in dtype."""
+    assert type(a) is type(b), where
+    for f in fields(a):
+        va, vb, at = getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}"
+        if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
+            assert isinstance(va, np.ndarray) and isinstance(vb, np.ndarray), at
+            assert va.dtype == vb.dtype, at
+            np.testing.assert_array_equal(va, vb, err_msg=at)
+        elif is_dataclass(va):
+            assert_grids_equal(va, vb, at)
+        elif isinstance(va, tuple):
+            assert len(va) == len(vb), at
+            for i, (ea, eb) in enumerate(zip(va, vb)):
+                assert_grids_equal(ea, eb, f"{at}[{i}]")
         else:
-            np.testing.assert_array_equal(ga.capacity_factor_profile,
-                                          gb.capacity_factor_profile)
-    assert a.storage_units == b.storage_units
-    assert a.lines == b.lines
-    for fa, fb in zip(a.flexible_loads, b.flexible_loads):
-        for f in ("id", "zone_id", "max_advance_hours", "max_delay_hours",
-                  "max_charge_rate_mw", "penetration_scale"):
-            assert getattr(fa, f) == getattr(fb, f), f
-        np.testing.assert_array_equal(fa.baseline_profile, fb.baseline_profile)
+            assert va == vb, at
 
 
-def test_round_trip_reproduces_grid_field_for_field(tmp_path):
-    grid = full_grid()
+def without_limits(grid: GridModel) -> GridModel:
+    """full_grid with every optional number None; its thermal unit has no profile already."""
+    thermal = grid.generators[0]
+    assert thermal.kind == "thermal" and thermal.capacity_factor_profile is None
+    return replace(grid, config=replace(grid.config, nse_penalty=None, co2_cap_tons=None),
+                   flexible_loads=(replace(grid.flexible_loads[0], max_charge_rate_mw=None),))
+
+
+@pytest.mark.parametrize("make_grid", [full_grid, lambda: without_limits(full_grid())],
+                         ids=["full", "without_limits"])
+def test_round_trip_reproduces_grid_field_for_field(tmp_path, make_grid):
+    grid = make_grid()
     grid.validate()
     path = tmp_path / "rt" / "scenario.json"
     write_scenario(grid, path)
     assert_grids_equal(load_scenario(path), grid)
+    doc = json.loads(path.read_text())
+    # The writer emits every field, None as null.
+    thermal = doc["generators"][0]
+    assert len(thermal) == len(fields(Generator)) and thermal["capacity_factor_series"] is None
+    assert (doc["config"]["co2_cap_tons"] is None) == (grid.config.co2_cap_tons is None)
 
 
 def test_tutorial_scenario_matches_doc_table():

@@ -12,8 +12,8 @@ from .grid import (CostMultipliers, FlexibleLoad, Generator, GridModel, Scenario
 from .lp import (LpBuilder, LpMatrix, LpProblem, LpSolution, ResidualReport, SolveStatus, solve,
                  verify_kkt)
 from .metrics import (SRME1, SRME2, ConsequentialReport, EmissionRateSeries,
-                      average_emission_rate, icev_comparison, long_run_mer, srme_dual,
-                      srme_uniform)
+                      average_emission_rate, icev_comparison, long_run_mer, short_run_rates,
+                      srme_dual, srme_uniform)
 from .planner import (DispatchResult, ExpansionModel, FixedCapacities, ScaleEV, SingleHour,
                       UniformAll, build_expansion_lp, build_operational_lp, perturb_demand,
                       solve_model)

@@ -26,7 +26,7 @@ from .errors import DegenerateDelta, GridmargError, InfeasibleModel, UnboundedMo
 from .flex import ScheduleSource
 from .grid import CostMultipliers, GridModel, resolve_scenario
 from .metrics import (ConsequentialReport, average_emission_rate, icev_comparison,
-                      long_run_mer, srme_dual, srme_uniform)
+                      long_run_mer, short_run_rates)
 from .planner import ScaleEV, build_expansion_lp, build_operational_lp, solve_model
 from .scenario_io import load_scenario
 from .scheduler import evaluate_fixed_schedule, schedule_from_result, schedule_min_srme
@@ -118,12 +118,8 @@ def cmd_metrics(args) -> int:
 
     if args.method in ("srme1", "srme2"):
         expansion = solve_model(build_expansion_lp(grid))
-        caps = expansion.fixed_capacities()
-        if args.method == "srme1":
-            zones = "all" if args.zone in ("all", "each-separately") else args.zone
-            series = srme_uniform(grid, caps, zones=zones)
-        else:
-            series = srme_dual(grid, caps)
+        zones = "all" if args.zone in ("all", "each-separately") else args.zone
+        series = short_run_rates(grid, expansion.fixed_capacities(), args.method.upper(), zones)
         outputs.write_srme_csv(series, outdir / "srme.csv")
         log.info("wrote %s rates for %d zone(s)", series.method, len(series.zone_ids))
         return 0

@@ -270,6 +270,8 @@ class ScenarioConfig:
             raise ValidationError("config: max_iterations must be positive")
         if self.nse_penalty is not None and self.nse_penalty < 0:
             raise ValidationError("config: nse_penalty must be nonnegative")
+        if self.icev_tco2_per_year <= 0:
+            raise ValidationError("config: icev_tco2_per_year must be positive")
         self.cost_multipliers.validate()
 
 
@@ -308,20 +310,21 @@ class GridModel:
                 raise ValidationError(f"zone {zone.id}: duplicate id")
             zone_ids.add(zone.id)
             zone.validate(horizon)
-        for coll, label in ((self.generators, "generator"), (self.storage_units, "storage"),
-                            (self.flexible_loads, "flexible_load")):
-            seen = set()
+        # Capacity deltas are reported by id, so assets share one id space.
+        asset_ids: set[str] = set()
+        for coll, label, seen in ((self.generators, "generator", asset_ids),
+                                  (self.storage_units, "storage", asset_ids),
+                                  (self.flexible_loads, "flexible_load", set())):
             for ent in coll:
                 if ent.id in seen:
                     raise ValidationError(f"{label} {ent.id}: duplicate id")
                 seen.add(ent.id)
                 if ent.zone_id not in zone_ids:
                     raise ValidationError(f"{label} {ent.id}: unknown zone_id {ent.zone_id!r}")
-        seen = set()
         for line in self.lines:
-            if line.id in seen:
+            if line.id in asset_ids:
                 raise ValidationError(f"line {line.id}: duplicate id")
-            seen.add(line.id)
+            asset_ids.add(line.id)
             for fieldname in ("from_zone", "to_zone"):
                 if getattr(line, fieldname) not in zone_ids:
                     raise ValidationError(

@@ -193,14 +193,23 @@ def srme_dual(grid: GridModel, fixed_capacities: FixedCapacities) -> EmissionRat
     )
 
 
-def consequential_report(base: DispatchResult, pert: DispatchResult,
-                         grid: GridModel | None = None,
+def short_run_rates(grid: GridModel, fixed_capacities: FixedCapacities, method: str,
+                    zones="all") -> EmissionRateSeries:
+    """SRME1 rates (perturbing zones) or SRME2 rates (of every zone) at fixed capacity."""
+    if method == SRME1:
+        return srme_uniform(grid, fixed_capacities, zones=zones)
+    if method == SRME2:
+        return srme_dual(grid, fixed_capacities)
+    raise ValueError(f"method must be {SRME1} or {SRME2}, got {method!r}")
+
+
+def consequential_report(base: DispatchResult, pert: DispatchResult, grid: GridModel,
                          sr_rates: EmissionRateSeries | None = None,
                          aer_value: float | None = None) -> ConsequentialReport:
-    """Difference two solved results into a ConsequentialReport.
+    """Difference two solved results of grid into a ConsequentialReport.
 
     sr_attributed weights the per-(zone, hour) EV-charging delta by the
-    supplied short-run rates; it needs the grid to map loads to zones.
+    supplied short-run rates.
     """
     delta_demand = pert.total_served - base.total_served
     if abs(delta_demand) < 1.0:
@@ -209,37 +218,34 @@ def consequential_report(base: DispatchResult, pert: DispatchResult,
     lr_mer = (pert.total_emissions - base.total_emissions) / delta_demand
 
     capacity_deltas: dict[str, dict] = {}
-    if grid is not None:
-        for gen in grid.generators:
-            entry = {
-                "kind": gen.kind,
-                "new_mw": pert.new_gen_capacity.get(gen.id, 0.0)
-                          - base.new_gen_capacity.get(gen.id, 0.0),
-                "retired_mw": pert.retired_gen_capacity.get(gen.id, 0.0)
-                              - base.retired_gen_capacity.get(gen.id, 0.0),
-            }
-            if entry["new_mw"] or entry["retired_mw"]:
-                capacity_deltas[gen.id] = entry
-        for sto in grid.storage_units:
-            entry = {
-                "kind": "storage",
-                "new_power_mw": pert.new_storage_power.get(sto.id, 0.0)
-                                - base.new_storage_power.get(sto.id, 0.0),
-                "new_energy_mwh": pert.new_storage_energy.get(sto.id, 0.0)
-                                  - base.new_storage_energy.get(sto.id, 0.0),
-            }
-            if entry["new_power_mw"] or entry["new_energy_mwh"]:
-                capacity_deltas[sto.id] = entry
-        for line in grid.lines:
-            delta = (pert.new_line_capacity.get(line.id, 0.0)
-                     - base.new_line_capacity.get(line.id, 0.0))
-            if delta:
-                capacity_deltas[line.id] = {"kind": "line", "new_mw": delta}
+    for gen in grid.generators:
+        entry = {
+            "kind": gen.kind,
+            "new_mw": pert.new_gen_capacity.get(gen.id, 0.0)
+                      - base.new_gen_capacity.get(gen.id, 0.0),
+            "retired_mw": pert.retired_gen_capacity.get(gen.id, 0.0)
+                          - base.retired_gen_capacity.get(gen.id, 0.0),
+        }
+        if entry["new_mw"] or entry["retired_mw"]:
+            capacity_deltas[gen.id] = entry
+    for sto in grid.storage_units:
+        entry = {
+            "kind": "storage",
+            "new_power_mw": pert.new_storage_power.get(sto.id, 0.0)
+                            - base.new_storage_power.get(sto.id, 0.0),
+            "new_energy_mwh": pert.new_storage_energy.get(sto.id, 0.0)
+                              - base.new_storage_energy.get(sto.id, 0.0),
+        }
+        if entry["new_power_mw"] or entry["new_energy_mwh"]:
+            capacity_deltas[sto.id] = entry
+    for line in grid.lines:
+        delta = (pert.new_line_capacity.get(line.id, 0.0)
+                 - base.new_line_capacity.get(line.id, 0.0))
+        if delta:
+            capacity_deltas[line.id] = {"kind": "line", "new_mw": delta}
 
     sr_attributed = None
     if sr_rates is not None:
-        if grid is None:
-            raise ValueError("sr attribution needs the grid to map loads to zones")
         ev_delta = (flex_served_by_zone(grid, pert.flex_served)
                     - flex_served_by_zone(grid, base.flex_served))
         sr_attributed = float(np.sum(sr_rates.rates * ev_delta))

@@ -9,6 +9,10 @@ consequential-emissions check (the operational emissions delta from scaling
 the current schedule up by the configured EV perturbation), not on schedule
 stability; the schedule delta norm is reported for diagnostics only.
 
+Every schedule is pinned once (pin_schedule) and every solve around it
+reads that one pinned grid: the check and the next pass's rates solve it as
+it is, and the EV-scaled solves scale it with perturb_demand(..., ScaleEV).
+
 Final schedules are evaluated under full capacity expansion at base and
 EV-scaled levels, which is where structural (capacity) effects enter. A
 pinned schedule changes only the bounds of the charging columns, so each
@@ -25,9 +29,10 @@ import numpy as np
 from .errors import ScheduleMismatch
 from .flex import ChargingSchedule, ScheduleSource
 from .grid import GridModel
-from .metrics import (SRME1, SRME2, ConsequentialReport, EmissionRateSeries,
-                      flex_served_by_zone, long_run_mer, srme_dual, srme_uniform)
-from .planner import DispatchResult, FixedCapacities, ScaleEV, build_operational_lp, solve_model
+from .metrics import (SRME1, SRME2, ConsequentialReport, flex_served_by_zone, long_run_mer,
+                      short_run_rates)
+from .planner import (DispatchResult, FixedCapacities, ScaleEV, build_operational_lp,
+                      perturb_demand, solve_model)
 from . import lp
 
 
@@ -45,7 +50,10 @@ class IterationRecord:
 class IterationTrace:
     records: tuple[IterationRecord, ...]
     converged: bool
-    iterations_used: int
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.records)
 
 
 # Served charging this far below zero is solver round-off and is pinned as 0.
@@ -79,100 +87,85 @@ def schedule_from_result(grid: GridModel, result: DispatchResult,
                             source=source, zone_ids=tuple(grid.zone_ids()))
 
 
-def consequential_check(grid: GridModel, fixed_capacities: FixedCapacities,
-                        per_load: dict[str, np.ndarray], fraction: float) -> float:
-    """Operational emissions delta from scaling the pinned schedule by (1 + fraction).
+def consequential_check(pinned: GridModel, fixed_capacities: FixedCapacities,
+                        fraction: float) -> float:
+    """Operational emissions delta from scaling a pinned grid's schedule by (1 + fraction).
 
-    The scaled LP differs from the pinned base only in the bounds of the
-    charging columns, so its solve starts from the base solve's basis.
+    The scaled LP differs from pinned only in the bounds of the charging
+    columns, so its solve starts from the base solve's basis.
     """
-    base = solve_model(build_operational_lp(pin_schedule(grid, per_load), fixed_capacities))
-    scaled = {fid: profile * (1.0 + fraction) for fid, profile in per_load.items()}
-    pert = solve_model(build_operational_lp(pin_schedule(grid, scaled), fixed_capacities),
+    base = solve_model(build_operational_lp(pinned, fixed_capacities))
+    scaled = perturb_demand(pinned, "all", ScaleEV(fraction))
+    pert = solve_model(build_operational_lp(scaled, fixed_capacities),
                        warm_start=base.solution)
     return pert.total_emissions - base.total_emissions
 
 
-def _rates(grid: GridModel, fixed_capacities: FixedCapacities, method: str,
-           per_load: dict[str, np.ndarray], zones) -> EmissionRateSeries:
-    pinned = pin_schedule(grid, per_load)
-    if method == SRME1:
-        return srme_uniform(pinned, fixed_capacities, zones=zones)
-    return srme_dual(pinned, fixed_capacities)
-
-
 def schedule_min_srme(grid: GridModel, fixed_capacities: FixedCapacities,
-                      method: str = SRME1, penalty: float | None = None,
-                      rate_zones=None) -> tuple[ChargingSchedule, IterationTrace]:
+                      method: str = SRME1) -> tuple[ChargingSchedule, IterationTrace]:
     """Iteratively schedule flexible charging against frozen marginal-emission rates.
 
     Each pass re-solves the flexible operational model with the objective
-    cost + penalty * sum(R_k[z,t] * served[z,t]); rates R_k come from the
-    schedule of the previous pass. Stops when the consequential-emissions
-    check moves by less than the configured threshold, or after
-    max_iterations (returned with converged=False; not fatal).
+    cost + emissions_penalty * sum(R_k[z,t] * served[z,t]); rates R_k come
+    from the pinned schedule of the previous pass (SRME1 perturbs only the
+    zones with flexible load). Stops when the consequential-emissions check
+    moves by less than the configured threshold, or after max_iterations
+    (returned with converged=False; not fatal).
     """
     method = method.upper()
     if method not in (SRME1, SRME2):
         raise ValueError(f"method must be {SRME1} or {SRME2}, got {method!r}")
     cfg = grid.config
-    if penalty is None:
-        penalty = cfg.emissions_penalty
-    if rate_zones is None:
-        flex_zones = {load.zone_id for load in grid.flexible_loads}
-        rate_zones = [z for z in grid.zone_ids() if z in flex_zones] or "all"
+    zone_ids = grid.zone_ids()
+    load_zones = [(load.id, zone_ids.index(load.zone_id)) for load in grid.flexible_loads]
+    flex_zones = {load.zone_id for load in grid.flexible_loads}
+    rate_zones = [z for z in zone_ids if z in flex_zones] or "all"
 
     model = build_operational_lp(grid, fixed_capacities)
     base_cost = model.problem.c
     result = solve_model(model)  # B0: cost-minimizing flexible schedule
-    per_load = {fid: arr.copy() for fid, arr in result.flex_served.items()}
-    cons_prev = consequential_check(grid, fixed_capacities, per_load, cfg.perturbation_fraction)
+    pinned = pin_schedule(grid, result.flex_served)
+    cons_prev = consequential_check(pinned, fixed_capacities, cfg.perturbation_fraction)
 
-    zone_ids = grid.zone_ids()
     records: list[IterationRecord] = []
     converged = False
     for iteration in range(1, cfg.max_iterations + 1):
         # The rate and penalty solves of one pass recur only if a schedule
         # does; the consequential checks recur in the next pass's rates.
         with lp.solve_memo_scope(nested=True):
-            rates = _rates(grid, fixed_capacities, method, per_load, rate_zones)
+            rates = short_run_rates(pinned, fixed_capacities, method, rate_zones)
             c2 = base_cost.copy()
-            for load in grid.flexible_loads:
-                zi = zone_ids.index(load.zone_id)
-                c2[model.index.served[load.id]] += penalty * rates.rates[zi]
+            for fid, zi in load_zones:
+                c2[model.index.served[fid]] += cfg.emissions_penalty * rates.rates[zi]
             new_result = solve_model(replace(model, problem=replace(model.problem, c=c2)))
-        new_per_load = {fid: arr.copy() for fid, arr in new_result.flex_served.items()}
+        new_pinned = pin_schedule(grid, new_result.flex_served)
 
         def proxy(profiles: dict[str, np.ndarray]) -> float:
             total = 0.0
-            for load in grid.flexible_loads:
-                zi = zone_ids.index(load.zone_id)
-                total += float(rates.rates[zi] @ profiles[load.id])
+            for fid, zi in load_zones:
+                total += float(rates.rates[zi] @ profiles[fid])
             return total
 
-        cons = consequential_check(grid, fixed_capacities, new_per_load,
-                                   cfg.perturbation_fraction)
+        old, new = result.flex_served, new_result.flex_served
+        cons = consequential_check(new_pinned, fixed_capacities, cfg.perturbation_fraction)
         rel = abs(cons - cons_prev) / max(abs(cons_prev), 1e-9)
-        delta_norm = math.sqrt(sum(
-            float(np.sum((new_per_load[fid] - per_load[fid]) ** 2)) for fid in per_load))
+        delta_norm = math.sqrt(sum(float(np.sum((new[fid] - old[fid]) ** 2)) for fid in old))
         records.append(IterationRecord(
             iteration=iteration,
             consequential_tco2=cons,
             rel_change=rel,
             schedule_delta_norm=delta_norm,
-            rate_weighted_proxy=proxy(new_per_load),
-            rate_weighted_proxy_prev=proxy(per_load),
+            rate_weighted_proxy=proxy(new),
+            rate_weighted_proxy_prev=proxy(old),
         ))
-        result, per_load, cons_prev = new_result, new_per_load, cons
+        result, pinned, cons_prev = new_result, new_pinned, cons
         if rel < cfg.convergence_threshold:
             converged = True
             break
 
     source = ScheduleSource.MIN_SRME1 if method == SRME1 else ScheduleSource.MIN_SRME2
     schedule = schedule_from_result(grid, result, source)
-    trace = IterationTrace(records=tuple(records), converged=converged,
-                           iterations_used=len(records))
-    return schedule, trace
+    return schedule, IterationTrace(records=tuple(records), converged=converged)
 
 
 def evaluate_fixed_schedule(grid: GridModel, schedule: ChargingSchedule,
@@ -184,15 +177,12 @@ def evaluate_fixed_schedule(grid: GridModel, schedule: ChargingSchedule,
     Raises ScheduleMismatch unless each load's scheduled energy matches its
     baseline request to 1e-6 MWh.
     """
+    pinned = pin_schedule(grid, schedule.per_load)
     for load in grid.flexible_loads:
-        if load.id not in schedule.per_load:
-            raise ScheduleMismatch(f"schedule missing profile for load {load.id!r}")
         scheduled = float(np.sum(schedule.per_load[load.id]))
         requested = float(np.sum(load.effective_baseline()))
         if abs(scheduled - requested) > 1e-6:
             raise ScheduleMismatch(
                 f"load {load.id!r}: scheduled {scheduled:g} MWh vs requested {requested:g} MWh")
-    pinned = pin_schedule(grid, schedule.per_load)
     return long_run_mer(pinned, ScaleEV(grid.config.perturbation_fraction),
                         warm_start=warm_start)
-

@@ -133,6 +133,60 @@ def test_malformed_scenario_exits_1_with_one_parse_error(tmp_path, capsys, case)
     assert named in err[0]
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["metrics", "--method", "lrmer"],
+                                  ["metrics", "--method", "lrmer", "--zone", "each-separately"]])
+def test_zero_icev_emissions_exits_1_with_one_validation_error(tmp_path, capsys, monkeypatch,
+                                                              argv):
+    # The per-vehicle comparison divides by it.
+    monkeypatch.chdir(tmp_path)   # for metrics' default --out
+    shutil.copytree(TUTORIAL.parent, tmp_path / "scenario")
+    path = tmp_path / "scenario" / "scenario.json"
+    doc = json.loads(path.read_text())
+    doc["config"]["icev_tco2_per_year"] = 0
+    path.write_text(json.dumps(doc))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["ERROR gridmarg: ValidationError: config: icev_tco2_per_year must be "
+                   "positive"]
+
+
+def _scalar_leaves(node, path=()) -> list[tuple]:
+    """Paths to the scalar leaves of a scenario document, ids and series file
+    names left out."""
+    if isinstance(node, dict):
+        items = [(k, v) for k, v in node.items() if k != "id" and not k.endswith("_series")]
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return [path]
+    return [leaf for key, value in items for leaf in _scalar_leaves(value, path + (key,))]
+
+
+def test_every_scalar_mutation_of_the_tutorial_exits_with_a_documented_code(tmp_path, capsys):
+    shutil.copytree(TUTORIAL.parent, tmp_path / "scenario")
+    path = tmp_path / "scenario" / "scenario.json"
+    doc = json.loads(path.read_text())
+    leaves = _scalar_leaves(doc)
+    assert len(leaves) == 53
+    for leaf in leaves:
+        for value in (0, -1.0, 1e300, None, True, "x"):
+            mutated = json.loads(json.dumps(doc))
+            node = mutated
+            for key in leaf[:-1]:
+                node = node[key]
+            node[leaf[-1]] = value
+            path.write_text(json.dumps(mutated))
+            try:
+                codes = [main(["validate", str(path)])]
+                if codes == [0]:
+                    codes.append(main(["metrics", str(path), "--method", "lrmer",
+                                       "--out", str(tmp_path / "out")]))
+            except Exception as exc:
+                raise AssertionError(f"{leaf} = {value!r} escaped cli.main") from exc
+            assert set(codes) <= {0, 1, 2, 3}, (leaf, value, codes)
+    capsys.readouterr()
+
+
 def test_infeasible_exits_2(tmp_path):
     grid = single_bus(demand=120.0, cap=100.0, nse_penalty=None)
     scenario = scenario_file(tmp_path, grid)

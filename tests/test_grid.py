@@ -87,6 +87,25 @@ def test_validation_storage_line_and_references():
         GridModel(zones=zones + zones, config=ScenarioConfig(horizon_hours=horizon)).validate()
 
 
+@pytest.mark.parametrize("clash", ["generator_line", "storage_generator", "line_storage"])
+def test_asset_ids_are_unique_across_generators_storage_and_lines(clash):
+    # Capacity deltas are reported by asset id, so a shared id would drop one.
+    horizon = 4
+    zones = (Zone(id="A", demand=np.zeros(horizon)), Zone(id="B", demand=np.zeros(horizon)))
+    ids = {"generator": "g", "storage": "s", "line": "l"}
+    first, second = clash.split("_")
+    ids[second] = ids[first]
+    grid = GridModel(
+        zones=zones,
+        generators=(Generator(id=ids["generator"], zone_id="A", kind="thermal",
+                              heat_rate=1.0),),
+        storage_units=(StorageUnit(id=ids["storage"], zone_id="A"),),
+        lines=(TransmissionLine(id=ids["line"], from_zone="A", to_zone="B", capacity_mw=1),),
+        config=ScenarioConfig(horizon_hours=horizon))
+    with pytest.raises(ValidationError, match=f"{ids[first]}: duplicate id"):
+        grid.validate()
+
+
 def test_rigid_flex_load_needs_rate_headroom():
     horizon = 4
     load = FlexibleLoad(id="ev", zone_id="Z", baseline_profile=np.array([0, 9, 0, 0.0]),

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gridmarg import scheduler
 from gridmarg.cli import main
 from gridmarg.errors import ModelBuildError, ScheduleMismatch
 from gridmarg.flex import ChargingSchedule, ScheduleSource
@@ -211,11 +212,37 @@ def test_consequential_check_uses_pinned_operational_solves():
     grid = storage_coupled()
     caps = FixedCapacities.none()
     base = solve_model(build_expansion_lp(grid))
-    delta = consequential_check(grid, caps, base.flex_served, 0.05)
+    delta = consequential_check(pin_schedule(grid, base.flex_served), caps, 0.05)
     assert np.isfinite(delta)
     # Scaling the schedule by 1.05 grows served energy by 5%; emissions move
     # with it, so the check is strictly positive on this fossil-margin toy.
     assert delta > 0
+
+
+def test_consequential_check_scales_the_snapped_schedule():
+    # Scaled by 1.05, an entry at -PIN_SNAP_TOL would leave the snap band and
+    # fail the build; the check scales the pinned grid, where it is already 0.
+    grid = storage_coupled()
+    load = grid.flexible_loads[0]
+    checks = []
+    for value in (0.0, -PIN_SNAP_TOL):
+        profile = load.baseline_profile.copy()
+        profile[0] = value
+        checks.append(consequential_check(pin_schedule(grid, {load.id: profile}),
+                                          FixedCapacities.none(), 0.05))
+    assert checks[0] == checks[1]
+
+
+def test_penalty_loop_pins_each_schedule_once(monkeypatch):
+    pinned = []
+    real = scheduler.pin_schedule
+    monkeypatch.setattr(scheduler, "pin_schedule",
+                        lambda grid, per_load: pinned.append(per_load) or real(grid, per_load))
+    grid = with_flex_window(solar_midday(), 0, 8)   # two passes with SRME2 rates
+    _, trace = schedule_min_srme(grid, FixedCapacities.none(), method="SRME2")
+    assert trace.iterations_used >= 2
+    # The cost-min schedule and each pass's schedule, once each.
+    assert len(pinned) == 1 + trace.iterations_used
 
 
 def test_memo_keeps_only_the_cost_and_check_solves_of_the_penalty_loop(monkeypatch):

@@ -8,7 +8,7 @@ from .errors import (CostCapInfeasible, DegenerateDelta, GridmargError, Infeasib
 from .flex import ChargingSchedule, FlexWindow, ScheduleSource
 from .grid import (CostMultipliers, FlexibleLoad, Generator, GridModel, ScenarioConfig,
                    StorageUnit, TransmissionLine, Zone, annualized_capital_cost,
-                   apply_sensitivity, resolve_scenario, scale_ev_penetration)
+                   apply_sensitivity, first_hours, resolve_scenario, scale_ev_penetration)
 from .lp import (LpBuilder, LpMatrix, LpProblem, LpSolution, ResidualReport, SolveStatus, solve,
                  verify_kkt)
 from .metrics import (SRME1, SRME2, ConsequentialReport, EmissionRateSeries,
@@ -16,7 +16,7 @@ from .metrics import (SRME1, SRME2, ConsequentialReport, EmissionRateSeries,
                       srme_dual, srme_uniform)
 from .planner import (DispatchResult, ExpansionModel, FixedCapacities, ScaleEV, SingleHour,
                       UniformAll, build_expansion_lp, build_operational_lp, perturb_demand,
-                      solve_model)
+                      solve_expansion, solve_model)
 from .scenario_io import load_scenario, write_scenario
 from .scheduler import (IterationTrace, evaluate_fixed_schedule, pin_schedule,
                         schedule_min_srme)

@@ -27,7 +27,7 @@ from .flex import ScheduleSource
 from .grid import CostMultipliers, GridModel, resolve_scenario
 from .metrics import (ConsequentialReport, average_emission_rate, icev_comparison,
                       long_run_mer, short_run_rates)
-from .planner import ScaleEV, build_expansion_lp, build_operational_lp, solve_model
+from .planner import ScaleEV, build_operational_lp, solve_expansion, solve_model
 from .scenario_io import load_scenario
 from .scheduler import evaluate_fixed_schedule, schedule_from_result, schedule_min_srme
 
@@ -92,9 +92,9 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     grid = _load(args.scenario)
     if args.mode == "expansion":
-        result = solve_model(build_expansion_lp(grid))
+        result = solve_expansion(grid)
     else:
-        expansion = solve_model(build_expansion_lp(grid))
+        expansion = solve_expansion(grid)
         result = solve_model(build_operational_lp(grid, expansion.fixed_capacities()))
     outputs.write_dispatch_outputs(grid, result, args.out)
     log.info("solved %s (%s): cost %.2f, emissions %.2f tCO2",
@@ -109,7 +109,7 @@ def cmd_metrics(args) -> int:
     outdir = outputs.out_dir(args.out)
 
     if args.method == "aer":
-        result = solve_model(build_expansion_lp(grid))
+        result = solve_expansion(grid)
         system = average_emission_rate(result)
         outputs.write_aer_json(outdir / "aer.json", system,
                                {z: average_emission_rate(result, z) for z in grid.zone_ids()})
@@ -117,7 +117,7 @@ def cmd_metrics(args) -> int:
         return 0
 
     if args.method in ("srme1", "srme2"):
-        expansion = solve_model(build_expansion_lp(grid))
+        expansion = solve_expansion(grid)
         zones = "all" if args.zone in ("all", "each-separately") else args.zone
         series = short_run_rates(grid, expansion.fixed_capacities(), args.method.upper(), zones)
         outputs.write_srme_csv(series, outdir / "srme.csv")
@@ -155,7 +155,7 @@ def cmd_schedule(args) -> int:
     grid = _apply_flex_mode(_load(args.scenario), args.flex)
     outdir = outputs.out_dir(args.out)
 
-    expansion = solve_model(build_expansion_lp(grid))
+    expansion = solve_expansion(grid)
     cost_schedule = schedule_from_result(grid, expansion, ScheduleSource.COST_MIN)
     cost_report = evaluate_fixed_schedule(grid, cost_schedule, warm_start=expansion.solution)
 
@@ -266,7 +266,8 @@ def _run_sweep_group(raw_grid: GridModel, cells: list[dict]) -> list[dict]:
 
     Such cells build expansion LPs of one shape that differ only in bounds
     and costs, so each cell's base solve starts from the base solution of the
-    last cell before it that succeeded; the first cell's base solve is cold.
+    last cell before it that succeeded; the first cell's base solve has no
+    start of its own (see planner.solve_expansion).
     Which solves start from which basis depends on the spec alone, never on
     the worker count. The cells also share their LP structures (one per
     shape, see gridmarg.planner).

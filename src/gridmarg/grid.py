@@ -366,8 +366,41 @@ def scale_ev_penetration(grid: GridModel, multiplier: float) -> GridModel:
     return replace(grid, flexible_loads=loads)
 
 
+def first_hours(grid: GridModel, hours: int) -> GridModel:
+    """The grid over its first hours only.
+
+    Every hourly series is cut to its first hours. Every cost or cap that
+    covers the whole horizon (investment and fixed O&M costs, storage
+    investment, line expansion, the CO2 cap) is scaled by hours / horizon,
+    so the short grid prices capacity against the energy it serves. Hourly
+    costs are unchanged.
+    """
+    scale = hours / grid.horizon
+    cfg = grid.config
+    gens = tuple(
+        replace(g, inv_cost_annual=g.inv_cost_annual * scale, fixed_om=g.fixed_om * scale,
+                capacity_factor_profile=(None if g.capacity_factor_profile is None
+                                         else g.capacity_factor_profile[:hours]))
+        for g in grid.generators)
+    return replace(
+        grid,
+        zones=tuple(replace(z, demand=z.demand[:hours]) for z in grid.zones),
+        generators=gens,
+        storage_units=tuple(replace(s, inv_cost_power=s.inv_cost_power * scale,
+                                    inv_cost_energy=s.inv_cost_energy * scale)
+                            for s in grid.storage_units),
+        lines=tuple(replace(l, expansion_cost=l.expansion_cost * scale) for l in grid.lines),
+        flexible_loads=tuple(replace(l, baseline_profile=l.baseline_profile[:hours])
+                             for l in grid.flexible_loads),
+        config=replace(cfg, horizon_hours=hours,
+                       co2_cap_tons=None if cfg.co2_cap_tons is None
+                       else cfg.co2_cap_tons * scale),
+    )
+
+
 def resolve_scenario(grid: GridModel) -> GridModel:
-    """Apply the config's declarative multipliers (cost sensitivities, EV penetration).
+    """Apply the config's declarative multipliers (cost sensitivities, EV penetration)
+    and validate the result, which is the grid every command solves.
 
     Entry points call this exactly once after loading; applying it twice
     compounds the multipliers.
@@ -375,4 +408,5 @@ def resolve_scenario(grid: GridModel) -> GridModel:
     out = apply_sensitivity(grid, grid.config.cost_multipliers)
     if grid.config.ev_penetration_multiplier != 1.0:
         out = scale_ev_penetration(out, grid.config.ev_penetration_multiplier)
+    out.validate()
     return out

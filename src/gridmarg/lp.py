@@ -138,7 +138,9 @@ starts, and with the tie-break, not the vertex it reaches.
 A sweep chains warm starts within each group of cells that share a
 flexibility mode: those cells build expansion LPs of one shape, so each
 cell's base solve starts from the base solution of the group's last cell
-that succeeded, and only the group's first base solve is cold.
+that succeeded. Only the group's first base solve has no such start; it
+starts from ``planner.solve_expansion``'s crash basis where the grid has
+something to build over more than 96 h, else cold.
 
 Repeat solves are answered from a memo. Inside ``solve_memo_scope()`` (one
 per CLI command, and one per sweep cell), ``memo_solve`` keys each solve by

@@ -38,7 +38,7 @@ from .errors import (CostCapInfeasible, DegenerateDelta, InfeasibleModel,
                      InfeasiblePerturbation, UnknownZone, ZeroDemand)
 from .grid import GridModel
 from .planner import (DispatchResult, FixedCapacities, ScaleEV, UniformAll, _resolve_zones,
-                      build_expansion_lp, build_operational_lp, perturb_demand, solve_model)
+                      build_operational_lp, perturb_demand, solve_expansion, solve_model)
 
 SRME1 = "SRME1"
 SRME2 = "SRME2"
@@ -279,9 +279,9 @@ def long_run_mer(grid: GridModel, perturbation: ScaleEV | None = None,
     """
     if perturbation is None:
         perturbation = ScaleEV(grid.config.perturbation_fraction)
-    base = solve_model(build_expansion_lp(grid), warm_start=warm_start)
+    base = solve_expansion(grid, warm_start=warm_start)
     pert_grid = perturb_demand(grid, target_zones, perturbation)
-    pert = solve_model(build_expansion_lp(pert_grid), warm_start=base.solution)
+    pert = solve_expansion(pert_grid, warm_start=base.solution)
     return consequential_report(base, pert, grid=grid, sr_rates=sr_rates,
                                 aer_value=aer_value)
 

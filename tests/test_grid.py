@@ -4,8 +4,10 @@ import pytest
 from gridmarg.errors import ValidationError
 from gridmarg.grid import (CostMultipliers, FlexibleLoad, Generator, GridModel,
                            ScenarioConfig, StorageUnit, TransmissionLine, Zone,
-                           annualized_capital_cost, apply_sensitivity, resolve_scenario,
-                           scale_ev_penetration)
+                           annualized_capital_cost, apply_sensitivity, first_hours,
+                           resolve_scenario, scale_ev_penetration)
+
+from test_build_digests import every_feature
 
 
 def one_zone_grid(**config_kwargs) -> GridModel:
@@ -179,3 +181,56 @@ def test_resolve_scenario_applies_config_multipliers():
     assert resolved.generators[0].fuel_price == pytest.approx(6.0)
     np.testing.assert_allclose(resolved.flexible_loads[0].baseline_profile,
                                grid.flexible_loads[0].baseline_profile * 1.1)
+
+
+# Costs that cover the whole horizon, and costs per hour of operation.
+PER_HORIZON = {"generators": ("inv_cost_annual", "fixed_om"),
+               "storage_units": ("inv_cost_power", "inv_cost_energy"),
+               "lines": ("expansion_cost",)}
+HOURLY = {"generators": ("fuel_price", "heat_rate", "var_om", "startup_cost"),
+          "storage_units": ("var_om",)}
+SERIES = {"zones": "demand", "generators": "capacity_factor_profile",
+          "flexible_loads": "baseline_profile"}
+
+
+def _fields(grid: GridModel) -> dict:
+    """Every field of every entity and of the config, arrays as copies."""
+    out = {("config", name): value for name, value in vars(grid.config).items()}
+    for coll in ("zones", "generators", "storage_units", "lines", "flexible_loads"):
+        for ent in getattr(grid, coll):
+            for name, value in vars(ent).items():
+                out[coll, ent.id, name] = value.copy() if isinstance(value, np.ndarray) else value
+    return out
+
+
+def test_first_hours_cuts_every_series_and_scales_every_cost_of_the_horizon():
+    grid = every_feature(120)
+    before = _fields(grid)
+    short = first_hours(grid, 48)
+    scale = 48 / 120
+    assert short.horizon == 48
+    short.validate()
+    for coll, name in SERIES.items():
+        for ent, orig in zip(getattr(short, coll), getattr(grid, coll)):
+            series = getattr(ent, name)
+            if series is not None:
+                np.testing.assert_array_equal(series, getattr(orig, name)[:48])
+    for coll, names in PER_HORIZON.items():
+        for ent, orig in zip(getattr(short, coll), getattr(grid, coll)):
+            for name in names:
+                assert getattr(ent, name) == pytest.approx(getattr(orig, name) * scale)
+    for coll, names in HOURLY.items():
+        for ent, orig in zip(getattr(short, coll), getattr(grid, coll)):
+            for name in names:
+                assert getattr(ent, name) == getattr(orig, name)
+    assert grid.config.co2_cap_tons is not None
+    assert short.config.co2_cap_tons == pytest.approx(grid.config.co2_cap_tons * scale)
+    assert short.config.nse_penalty == grid.config.nse_penalty
+    # The input is untouched.
+    after = _fields(grid)
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(after[key], value)
+        else:
+            assert after[key] == value, key

@@ -312,12 +312,17 @@ def basis_from_codes(solution: LpSolution):
     return basis
 
 
-def synth_grid(kind: str, seed: int, tmp_path, hours: int = 168):
+def synth_scenario(kind: str, seed: int, tmp_path, hours: int = 168):
+    """The path of bench/synth.py's scenario file for kind, seed and hours."""
     spec = importlib.util.spec_from_file_location(
         "synth", Path(__file__).resolve().parents[1] / "bench" / "synth.py")
     synth = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(synth)
-    return resolve_scenario(load_scenario(synth.write(kind, hours, seed, tmp_path / kind)))
+    return synth.write(kind, hours, seed, tmp_path / kind)
+
+
+def synth_grid(kind: str, seed: int, tmp_path, hours: int = 168):
+    return resolve_scenario(load_scenario(synth_scenario(kind, seed, tmp_path, hours)))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -156,8 +156,12 @@ def cmd_schedule(args) -> int:
     outdir = outputs.out_dir(args.out)
 
     expansion = solve_expansion(grid)
+    # With nothing to build, each pinned evaluation is an operational LP that
+    # the scheduler's cold consequential checks solve too: starting it cold
+    # lets the memo answer it.
+    evaluation_start = expansion.solution if grid.has_investment else None
     cost_schedule = schedule_from_result(grid, expansion, ScheduleSource.COST_MIN)
-    cost_report = evaluate_fixed_schedule(grid, cost_schedule, warm_start=expansion.solution)
+    cost_report = evaluate_fixed_schedule(grid, cost_schedule, warm_start=evaluation_start)
 
     if args.signal == "cost":
         schedule, trace = cost_schedule, None
@@ -165,7 +169,7 @@ def cmd_schedule(args) -> int:
     else:
         schedule, trace = schedule_min_srme(grid, expansion.fixed_capacities(),
                                             method=args.signal.upper())
-        report = evaluate_fixed_schedule(grid, schedule, warm_start=expansion.solution)
+        report = evaluate_fixed_schedule(grid, schedule, warm_start=evaluation_start)
 
     outputs.write_schedule_csv(schedule, outdir / "schedule.csv")
     if trace is not None:

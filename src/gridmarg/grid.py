@@ -288,6 +288,14 @@ class GridModel:
     def horizon(self) -> int:
         return self.config.horizon_hours
 
+    @property
+    def has_investment(self) -> bool:
+        """Whether the expansion LP has an investment column: a buildable or
+        retirable generator, a buildable storage unit or an expandable line."""
+        return (any(g.buildable or g.retirable for g in self.generators)
+                or any(s.buildable for s in self.storage_units)
+                or any(l.expandable for l in self.lines))
+
     def zone_ids(self) -> list[str]:
         return [z.id for z in self.zones]
 

@@ -144,25 +144,21 @@ something to build over more than 96 h, else cold.
 
 Repeat solves are answered from a memo. Inside ``solve_memo_scope()`` (one
 per CLI command, and one per sweep cell), ``memo_solve`` keys each solve by
-a digest of the problem's vectors, its matrix's digest (``LpMatrix.digest``,
-so a shared matrix is hashed once, not on every solve), and where its warm
-start, if any, came from, and returns the stored solution of an earlier
-identical solve instead of solving again. HiGHS is deterministic, so the
-stored solution is the one a new solve would return, and a start is named
-by provenance: the memo key of the solve that produced it
-(``LpSolution.memo_key``). Only a start solved outside any scope, which has
-no key, is named by its basis codes, and a start that is the stored
-optimum of the same LP answers it. A nested scope
-(``solve_memo_scope(nested=True)``, one per scheduler pass) reads the
-enclosing scope's solutions but drops its own when it ends, so solves that
-cannot recur are not kept for the rest of the command. Outside a scope,
-``memo_solve`` is a plain ``solve``. Solution arrays are read-only, so one
-solution can be shared by every caller that asked for it. The key leaves
-out the costs of fixed columns (lb == ub): such a column adds no dual
-constraint, so the stored x and duals are optimal for any cost on it, and a
-hit only recomputes the objective value and reduced costs for the caller's
-c. With rigid charging every served column is fixed, so the scheduler's
-penalty re-solve is answered by the cost-minimizing solve.
+a digest of the problem's vectors, costs included, its matrix's digest
+(``LpMatrix.digest``, so a shared matrix is hashed once, not on every
+solve), and where its warm start, if any, came from, and returns the stored
+solution of an earlier identical solve instead of solving again. HiGHS is
+deterministic, so the stored solution is the one a new solve would return.
+A start is named by provenance: the memo key of the solve that produced it
+(``LpSolution.memo_key``). A start that is the stored optimum of the same LP
+answers it, since a solve from its basis would stop there at once. A start
+without a key (solved outside any scope) is not memoized: the solve from it
+goes straight to ``solve``. A nested scope (``solve_memo_scope(nested=True)``,
+one per scheduler pass) reads the enclosing scope's solutions but drops its
+own when it ends, so solves that cannot recur are not kept for the rest of
+the command. Outside a scope, ``memo_solve`` is a plain ``solve``. Solution
+arrays are read-only, so one solution can be shared by every caller that
+asked for it.
 """
 
 from __future__ import annotations
@@ -175,7 +171,7 @@ from collections import ChainMap
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -854,10 +850,7 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
 
 def _lp_key(problem: LpProblem, canonical_basis: bool, cap_slack: float) -> bytes:
     h = hashlib.blake2b(digest_size=32)
-    # A fixed column (lb == ub) adds no dual constraint, so its cost changes
-    # neither the optimal x nor the duals: the key leaves it out.
-    cost = np.where(problem.lb == problem.ub, 0.0, problem.c)
-    for arr in (cost, problem.b_eq, problem.b_ub, problem.lb, problem.ub):
+    for arr in (problem.c, problem.b_eq, problem.b_ub, problem.lb, problem.ub):
         h.update(repr(arr.shape).encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     # The matrix enters by its digest, computed once per matrix.
@@ -869,33 +862,16 @@ def _lp_key(problem: LpProblem, canonical_basis: bool, cap_slack: float) -> byte
 
 def _memo_key(lp_key: bytes, warm_start: LpSolution | None) -> bytes:
     h = hashlib.blake2b(lp_key, digest_size=32)
-    if warm_start is None:
-        h.update(b"cold")
-    elif warm_start.memo_key is not None:
-        # HiGHS is deterministic: the solve a key names always ends at the same basis.
-        h.update(b"from" + warm_start.memo_key)
-    else:
-        for arr in (warm_start.col_status, warm_start.row_status):
-            h.update(b"-" if arr is None else repr(arr.shape).encode() + arr.tobytes())
+    # HiGHS is deterministic: the solve a key names always ends at the same basis.
+    h.update(b"cold" if warm_start is None else b"from" + warm_start.memo_key)
     return h.digest()
 
 
-def _priced(problem: LpProblem, solution: LpSolution) -> LpSolution:
-    """solution, an optimum of an LP that differs from problem at most in the
-    costs of fixed columns, with problem's objective value and reduced costs."""
-    if solution.status is not SolveStatus.OPTIMAL:
-        return solution
-    reduced_costs = _reduced_costs(problem, solution.eq_duals, solution.ineq_duals)
-    reduced_costs.flags.writeable = False
-    return replace(solution, objective_value=float(problem.c @ solution.x),
-                   reduced_costs=reduced_costs)
-
-
-# (costs, solution, _lp_key) triples visible to the innermost open
-# solve_memo_scope, by _memo_key; new entries go to its first map. A context
-# variable rather than a parameter, so the metrics and the scheduler share it
-# without passing it through every call; the scope resets it on exit.
-_MEMO: ContextVar[ChainMap[bytes, tuple[np.ndarray, LpSolution, bytes]] | None] = ContextVar(
+# (solution, _lp_key) pairs visible to the innermost open solve_memo_scope, by
+# _memo_key; new entries go to its first map. A context variable rather than a
+# parameter, so the metrics and the scheduler share it without passing it
+# through every call; the scope resets it on exit.
+_MEMO: ContextVar[ChainMap[bytes, tuple[LpSolution, bytes]] | None] = ContextVar(
     "gridmarg_solve_memo", default=None)
 
 
@@ -922,23 +898,21 @@ def memo_solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
                canonical_basis: bool = False, cap_slack: float = 0.0) -> LpSolution:
     """solve() through the memo of the open scope; a plain solve() outside any scope.
 
-    The key covers the warm-start basis: the same LP solved from another
-    basis, or cold instead of warm, is solved again, since its duals may
-    differ where the optimum is dual degenerate. A start that memo_solve
-    stored is named by its own memo key, any other start by its basis codes.
-    A start that is the stored optimum of this same LP is a hit on it: a
-    solve from its basis would stop there at once. The key leaves out the
-    costs of fixed columns: an LP that differs from a stored one only there
-    is a hit, answered with the stored x and duals and with this problem's
-    objective value and reduced costs. The solution returned carries its key
-    as memo_key.
+    A hit needs an LP whose arrays, costs included, match a stored LP's, and
+    the same start: cold, or the solution with the same memo key. The key
+    covers the start because the same LP solved from another basis may end
+    at other duals where the optimum is dual degenerate. A start that is the
+    stored optimum of this same LP is a hit on it too: a solve from its
+    basis would stop there at once. A start without a memo key bypasses the
+    memo as a plain solve(). The solution returned carries its key as
+    memo_key.
     """
     memo = _MEMO.get()
-    if memo is None:
+    if memo is None or (warm_start is not None and warm_start.memo_key is None):
         return solve(problem, warm_start=warm_start, canonical_basis=canonical_basis,
                      cap_slack=cap_slack)
     lp_key = _lp_key(problem, canonical_basis, cap_slack)
-    own = warm_start is not None and memo.get(warm_start.memo_key, (None,) * 3)[2] == lp_key
+    own = warm_start is not None and memo.get(warm_start.memo_key, (None, None))[1] == lp_key
     key = warm_start.memo_key if own else _memo_key(lp_key, warm_start)
     if key not in memo:
         solution = solve(problem, warm_start=warm_start, canonical_basis=canonical_basis,
@@ -946,11 +920,8 @@ def memo_solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
         # The solution itself is stored and returned (callers compare with `is`),
         # so it is tagged in place, before memo_solve hands it to anyone.
         object.__setattr__(solution, "memo_key", key)
-        memo[key] = (problem.c, solution, lp_key)
-    cost, solution, _ = memo[key]
-    if cost is problem.c or np.array_equal(cost, problem.c):
-        return solution
-    return _priced(problem, solution)
+        memo[key] = (solution, lp_key)
+    return memo[key][0]
 
 
 @dataclass(frozen=True)

@@ -582,9 +582,7 @@ def solve_expansion(grid: GridModel, warm_start: lp.LpSolution | None = None) ->
     2 * CRASH_HOURS hours starts from _crash_start's basis, else cold.
     """
     model = build_expansion_lp(grid)
-    ix = model.index
-    if (warm_start is None and grid.horizon > 2 * CRASH_HOURS
-            and (ix.new_gen or ix.retired_gen or ix.new_storage_power or ix.new_line)):
+    if warm_start is None and grid.horizon > 2 * CRASH_HOURS and grid.has_investment:
         warm_start = _crash_start(grid)
     return solve_model(model, warm_start=warm_start)
 

@@ -16,7 +16,9 @@ it is, and the EV-scaled solves scale it with perturb_demand(..., ScaleEV).
 Final schedules are evaluated under full capacity expansion at base and
 EV-scaled levels, which is where structural (capacity) effects enter. A
 pinned schedule changes only the bounds of the charging columns, so each
-evaluation can start from the unpinned expansion optimum.
+evaluation can start from the unpinned expansion optimum where the grid has
+something to build. With nothing to build it starts cold, as the
+consequential checks of the same pinned LP do.
 """
 
 from __future__ import annotations
@@ -108,7 +110,9 @@ def schedule_min_srme(grid: GridModel, fixed_capacities: FixedCapacities,
     Each pass re-solves the flexible operational model with the objective
     cost + emissions_penalty * sum(R_k[z,t] * served[z,t]); rates R_k come
     from the pinned schedule of the previous pass (SRME1 perturbs only the
-    zones with flexible load). Stops when the consequential-emissions check
+    zones with flexible load). Where every served column is fixed (rigid
+    charging), a pass keeps the cost-minimizing schedule without that
+    re-solve. Stops when the consequential-emissions check
     moves by less than the configured threshold, or after max_iterations
     (returned with converged=False; not fatal).
     """
@@ -126,6 +130,9 @@ def schedule_min_srme(grid: GridModel, fixed_capacities: FixedCapacities,
     result = solve_model(model)  # B0: cost-minimizing flexible schedule
     pinned = pin_schedule(grid, result.flex_served)
     cons_prev = consequential_check(pinned, fixed_capacities, cfg.perturbation_fraction)
+    # No penalty can move a schedule whose served columns are all fixed.
+    rigid = all(np.array_equal(model.problem.lb[cols], model.problem.ub[cols])
+                for cols in model.index.served.values())
 
     records: list[IterationRecord] = []
     converged = False
@@ -134,10 +141,13 @@ def schedule_min_srme(grid: GridModel, fixed_capacities: FixedCapacities,
         # does; the consequential checks recur in the next pass's rates.
         with lp.solve_memo_scope(nested=True):
             rates = short_run_rates(pinned, fixed_capacities, method, rate_zones)
-            c2 = base_cost.copy()
-            for fid, zi in load_zones:
-                c2[model.index.served[fid]] += cfg.emissions_penalty * rates.rates[zi]
-            new_result = solve_model(replace(model, problem=replace(model.problem, c=c2)))
+            if rigid:
+                new_result = result
+            else:
+                c2 = base_cost.copy()
+                for fid, zi in load_zones:
+                    c2[model.index.served[fid]] += cfg.emissions_penalty * rates.rates[zi]
+                new_result = solve_model(replace(model, problem=replace(model.problem, c=c2)))
         new_pinned = pin_schedule(grid, new_result.flex_served)
 
         def proxy(profiles: dict[str, np.ndarray]) -> float:

@@ -398,26 +398,26 @@ def test_schedule_penalty_resolve_failure_exit_code(tmp_path, monkeypatch, statu
     assert len(failed) == 1
 
 
-def test_rigid_srme2_schedule_answers_its_penalty_solve_from_the_memo(tmp_path, monkeypatch):
-    # With --flex none the served columns are fixed, so the penalty only
-    # prices fixed columns: the memo answers it with the cost-min solution.
-    # SRME2's step 2 starts warm from its base solve.
+def test_rigid_srme2_schedule_skips_its_penalty_solve(tmp_path, monkeypatch):
+    # With --flex none every served column is fixed, so no penalty can move
+    # the schedule and the scheduler makes no penalty solve. The backend
+    # sees the expansion solve, the EV-scaled evaluation and SRME2's step 2,
+    # which starts warm from its base solve.
     calls = spy_on_solves(monkeypatch)
     real_solve_model = scheduler.solve_model
-    penalty_backend_solves = []
+    penalty_solves = []
 
     def solve_model(model, warm_start=None):
         served = np.concatenate(list(model.index.served.values()))
-        before = len(calls)
-        result = real_solve_model(model, warm_start)
         if np.any(model.problem.c[served] != 0):  # only the penalty re-solve prices charging
-            penalty_backend_solves.append(len(calls) - before)
-        return result
+            penalty_solves.append(model)
+        return real_solve_model(model, warm_start)
 
     monkeypatch.setattr(scheduler, "solve_model", solve_model)
     assert main(["schedule", str(TUTORIAL), "--signal", "srme2", "--flex", "none",
                  "--out", str(tmp_path / "out")]) == 0
-    assert penalty_backend_solves == [0]
+    assert penalty_solves == []
+    assert len(calls) == 3
     step2 = [call for call in calls if call.options["canonical_basis"]]
     assert step2 and all(call.warm_start is not None for call in step2)
 

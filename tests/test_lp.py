@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from gridmarg.grid import Generator, GridModel, ScenarioConfig, StorageUnit, Zone, resolve_scenario
@@ -397,22 +399,28 @@ def test_memo_answers_a_warm_start_from_the_same_lps_stored_optimum(backend_call
     np.testing.assert_array_equal(solve(problem, warm_start=first).x, first.x)
 
 
-def test_memo_names_a_start_by_its_key_or_else_by_its_basis(backend_calls):
-    from gridmarg.lp import memo_solve, solve_memo_scope
+def test_memo_names_a_start_by_its_key_and_solves_a_start_without_one(backend_calls):
+    from gridmarg.lp import _MEMO, memo_solve, solve_memo_scope
     problem = _two_var([1.0, 2.0], [5.0, 5.0], [1.0, 1.0], 4.0)
     start_lp = _two_var([1.0, 1.0], [5.0, 5.0], [1.0, 1.0], 4.0)
     with solve_memo_scope():
         stored = memo_solve(start_lp)
-        loose, loose_again = solve(start_lp), solve(start_lp)   # solved outside the memo
+        loose = solve(start_lp)   # solved outside the memo
         assert stored.memo_key is not None and loose.memo_key is None
         backend_calls.clear()
         from_stored = memo_solve(problem, warm_start=stored)
         assert from_stored.memo_key is not None
         assert memo_solve(problem, warm_start=stored) is from_stored
-        # A start without a key is named by its basis codes: equal codes, one solve.
+        assert len(backend_calls) == 1
+        # A start without a key bypasses the memo: each solve from it reaches
+        # the backend, and none is stored.
+        stored_now = len(_MEMO.get())
         from_loose = memo_solve(problem, warm_start=loose)
-        assert memo_solve(problem, warm_start=loose_again) is from_loose
-        assert len(backend_calls) == 2
+        again = memo_solve(problem, warm_start=loose)
+        assert len(backend_calls) == 3
+        assert again is not from_loose and from_loose.memo_key is None
+        assert len(_MEMO.get()) == stored_now
+        assert_same_bits(again.x, from_loose.x)
 
 
 def _with_fixed_column(cost) -> LpProblem:
@@ -424,25 +432,8 @@ def _with_fixed_column(cost) -> LpProblem:
     return b.build()
 
 
-def test_memo_hit_when_only_fixed_columns_costs_differ(backend_calls):
-    from gridmarg.lp import memo_solve, solve_memo_scope
-    first_lp, other_lp = _with_fixed_column([1.0, 2.0, 3.0]), _with_fixed_column([1.0, 2.0, 7.0])
-    with solve_memo_scope():
-        first = memo_solve(first_lp)
-        other = memo_solve(other_lp)
-    assert len(backend_calls) == 1
-    fresh = solve(other_lp)
-    assert other.objective_value == fresh.objective_value == 3.0 + 7.0
-    assert first.objective_value == 3.0 + 3.0
-    np.testing.assert_array_equal(other.x, fresh.x)
-    np.testing.assert_array_equal(other.reduced_costs, fresh.reduced_costs)
-    assert other.reduced_costs[2] == first.reduced_costs[2] + 4.0
-    assert verify_kkt(other_lp, other).passed
-    assert other.memo_key == first.memo_key
-    assert not other.reduced_costs.flags.writeable
-
-
-@pytest.mark.parametrize("column", [0, 1])
+# Column 2 is fixed: the memo keys its cost like any other.
+@pytest.mark.parametrize("column", [0, 1, 2])
 def test_memo_miss_when_a_free_columns_cost_differs(backend_calls, column):
     from gridmarg.lp import memo_solve, solve_memo_scope
     cost = [1.0, 2.0, 3.0]
@@ -452,6 +443,67 @@ def test_memo_miss_when_a_free_columns_cost_differs(backend_calls, column):
         moved = memo_solve(_with_fixed_column(cost))
     assert len(backend_calls) == 2
     assert verify_kkt(_with_fixed_column(cost), moved).passed
+
+
+def _edited(problem: LpProblem, draw, fixed: list[int]) -> LpProblem:
+    """problem with one cost (a fixed column's among them), bound or right-hand side moved."""
+    c, lb, ub = problem.c.copy(), problem.lb.copy(), problem.ub.copy()
+    b_eq, b_ub = problem.b_eq.copy(), problem.b_ub.copy()
+    delta = draw(st.floats(-1.0, 1.0, allow_nan=False))
+    kind = draw(st.sampled_from(["cost", "fixed cost", "bound", "rhs"]))
+    j = draw(st.sampled_from(fixed) if kind == "fixed cost"
+             else st.integers(0, problem.num_vars - 1))
+    if kind in ("cost", "fixed cost"):
+        c[j] += delta
+    elif kind == "bound" and j in fixed:
+        lb[j] = ub[j] = lb[j] + delta
+    elif kind == "bound":
+        ub[j] = max(lb[j], ub[j] + delta)
+    else:
+        rhs = draw(st.sampled_from([b for b in (b_eq, b_ub) if b.size]))
+        rhs[draw(st.integers(0, rhs.size - 1))] += delta
+    return replace(problem, c=c, lb=lb, ub=ub, b_eq=b_eq, b_ub=b_ub)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.data())
+def test_memo_solve_returns_the_solution_a_fresh_solve_from_the_same_start_does(data):
+    # An LP with a fixed column and edits of it, solved in a random order,
+    # cold or from an earlier memo solution: a hit must be exactly the solve
+    # it stands for. A hit on the start's own optimum stands for a solve that
+    # stops at once.
+    from gridmarg.lp import memo_solve, solve_memo_scope
+    draw = data.draw
+    n = draw(st.integers(2, 6))
+    fixed = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lps = [random_feasible_lp(rng, n, n_eq=draw(st.integers(0, 2)),
+                              n_ub=draw(st.integers(1, 4)), fixed=tuple(fixed))]
+    for _ in range(draw(st.integers(1, 3))):
+        lps.append(_edited(draw(st.sampled_from(lps)), draw, fixed))
+    starts = []
+    with solve_memo_scope():
+        for _ in range(draw(st.integers(2, 8))):
+            problem = draw(st.sampled_from(lps))
+            problem = replace(problem, c=problem.c.copy())   # equal arrays, a new object
+            start = draw(st.sampled_from([None] + starts))
+            got = memo_solve(problem, warm_start=start)
+            fresh = solve(problem, warm_start=start)
+            assert got.status is fresh.status
+            if got.status is not SolveStatus.OPTIMAL:
+                continue
+            names = ("x", "eq_duals", "ineq_duals", "reduced_costs")
+            if got is start:
+                assert fresh.iterations == 0
+                for name in names:
+                    np.testing.assert_allclose(getattr(got, name), getattr(fresh, name),
+                                               rtol=0, atol=1e-9)
+                assert got.objective_value == pytest.approx(fresh.objective_value, abs=1e-9)
+            else:
+                for name in names:
+                    assert_same_bits(getattr(got, name), getattr(fresh, name))
+                assert got.objective_value == fresh.objective_value
+            starts.append(got)
 
 
 def test_memo_solve_outside_a_scope_always_solves(backend_calls):

@@ -16,7 +16,7 @@ from .metrics import (SRME1, SRME2, ConsequentialReport, EmissionRateSeries,
                       srme_dual, srme_uniform)
 from .planner import (DispatchResult, ExpansionModel, FixedCapacities, ScaleEV, SingleHour,
                       UniformAll, build_expansion_lp, build_operational_lp, perturb_demand,
-                      solve_expansion, solve_model)
+                      solve_expansion, solve_model, solve_operational)
 from .scenario_io import load_scenario, write_scenario
 from .scheduler import (IterationTrace, evaluate_fixed_schedule, pin_schedule,
                         schedule_min_srme)

@@ -23,13 +23,12 @@ from pathlib import Path
 
 from . import lp, outputs, planner
 from .errors import DegenerateDelta, GridmargError, InfeasibleModel, UnboundedModel, UnknownZone
-from .flex import ScheduleSource
 from .grid import CostMultipliers, GridModel, resolve_scenario
 from .metrics import (ConsequentialReport, average_emission_rate, icev_comparison,
                       long_run_mer, short_run_rates)
-from .planner import ScaleEV, build_operational_lp, solve_expansion, solve_model
+from .planner import ScaleEV, solve_expansion, solve_operational
 from .scenario_io import load_scenario
-from .scheduler import evaluate_fixed_schedule, schedule_from_result, schedule_min_srme
+from .scheduler import compare_signal
 
 log = logging.getLogger("gridmarg")
 
@@ -94,8 +93,7 @@ def cmd_solve(args) -> int:
     if args.mode == "expansion":
         result = solve_expansion(grid)
     else:
-        expansion = solve_expansion(grid)
-        result = solve_model(build_operational_lp(grid, expansion.fixed_capacities()))
+        result = solve_operational(grid, solve_expansion(grid))
     outputs.write_dispatch_outputs(grid, result, args.out)
     log.info("solved %s (%s): cost %.2f, emissions %.2f tCO2",
              args.scenario, args.mode, result.total_cost, result.total_emissions)
@@ -119,13 +117,15 @@ def cmd_metrics(args) -> int:
     if args.method in ("srme1", "srme2"):
         expansion = solve_expansion(grid)
         zones = "all" if args.zone in ("all", "each-separately") else args.zone
-        series = short_run_rates(grid, expansion.fixed_capacities(), args.method.upper(), zones)
+        series = short_run_rates(grid, expansion.fixed_capacities(), args.method.upper(),
+                                 solve_operational(grid, expansion), zones)
         outputs.write_srme_csv(series, outdir / "srme.csv")
         log.info("wrote %s rates for %d zone(s)", series.method, len(series.zone_ids))
         return 0
 
-    # lrmer
+    # lrmer: one base solve, differenced against each perturbation
     fraction = grid.config.perturbation_fraction
+    base = solve_expansion(grid)
     if args.zone == "each-separately":
         # A zone whose perturbation moves no demand (no EV load) has no rate;
         # it is recorded as such and the other zones are still reported.
@@ -133,7 +133,8 @@ def cmd_metrics(args) -> int:
         for zone in grid.zone_ids():
             try:
                 reports[zone] = outputs.report_to_dict(_per_vehicle(
-                    long_run_mer(grid, ScaleEV(fraction), target_zones=[zone]), grid, zone))
+                    long_run_mer(grid, ScaleEV(fraction), target_zones=[zone], base=base),
+                    grid, zone))
             except DegenerateDelta as exc:
                 log.warning("zone %s: DegenerateDelta: %s", zone, exc)
                 reports[zone] = {"error": f"DegenerateDelta: {exc}"}
@@ -144,7 +145,8 @@ def cmd_metrics(args) -> int:
     else:
         zone = None if args.zone == "all" else args.zone
         report = _per_vehicle(long_run_mer(grid, ScaleEV(fraction),
-                                           target_zones="all" if zone is None else [zone]),
+                                           target_zones="all" if zone is None else [zone],
+                                           base=base),
                               grid, zone)
         outputs.write_consequential_json(report, outdir / "consequential.json")
         print(outputs.fmt(report.lr_mer))
@@ -155,21 +157,8 @@ def cmd_schedule(args) -> int:
     grid = _apply_flex_mode(_load(args.scenario), args.flex)
     outdir = outputs.out_dir(args.out)
 
-    expansion = solve_expansion(grid)
-    # With nothing to build, each pinned evaluation is an operational LP that
-    # the scheduler's cold consequential checks solve too: starting it cold
-    # lets the memo answer it.
-    evaluation_start = expansion.solution if grid.has_investment else None
-    cost_schedule = schedule_from_result(grid, expansion, ScheduleSource.COST_MIN)
-    cost_report = evaluate_fixed_schedule(grid, cost_schedule, warm_start=evaluation_start)
-
-    if args.signal == "cost":
-        schedule, trace = cost_schedule, None
-        report = cost_report
-    else:
-        schedule, trace = schedule_min_srme(grid, expansion.fixed_capacities(),
-                                            method=args.signal.upper())
-        report = evaluate_fixed_schedule(grid, schedule, warm_start=evaluation_start)
+    schedule, trace, cost_report, report = compare_signal(grid, solve_expansion(grid),
+                                                          args.signal)
 
     outputs.write_schedule_csv(schedule, outdir / "schedule.csv")
     if trace is not None:
@@ -242,14 +231,14 @@ def _run_sweep_cell(raw_grid: GridModel, cell: dict,
     """
     started = time.time()
     try:
-        with lp.solve_memo_scope():  # a cell keeps no solution for the next one
-            cfg = replace(raw_grid.config,
-                          ev_penetration_multiplier=cell["ev_multiplier"],
-                          cost_multipliers=CostMultipliers(renewable_capex=cell["renewable_capex"],
-                                                           gas_price=cell["gas_price"]))
-            grid = _apply_flex_mode(resolve_scenario(replace(raw_grid, config=cfg)), cell["flex"])
-            report = long_run_mer(grid, ScaleEV(grid.config.perturbation_fraction),
-                                  target_zones=cell["target_zone"], warm_start=warm_start)
+        cfg = replace(raw_grid.config,
+                      ev_penetration_multiplier=cell["ev_multiplier"],
+                      cost_multipliers=CostMultipliers(renewable_capex=cell["renewable_capex"],
+                                                       gas_price=cell["gas_price"]))
+        grid = _apply_flex_mode(resolve_scenario(replace(raw_grid, config=cfg)), cell["flex"])
+        report = long_run_mer(grid, ScaleEV(grid.config.perturbation_fraction),
+                              target_zones=cell["target_zone"],
+                              base=solve_expansion(grid, warm_start=warm_start))
         metrics = {
             "lr_mer_tco2_per_mwh": report.lr_mer,
             "aer_system_tco2_per_mwh": average_emission_rate(report.base),
@@ -380,7 +369,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr,
                         force=True)
     try:
-        with lp.solve_memo_scope(), planner.structure_scope():
+        with planner.structure_scope():
             return args.func(args)
     except InfeasibleModel as exc:
         log.error("infeasible: %s", exc)

@@ -296,6 +296,13 @@ class GridModel:
                 or any(s.buildable for s in self.storage_units)
                 or any(l.expandable for l in self.lines))
 
+    @property
+    def charging_is_rigid(self) -> bool:
+        """Whether every flexible load has a zero window, so that its charging
+        columns are fixed at its baseline and no schedule but that one exists."""
+        return all(l.max_advance_hours == 0 and l.max_delay_hours == 0
+                   for l in self.flexible_loads)
+
     def zone_ids(self) -> list[str]:
         return [z.id for z in self.zones]
 

@@ -131,9 +131,9 @@ Every solve builds a fresh HiGHS instance, and an LpProblem is immutable
 once built. Problems of one shape share one LpMatrix: the planner assembles
 it once per grid topology and command, and each build fills only its own
 costs, right-hand sides and bounds. The matrix's arrays are read-only, and
-its column-wise form and digest are computed on first use, once per matrix
-rather than once per solve. A warm start only changes where the simplex
-starts, and with the tie-break, not the vertex it reaches.
+its column-wise form is computed on first use, once per matrix rather than
+once per solve. A warm start only changes where the simplex starts, and
+with the tie-break, not the vertex it reaches.
 
 A sweep chains warm starts within each group of cells that share a
 flexibility mode: those cells build expansion LPs of one shape, so each
@@ -142,23 +142,10 @@ that succeeded. Only the group's first base solve has no such start; it
 starts from ``planner.solve_expansion``'s crash basis where the grid has
 something to build over more than 96 h, else cold.
 
-Repeat solves are answered from a memo. Inside ``solve_memo_scope()`` (one
-per CLI command, and one per sweep cell), ``memo_solve`` keys each solve by
-a digest of the problem's vectors, costs included, its matrix's digest
-(``LpMatrix.digest``, so a shared matrix is hashed once, not on every
-solve), and where its warm start, if any, came from, and returns the stored
-solution of an earlier identical solve instead of solving again. HiGHS is
-deterministic, so the stored solution is the one a new solve would return.
-A start is named by provenance: the memo key of the solve that produced it
-(``LpSolution.memo_key``). A start that is the stored optimum of the same LP
-answers it, since a solve from its basis would stop there at once. A start
-without a key (solved outside any scope) is not memoized: the solve from it
-goes straight to ``solve``. A nested scope (``solve_memo_scope(nested=True)``,
-one per scheduler pass) reads the enclosing scope's solutions but drops its
-own when it ends, so solves that cannot recur are not kept for the rest of
-the command. Outside a scope, ``memo_solve`` is a plain ``solve``. Solution
-arrays are read-only, so one solution can be shared by every caller that
-asked for it.
+Every call of ``solve`` reaches the backend; nothing here remembers a
+solve. Where a command needs one result twice, the caller that solved it
+hands it on (``planner.solve_operational``, ``metrics``, ``scheduler``).
+Solution arrays are read-only, so every caller it reaches can share it.
 """
 
 from __future__ import annotations
@@ -167,10 +154,6 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import sys
-from collections import ChainMap
-from collections.abc import Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -295,8 +278,7 @@ class LpMatrix:
     rows_eq / rows_ub hold A_eq and A_ub (possibly with zero rows). One
     matrix is shared by every LpProblem built on it, so its arrays are made
     read-only here, and the column-wise [A_ub; A_eq] that HiGHS receives
-    (``columns``) and the content digest the solve memo keys on
-    (``digest``) are computed on first use and kept for the matrix's life.
+    (``columns``) is computed on first use and kept for the matrix's life.
     A_eq / A_ub are scipy.sparse.csr_matrix views of the rows, built on
     first access, for callers outside the solve path.
     """
@@ -336,17 +318,6 @@ class LpMatrix:
         for arr in (start, rows, values):
             arr.flags.writeable = False
         return start, rows, values
-
-    @cached_property
-    def digest(self) -> bytes:
-        """BLAKE2b of the shapes and arrays of both row blocks."""
-        h = hashlib.blake2b(digest_size=32)
-        for rows in (self.rows_eq, self.rows_ub):
-            h.update(repr(rows.shape).encode())
-            for arr in (rows.data, rows.indices, rows.indptr):
-                h.update(repr(arr.shape).encode())
-                h.update(np.ascontiguousarray(arr).tobytes())
-        return h.digest()
 
     @cached_property
     def A_eq(self) -> "scipy.sparse.csr_matrix":
@@ -571,8 +542,7 @@ class LpSolution:
     ``solve(..., warm_start=)`` hands back to HiGHS as it is. col_status /
     row_status are the same basis as read-only int8 arrays of HiGHS basis
     status codes, rows ordered <=-rows first, then equality rows; they are
-    built on first read. memo_key is the key under which memo_solve stored
-    the solution, if it did.
+    built on first read.
     """
 
     status: SolveStatus
@@ -583,7 +553,6 @@ class LpSolution:
     reduced_costs: np.ndarray | None = None
     iterations: int = 0       # simplex iterations this solve took
     basis: _highs.HighsBasis | None = field(default=None, repr=False, compare=False)
-    memo_key: bytes | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def col_status(self) -> np.ndarray | None:
@@ -846,82 +815,6 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
         arr.flags.writeable = False
     return LpSolution(status=SolveStatus.OPTIMAL, objective_value=float(problem.c @ x),
                       iterations=iterations, basis=highs.getBasis(), **arrays)
-
-
-def _lp_key(problem: LpProblem, canonical_basis: bool, cap_slack: float) -> bytes:
-    h = hashlib.blake2b(digest_size=32)
-    for arr in (problem.c, problem.b_eq, problem.b_ub, problem.lb, problem.ub):
-        h.update(repr(arr.shape).encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-    # The matrix enters by its digest, computed once per matrix.
-    h.update(problem.matrix.digest)
-    if canonical_basis:
-        h.update(b"canonical" + np.float64(cap_slack).tobytes())
-    return h.digest()
-
-
-def _memo_key(lp_key: bytes, warm_start: LpSolution | None) -> bytes:
-    h = hashlib.blake2b(lp_key, digest_size=32)
-    # HiGHS is deterministic: the solve a key names always ends at the same basis.
-    h.update(b"cold" if warm_start is None else b"from" + warm_start.memo_key)
-    return h.digest()
-
-
-# (solution, _lp_key) pairs visible to the innermost open solve_memo_scope, by
-# _memo_key; new entries go to its first map. A context variable rather than a
-# parameter, so the metrics and the scheduler share it without passing it
-# through every call; the scope resets it on exit.
-_MEMO: ContextVar[ChainMap[bytes, tuple[LpSolution, bytes]] | None] = ContextVar(
-    "gridmarg_solve_memo", default=None)
-
-
-@contextmanager
-def solve_memo_scope(nested: bool = False) -> Iterator[None]:
-    """Share one fresh solve memo among the memo_solve calls inside the with block.
-
-    With nested=True the block also sees the solutions of the enclosing
-    scope, and the ones it adds are dropped when it ends. Outside any scope
-    a nested scope memoizes nothing.
-    """
-    outer = _MEMO.get()
-    if nested and outer is None:
-        yield
-        return
-    token = _MEMO.set(outer.new_child() if nested else ChainMap())
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
-def memo_solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
-               canonical_basis: bool = False, cap_slack: float = 0.0) -> LpSolution:
-    """solve() through the memo of the open scope; a plain solve() outside any scope.
-
-    A hit needs an LP whose arrays, costs included, match a stored LP's, and
-    the same start: cold, or the solution with the same memo key. The key
-    covers the start because the same LP solved from another basis may end
-    at other duals where the optimum is dual degenerate. A start that is the
-    stored optimum of this same LP is a hit on it too: a solve from its
-    basis would stop there at once. A start without a memo key bypasses the
-    memo as a plain solve(). The solution returned carries its key as
-    memo_key.
-    """
-    memo = _MEMO.get()
-    if memo is None or (warm_start is not None and warm_start.memo_key is None):
-        return solve(problem, warm_start=warm_start, canonical_basis=canonical_basis,
-                     cap_slack=cap_slack)
-    lp_key = _lp_key(problem, canonical_basis, cap_slack)
-    own = warm_start is not None and memo.get(warm_start.memo_key, (None, None))[1] == lp_key
-    key = warm_start.memo_key if own else _memo_key(lp_key, warm_start)
-    if key not in memo:
-        solution = solve(problem, warm_start=warm_start, canonical_basis=canonical_basis,
-                         cap_slack=cap_slack)
-        # The solution itself is stored and returned (callers compare with `is`),
-        # so it is tagged in place, before memo_solve hands it to anyone.
-        object.__setattr__(solution, "memo_key", key)
-        memo[key] = (solution, lp_key)
-    return memo[key][0]
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,7 @@ def flex_served_by_zone(grid: GridModel, per_load: dict[str, np.ndarray]) -> np.
     return out
 
 
-def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities,
+def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities, base: DispatchResult,
                  zones="all") -> EmissionRateSeries:
     """SRME1: per-zone uniform perturbation rates on a fixed-capacity system.
 
@@ -111,18 +111,18 @@ def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities,
                 / (srme1_fraction * fixed zonal demand at t)
 
     Hours with zero zonal demand carry a zero rate (no perturbation happened
-    there). One perturbed operational solve per requested zone; each starts
-    from the base solve's basis, since the perturbed LP differs from the base
-    only in right-hand sides (the zone's balance rows and clean-share row).
-    Every solve reaches the LP's canonical vertex (see gridmarg.lp), so the
-    rates are those of cold solves.
+    there). base is grid's operational optimum at fixed_capacities, which
+    the caller solved. One perturbed operational solve per requested zone;
+    each starts from base's basis, since the perturbed LP differs from the
+    base only in right-hand sides (the zone's balance rows and clean-share
+    row). Every solve reaches the LP's canonical vertex (see gridmarg.lp), so
+    the rates are those of cold solves.
     """
     zone_ids = grid.zone_ids()
     targets = _resolve_zones(grid, zones)
 
     frac = grid.config.srme1_fraction
-    base_result = solve_model(build_operational_lp(grid, fixed_capacities))
-    base_hourly = base_result.zonal_emissions.sum(axis=0)
+    base_hourly = base.zonal_emissions.sum(axis=0)
 
     rates = np.zeros((len(zone_ids), grid.horizon))
     alt = np.zeros_like(rates)
@@ -132,7 +132,7 @@ def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities,
         pert_grid = perturb_demand(grid, [zone_id], UniformAll(frac))
         try:
             pert = solve_model(build_operational_lp(pert_grid, fixed_capacities),
-                               warm_start=base_result.solution)
+                               warm_start=base.solution)
         except InfeasibleModel as exc:
             raise InfeasiblePerturbation(
                 f"uniform {frac:.0%} perturbation of zone {zone_id} is infeasible") from exc
@@ -151,10 +151,14 @@ def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities,
     )
 
 
-def srme_dual(grid: GridModel, fixed_capacities: FixedCapacities) -> EmissionRateSeries:
-    """SRME2: dual-based rates for every zone and hour from two operational solves."""
+def srme_dual(grid: GridModel, fixed_capacities: FixedCapacities,
+              base: DispatchResult) -> EmissionRateSeries:
+    """SRME2: dual-based rates for every zone and hour from two operational solves.
+
+    Step 1 is base, grid's operational optimum at fixed_capacities, which the
+    caller solved; step 2 is solved here.
+    """
     model = build_operational_lp(grid, fixed_capacities)
-    base = solve_model(model)
     sol1 = base.solution
     cbar = sol1.objective_value
     # Slight relative slack keeps the cap numerically feasible at the optimum
@@ -172,7 +176,7 @@ def srme_dual(grid: GridModel, fixed_capacities: FixedCapacities) -> EmissionRat
     # to first order; the cap is relaxed by as much while the tie-break is on.
     cap_slack = 2.0 * lp.RHS_TIE_BREAK_EPS * float(np.abs(sol1.eq_duals).sum()
                                                    + np.abs(sol1.ineq_duals).sum())
-    sol2 = lp.memo_solve(prob2, warm_start=sol1, canonical_basis=True, cap_slack=cap_slack)
+    sol2 = lp.solve(prob2, warm_start=sol1, canonical_basis=True, cap_slack=cap_slack)
     if sol2.status is not lp.SolveStatus.OPTIMAL:
         raise CostCapInfeasible(
             f"emissions-minimizing solve under cost cap {cap:g}: {sol2.status.value}")
@@ -194,12 +198,13 @@ def srme_dual(grid: GridModel, fixed_capacities: FixedCapacities) -> EmissionRat
 
 
 def short_run_rates(grid: GridModel, fixed_capacities: FixedCapacities, method: str,
-                    zones="all") -> EmissionRateSeries:
-    """SRME1 rates (perturbing zones) or SRME2 rates (of every zone) at fixed capacity."""
+                    base: DispatchResult, zones="all") -> EmissionRateSeries:
+    """SRME1 rates (perturbing zones) or SRME2 rates (of every zone) at fixed
+    capacity, from base, grid's operational optimum there, which the caller solved."""
     if method == SRME1:
-        return srme_uniform(grid, fixed_capacities, zones=zones)
+        return srme_uniform(grid, fixed_capacities, base, zones=zones)
     if method == SRME2:
-        return srme_dual(grid, fixed_capacities)
+        return srme_dual(grid, fixed_capacities, base)
     raise ValueError(f"method must be {SRME1} or {SRME2}, got {method!r}")
 
 
@@ -267,21 +272,22 @@ def consequential_report(base: DispatchResult, pert: DispatchResult, grid: GridM
 
 def long_run_mer(grid: GridModel, perturbation: ScaleEV | None = None,
                  target_zones="all", sr_rates: EmissionRateSeries | None = None,
-                 aer_value: float | None = None,
-                 warm_start: lp.LpSolution | None = None) -> ConsequentialReport:
+                 aer_value: float | None = None, *, base: DispatchResult) -> ConsequentialReport:
     """LR-MER: two full capacity-expansion solves differenced over annual totals.
 
-    The base solve starts from warm_start's basis when one is given (an
-    optimal solution of a same-shaped expansion LP, such as the previous
-    sweep cell's base), else cold. The EV-scaled solve is warm-started from
-    the base solve's basis. The report keeps the base result
+    base is grid's expansion optimum, which the caller solved once for all
+    its perturbations. The EV-scaled solve is warm-started from its basis.
+    A perturbation that moves no load (no EV charging in the target zones)
+    leaves base's own LP, so base stands for it and the report raises
+    DegenerateDelta. The report keeps the base result
     (``report.base``) for callers that need more of it than the totals.
     """
     if perturbation is None:
         perturbation = ScaleEV(grid.config.perturbation_fraction)
-    base = solve_expansion(grid, warm_start=warm_start)
     pert_grid = perturb_demand(grid, target_zones, perturbation)
-    pert = solve_expansion(pert_grid, warm_start=base.solution)
+    moved = any(not np.array_equal(load.baseline_profile, scaled.baseline_profile)
+                for load, scaled in zip(grid.flexible_loads, pert_grid.flexible_loads))
+    pert = solve_expansion(pert_grid, warm_start=base.solution) if moved else base
     return consequential_report(base, pert, grid=grid, sr_rates=sr_rates,
                                 aer_value=aer_value)
 

@@ -224,8 +224,8 @@ def build_operational_lp(grid: GridModel, fixed_capacities: FixedCapacities) -> 
 
 
 # Structures of the innermost open structure_scope, by _structure_key. A
-# context variable, like lp's solve memo, so that builds deep in metrics and
-# the scheduler share it without passing it through every call.
+# context variable, so that builds deep in metrics and the scheduler share it
+# without passing it through every call.
 _STRUCTURES: ContextVar[dict[tuple, LpStructure] | None] = ContextVar(
     "gridmarg_lp_structures", default=None)
 
@@ -607,15 +607,26 @@ def _crash_start(grid: GridModel) -> lp.LpSolution | None:
         return None
 
 
+def solve_operational(grid: GridModel, expansion: DispatchResult) -> DispatchResult:
+    """grid's operational optimum at the capacities of expansion, grid's solve_expansion result.
+
+    With nothing to build the operational LP is the expansion LP, array for
+    array, which solve_expansion solved cold: its solution is decoded with the
+    operational model (and that model's cost offset) instead of solved again.
+    """
+    model = build_operational_lp(grid, expansion.fixed_capacities())
+    if grid.has_investment:
+        return solve_model(model)
+    return decode_solution(model, expansion.solution)
+
+
 def solve_model(model: ExpansionModel, warm_start: lp.LpSolution | None = None) -> DispatchResult:
     """Solve and decode; emissions are recomputed from primal generation, never duals.
 
-    warm_start is handed to lp.memo_solve (and from there to lp.solve on a
-    miss): the solution of a same-shaped LP whose basis seeds this solve. A
-    repeat within one memo scope returns the earlier solution, decoded with
-    this model (whose cost offset may differ).
+    warm_start, the solution of a same-shaped LP, seeds the solve with its
+    basis (see lp.solve).
     """
-    sol = lp.memo_solve(model.problem, warm_start=warm_start)
+    sol = lp.solve(model.problem, warm_start=warm_start)
     if sol.status is lp.SolveStatus.INFEASIBLE:
         raise InfeasibleModel(f"{model.mode} model infeasible", mode=model.mode)
     if sol.status is lp.SolveStatus.UNBOUNDED:

@@ -10,31 +10,38 @@ the current schedule up by the configured EV perturbation), not on schedule
 stability; the schedule delta norm is reported for diagnostics only.
 
 Every schedule is pinned once (pin_schedule) and every solve around it
-reads that one pinned grid: the check and the next pass's rates solve it as
-it is, and the EV-scaled solves scale it with perturb_demand(..., ScaleEV).
+reads that one pinned grid: the check solves it and scales it with
+perturb_demand(..., ScaleEV), and the next pass's rates start from the
+check's base. The loop keeps its checks by the pinned loads' profiles, so a
+pass that returns to an earlier schedule (a converged pass, a rigid one, a
+cycle) reads that schedule's check instead of solving it again.
 
 Final schedules are evaluated under full capacity expansion at base and
 EV-scaled levels, which is where structural (capacity) effects enter. A
-pinned schedule changes only the bounds of the charging columns, so each
-evaluation can start from the unpinned expansion optimum where the grid has
-something to build. With nothing to build it starts cold, as the
-consequential checks of the same pinned LP do.
+pinned schedule changes only the bounds of the charging columns, so an
+evaluation starts from the grid's expansion optimum where the grid has
+something to build. With nothing to build, a pinned expansion LP is the
+operational LP of the schedule's check, solved cold as the check solves it,
+so compare_signal decodes the loop's checks instead. With rigid charging the
+one schedule pins to the grid itself: its evaluation starts from the grid's
+expansion result, and serves for the signal's too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ScheduleMismatch
 from .flex import ChargingSchedule, ScheduleSource
 from .grid import GridModel
-from .metrics import (SRME1, SRME2, ConsequentialReport, flex_served_by_zone, long_run_mer,
-                      short_run_rates)
-from .planner import (DispatchResult, FixedCapacities, ScaleEV, build_operational_lp,
-                      perturb_demand, solve_model)
+from .metrics import (SRME1, SRME2, ConsequentialReport, consequential_report,
+                      flex_served_by_zone, long_run_mer, short_run_rates)
+from .planner import (DispatchResult, FixedCapacities, ScaleEV, build_expansion_lp,
+                      build_operational_lp, decode_solution, perturb_demand, solve_expansion,
+                      solve_model, solve_operational)
 from . import lp
 
 
@@ -49,9 +56,25 @@ class IterationRecord:
 
 
 @dataclass(frozen=True)
+class ConsequentialCheck:
+    """A pinned grid's operational optimum, and its EV-scaled grid's, solved from it."""
+
+    base: DispatchResult
+    pert: DispatchResult
+
+    @property
+    def delta(self) -> float:
+        """The operational emissions delta, tCO2."""
+        return self.pert.total_emissions - self.base.total_emissions
+
+
+@dataclass(frozen=True)
 class IterationTrace:
     records: tuple[IterationRecord, ...]
     converged: bool
+    # The start schedule's check, then each pass's; a pass that repeats a
+    # schedule holds that schedule's earlier check.
+    checks: tuple[ConsequentialCheck, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def iterations_used(self) -> int:
@@ -89,66 +112,81 @@ def schedule_from_result(grid: GridModel, result: DispatchResult,
                             source=source, zone_ids=tuple(grid.zone_ids()))
 
 
+def _profiles(grid: GridModel) -> tuple[bytes, ...]:
+    """The loads' effective baselines, as bytes: all that a schedule sets in
+    a pinned grid, so pinned grids with equal profiles build equal LPs."""
+    return tuple(load.effective_baseline().tobytes() for load in grid.flexible_loads)
+
+
 def consequential_check(pinned: GridModel, fixed_capacities: FixedCapacities,
-                        fraction: float) -> float:
+                        fraction: float, base: DispatchResult) -> ConsequentialCheck:
     """Operational emissions delta from scaling a pinned grid's schedule by (1 + fraction).
 
-    The scaled LP differs from pinned only in the bounds of the charging
-    columns, so its solve starts from the base solve's basis.
+    base is pinned's operational optimum at fixed_capacities, solved by the
+    caller. The scaled LP differs from pinned only in the bounds of the
+    charging columns, so its solve starts from base's basis.
     """
-    base = solve_model(build_operational_lp(pinned, fixed_capacities))
     scaled = perturb_demand(pinned, "all", ScaleEV(fraction))
     pert = solve_model(build_operational_lp(scaled, fixed_capacities),
                        warm_start=base.solution)
-    return pert.total_emissions - base.total_emissions
+    return ConsequentialCheck(base, pert)
 
 
-def schedule_min_srme(grid: GridModel, fixed_capacities: FixedCapacities,
+def schedule_min_srme(grid: GridModel, expansion: DispatchResult,
                       method: str = SRME1) -> tuple[ChargingSchedule, IterationTrace]:
     """Iteratively schedule flexible charging against frozen marginal-emission rates.
 
-    Each pass re-solves the flexible operational model with the objective
+    The loop runs at the capacities of expansion, grid's solve_expansion
+    result, and starts from the cost-minimizing operational schedule
+    (planner.solve_operational). Each pass re-solves the flexible
+    operational model with the objective
     cost + emissions_penalty * sum(R_k[z,t] * served[z,t]); rates R_k come
     from the pinned schedule of the previous pass (SRME1 perturbs only the
-    zones with flexible load). Where every served column is fixed (rigid
-    charging), a pass keeps the cost-minimizing schedule without that
-    re-solve. Stops when the consequential-emissions check
-    moves by less than the configured threshold, or after max_iterations
-    (returned with converged=False; not fatal).
+    zones with flexible load) and start from its check's base. With rigid
+    charging a pass keeps the cost-minimizing schedule without that
+    re-solve. Stops when the consequential-emissions check moves by less
+    than the configured threshold, or after max_iterations (returned with
+    converged=False; not fatal).
     """
     method = method.upper()
     if method not in (SRME1, SRME2):
         raise ValueError(f"method must be {SRME1} or {SRME2}, got {method!r}")
     cfg = grid.config
+    caps = expansion.fixed_capacities()
     zone_ids = grid.zone_ids()
     load_zones = [(load.id, zone_ids.index(load.zone_id)) for load in grid.flexible_loads]
     flex_zones = {load.zone_id for load in grid.flexible_loads}
     rate_zones = [z for z in zone_ids if z in flex_zones] or "all"
+    # No penalty can move a rigid schedule, and it pins to grid itself.
+    rigid = grid.charging_is_rigid
 
-    model = build_operational_lp(grid, fixed_capacities)
-    base_cost = model.problem.c
-    result = solve_model(model)  # B0: cost-minimizing flexible schedule
-    pinned = pin_schedule(grid, result.flex_served)
-    cons_prev = consequential_check(pinned, fixed_capacities, cfg.perturbation_fraction)
-    # No penalty can move a schedule whose served columns are all fixed.
-    rigid = all(np.array_equal(model.problem.lb[cols], model.problem.ub[cols])
-                for cols in model.index.served.values())
+    start = solve_operational(grid, expansion)  # B0: cost-minimizing flexible schedule
+    checks: dict[tuple[bytes, ...], ConsequentialCheck] = {}
 
+    def pin_and_check(result: DispatchResult) -> tuple[GridModel, ConsequentialCheck]:
+        pinned = pin_schedule(grid, result.flex_served)
+        key = _profiles(pinned)
+        if key not in checks:
+            base = start if rigid else solve_model(build_operational_lp(pinned, caps))
+            checks[key] = consequential_check(pinned, caps, cfg.perturbation_fraction, base)
+        return pinned, checks[key]
+
+    result = start
+    pinned, check = pin_and_check(result)
+    trace_checks = [check]
+    model = None if rigid else build_operational_lp(grid, caps)
     records: list[IterationRecord] = []
     converged = False
     for iteration in range(1, cfg.max_iterations + 1):
-        # The rate and penalty solves of one pass recur only if a schedule
-        # does; the consequential checks recur in the next pass's rates.
-        with lp.solve_memo_scope(nested=True):
-            rates = short_run_rates(pinned, fixed_capacities, method, rate_zones)
-            if rigid:
-                new_result = result
-            else:
-                c2 = base_cost.copy()
-                for fid, zi in load_zones:
-                    c2[model.index.served[fid]] += cfg.emissions_penalty * rates.rates[zi]
-                new_result = solve_model(replace(model, problem=replace(model.problem, c=c2)))
-        new_pinned = pin_schedule(grid, new_result.flex_served)
+        rates = short_run_rates(pinned, caps, method, check.base, rate_zones)
+        if rigid:
+            new_result = result
+        else:
+            c2 = model.problem.c.copy()
+            for fid, zi in load_zones:
+                c2[model.index.served[fid]] += cfg.emissions_penalty * rates.rates[zi]
+            new_result = solve_model(replace(model, problem=replace(model.problem, c=c2)))
+        new_pinned, new_check = pin_and_check(new_result)
 
         def proxy(profiles: dict[str, np.ndarray]) -> float:
             total = 0.0
@@ -157,36 +195,31 @@ def schedule_min_srme(grid: GridModel, fixed_capacities: FixedCapacities,
             return total
 
         old, new = result.flex_served, new_result.flex_served
-        cons = consequential_check(new_pinned, fixed_capacities, cfg.perturbation_fraction)
-        rel = abs(cons - cons_prev) / max(abs(cons_prev), 1e-9)
+        rel = abs(new_check.delta - check.delta) / max(abs(check.delta), 1e-9)
         delta_norm = math.sqrt(sum(float(np.sum((new[fid] - old[fid]) ** 2)) for fid in old))
         records.append(IterationRecord(
             iteration=iteration,
-            consequential_tco2=cons,
+            consequential_tco2=new_check.delta,
             rel_change=rel,
             schedule_delta_norm=delta_norm,
             rate_weighted_proxy=proxy(new),
             rate_weighted_proxy_prev=proxy(old),
         ))
-        result, pinned, cons_prev = new_result, new_pinned, cons
+        result, pinned, check = new_result, new_pinned, new_check
+        trace_checks.append(check)
         if rel < cfg.convergence_threshold:
             converged = True
             break
 
     source = ScheduleSource.MIN_SRME1 if method == SRME1 else ScheduleSource.MIN_SRME2
     schedule = schedule_from_result(grid, result, source)
-    return schedule, IterationTrace(records=tuple(records), converged=converged)
+    return schedule, IterationTrace(records=tuple(records), converged=converged,
+                                    checks=tuple(trace_checks))
 
 
-def evaluate_fixed_schedule(grid: GridModel, schedule: ChargingSchedule,
-                            warm_start: lp.LpSolution | None = None) -> ConsequentialReport:
-    """Full capacity expansion at base and EV-scaled levels with charging pinned.
-
-    The pinned LP has the shape of grid's own expansion LP, so warm_start,
-    typically that LP's optimum, seeds the base solve (see long_run_mer).
-    Raises ScheduleMismatch unless each load's scheduled energy matches its
-    baseline request to 1e-6 MWh.
-    """
+def _pin_requested(grid: GridModel, schedule: ChargingSchedule) -> GridModel:
+    """grid with schedule pinned; ScheduleMismatch unless each load's
+    scheduled energy matches its baseline request to 1e-6 MWh."""
     pinned = pin_schedule(grid, schedule.per_load)
     for load in grid.flexible_loads:
         scheduled = float(np.sum(schedule.per_load[load.id]))
@@ -194,5 +227,63 @@ def evaluate_fixed_schedule(grid: GridModel, schedule: ChargingSchedule,
         if abs(scheduled - requested) > 1e-6:
             raise ScheduleMismatch(
                 f"load {load.id!r}: scheduled {scheduled:g} MWh vs requested {requested:g} MWh")
-    return long_run_mer(pinned, ScaleEV(grid.config.perturbation_fraction),
-                        warm_start=warm_start)
+    return pinned
+
+
+def evaluate_fixed_schedule(grid: GridModel, schedule: ChargingSchedule,
+                            expansion: DispatchResult) -> ConsequentialReport:
+    """Full capacity expansion at base and EV-scaled levels with charging pinned.
+
+    expansion is grid's own solve_expansion result. The base solve starts
+    from its basis where grid has something to build, else cold, as the
+    schedule's consequential check solves the same LP. A schedule that pins
+    to grid itself (with rigid charging, the baseline) takes expansion as its
+    base. Raises ScheduleMismatch unless each load's scheduled energy matches
+    its baseline request to 1e-6 MWh.
+    """
+    pinned = _pin_requested(grid, schedule)
+    if grid.charging_is_rigid and _profiles(pinned) == _profiles(grid):
+        base = expansion
+    else:
+        base = solve_expansion(pinned, warm_start=expansion.solution if grid.has_investment
+                               else None)
+    return long_run_mer(pinned, ScaleEV(grid.config.perturbation_fraction), base=base)
+
+
+def _evaluation_from_check(grid: GridModel, schedule: ChargingSchedule,
+                           check: ConsequentialCheck) -> ConsequentialReport:
+    """evaluate_fixed_schedule's report on a grid with nothing to build, from
+    the schedule's check: its LPs are the evaluation's, from the same starts."""
+    pinned = _pin_requested(grid, schedule)
+    scaled = perturb_demand(pinned, "all", ScaleEV(grid.config.perturbation_fraction))
+    return consequential_report(decode_solution(build_expansion_lp(pinned), check.base.solution),
+                                decode_solution(build_expansion_lp(scaled), check.pert.solution),
+                                grid=pinned)
+
+
+def compare_signal(grid: GridModel, expansion: DispatchResult, signal: str) -> tuple[
+        ChargingSchedule, IterationTrace | None, ConsequentialReport, ConsequentialReport]:
+    """A charging signal's schedule, evaluated against the cost-minimizing one.
+
+    signal is "cost", "srme1" or "srme2"; expansion is grid's solve_expansion
+    result, whose schedule is the cost-minimizing one. Returns the signal's
+    schedule, its penalty-loop trace (None for the cost signal), and the
+    evaluations of the cost schedule and of the signal's schedule.
+    """
+    cost_schedule = schedule_from_result(grid, expansion, ScheduleSource.COST_MIN)
+    if signal == "cost":
+        report = evaluate_fixed_schedule(grid, cost_schedule, expansion)
+        return cost_schedule, None, report, report
+    if grid.has_investment:
+        cost_report = evaluate_fixed_schedule(grid, cost_schedule, expansion)
+        schedule, trace = schedule_min_srme(grid, expansion, method=signal)
+        report = (cost_report if grid.charging_is_rigid
+                  else evaluate_fixed_schedule(grid, schedule, expansion))
+        return schedule, trace, cost_report, report
+    # Nothing to build: the loop starts from expansion's own solution, so its
+    # first check is the cost schedule's.
+    schedule, trace = schedule_min_srme(grid, expansion, method=signal)
+    first, last = trace.checks[0], trace.checks[-1]
+    cost_report = _evaluation_from_check(grid, cost_schedule, first)
+    report = cost_report if last is first else _evaluation_from_check(grid, schedule, last)
+    return schedule, trace, cost_report, report

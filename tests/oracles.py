@@ -50,22 +50,18 @@ def spy_on_solves(monkeypatch, cold: bool = False) -> list[SolveCall]:
     return calls
 
 
-def random_feasible_lp(rng: np.random.Generator, n_vars: int, n_eq: int, n_ub: int,
-                       fixed: tuple[int, ...] = ()) -> LpProblem:
+def random_feasible_lp(rng: np.random.Generator, n_vars: int, n_eq: int, n_ub: int) -> LpProblem:
     """A feasible, bounded LP built around a known interior point x0.
 
     Box bounds guarantee boundedness; right-hand sides are derived from x0 so
     the instance is feasible by construction. Some inequality rows are left
-    nearly binding to exercise the active-set machinery. The columns in
-    fixed are pinned at x0 (lb == ub).
+    nearly binding to exercise the active-set machinery.
     """
     b = LpBuilder()
     ub = rng.uniform(1.0, 10.0, n_vars)
     cost = rng.normal(0.0, 1.0, n_vars)
+    b.add_vars(n_vars, cost=cost, lb=0.0, ub=ub)
     x0 = rng.uniform(0.1, 0.9, n_vars) * ub
-    lb, pinned = np.zeros(n_vars), list(fixed)
-    lb[pinned] = ub[pinned] = x0[pinned]
-    b.add_vars(n_vars, cost=cost, lb=lb, ub=ub)
     for _ in range(n_eq):
         a = rng.normal(0.0, 1.0, n_vars)
         b.add_eq(range(n_vars), a, float(a @ x0))

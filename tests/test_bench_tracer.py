@@ -34,8 +34,9 @@ def test_traced_worker_runs_a_schedule_with_no_repeat_solve(tmp_path):
     layers = result["layers"]
     assert layers["lp.solves"] > 0
     assert layers["planner.builds"] > 0
-    # The tutorial builds nothing, so its EV-scaled expansion and operational
-    # LPs are the same arrays. long_run_mer and the consequential check both
-    # warm-start that solve from the same base solution, so the memo answers
-    # the second, as it answers every other repeat.
+    # No layer remembers a solve, so this counts every LP the command solves
+    # twice. The tutorial builds nothing and --flex none leaves one schedule:
+    # the operational start, the check's base, the rates' base and both
+    # evaluations' base all share the expansion LP, and the evaluations'
+    # EV-scaled LP is the check's. Each is solved once and handed on.
     assert layers["lp.repeat_solves"] == 0

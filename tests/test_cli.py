@@ -10,7 +10,7 @@ from gridmarg import cli, lp, scheduler
 from gridmarg.cli import build_parser, main
 from gridmarg.grid import Generator, GridModel, ScenarioConfig, Zone, resolve_scenario
 from gridmarg.metrics import average_emission_rate, long_run_mer
-from gridmarg.planner import ScaleEV
+from gridmarg.planner import ScaleEV, build_expansion_lp, solve_expansion
 from gridmarg.scenario_io import load_scenario, write_scenario
 
 from oracles import spy_on_solves
@@ -302,18 +302,39 @@ def test_metrics_lrmer_each_zone_separately_normalizes_by_each_zones_fleet(tmp_p
         assert alone["per_ev_normalization"] == norm
 
 
-def test_metrics_lrmer_each_zone_separately_reports_zones_with_a_rate(tmp_path, capsys):
-    # Tutorial zone A carries no EV load, so scaling its EVs moves no demand.
+def test_metrics_lrmer_each_zone_separately_reports_zones_with_a_rate(tmp_path, capsys,
+                                                                     monkeypatch):
+    # Tutorial zone A carries no EV load, so scaling its EVs moves no demand
+    # and leaves the base LP: A makes no EV-scaled solve of its own.
     out = tmp_path / "out"
-    assert main(["metrics", str(TUTORIAL), "--method", "lrmer", "--zone", "each-separately",
-                 "--out", str(out)]) == 0
+    with monkeypatch.context() as patch:
+        calls = spy_on_solves(patch)
+        assert main(["metrics", str(TUTORIAL), "--method", "lrmer", "--zone",
+                     "each-separately", "--out", str(out)]) == 0
+    assert len(calls) == 2 and calls[1].warm_start is calls[0].solution   # base, then B
     report = json.loads((out / "consequential.json").read_text())
     assert set(report) == {"A", "B"}
     assert report["A"] == {"error": "DegenerateDelta: demand delta 0 MWh is below 1 MWh; "
                                     "rate undefined"}
-    alone = long_run_mer(load_scenario(TUTORIAL), ScaleEV(0.05), target_zones=["B"])
+    grid = load_scenario(TUTORIAL)
+    alone = long_run_mer(grid, ScaleEV(0.05), target_zones=["B"], base=solve_expansion(grid))
     assert report["B"]["lr_mer_tco2_per_mwh"] == alone.lr_mer
     assert "WARNING gridmarg: zone A: DegenerateDelta" in capsys.readouterr().err
+
+
+def test_metrics_lrmer_each_zone_separately_makes_one_base_solve(tmp_path, monkeypatch):
+    from test_lp import synth_scenario
+    scenario = synth_scenario("expansion", 1, tmp_path)
+    grid = resolve_scenario(load_scenario(scenario))
+    calls = spy_on_solves(monkeypatch)
+    assert main(["metrics", str(scenario), "--method", "lrmer", "--zone", "each-separately",
+                 "--out", str(tmp_path / "out")]) == 0
+    # The base solve (after its two crash-start solves), then one EV-scaled
+    # solve per zone, each from the base.
+    base = calls[2].solution
+    assert len(calls) == 3 + len(grid.zones)
+    assert all(call.warm_start is base for call in calls[3:])
+    assert np.array_equal(calls[2].problem.lb, build_expansion_lp(grid).problem.lb)
 
 
 def test_metrics_lrmer_each_zone_separately_exits_1_when_no_zone_has_a_rate(tmp_path):
@@ -619,7 +640,7 @@ def test_chained_default_sweep_matches_cold_lr_mer_per_cell(tmp_path):
     for ev, metrics in got.items():
         grid = resolve_scenario(replace(raw, config=replace(raw.config,
                                                             ev_penetration_multiplier=ev)))
-        cold = long_run_mer(grid)
+        cold = long_run_mer(grid, base=solve_expansion(grid))
         expected = {
             "lr_mer_tco2_per_mwh": cold.lr_mer,
             "aer_system_tco2_per_mwh": average_emission_rate(cold.base),

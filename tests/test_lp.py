@@ -4,8 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from gridmarg.grid import Generator, GridModel, ScenarioConfig, StorageUnit, Zone, resolve_scenario
@@ -349,202 +347,10 @@ def test_native_basis_warm_starts_as_the_basis_rebuilt_from_codes(kind, seed, tm
             assert_same_bits(getattr(native, name), getattr(codes, name))
 
 
-# --- the per-scope solve memo --------------------------------------------------------
-
 @pytest.fixture
 def backend_calls(monkeypatch):
     """The solves that reach the backend (lp.solve), recorded while delegating to it."""
     return spy_on_solves(monkeypatch)
-
-
-def test_memo_hit_returns_the_earlier_solution_without_solving(backend_calls):
-    from gridmarg.lp import memo_solve, solve_memo_scope
-    with solve_memo_scope():
-        first = memo_solve(merit_order_problem())
-        again = memo_solve(merit_order_problem())   # equal arrays, separate objects
-    assert again is first
-    assert len(backend_calls) == 1
-
-
-def test_memo_keeps_cold_and_each_warm_start_basis_apart(backend_calls):
-    from gridmarg.lp import memo_solve, solve_memo_scope
-    problem = _two_var([1.0, 2.0], [5.0, 5.0], [1.0, 1.0], 4.0)
-    with solve_memo_scope():
-        start_a = memo_solve(_two_var([1.0, 1.0], [5.0, 5.0], [1.0, 1.0], 4.0))
-        start_b = memo_solve(_two_var([-1.0, -1.0], [5.0, 5.0], [1.0, 1.0], 4.0))
-        assert not np.array_equal(start_a.row_status, start_b.row_status)
-        backend_calls.clear()
-        memo_solve(problem)
-        memo_solve(problem, warm_start=start_a)
-        memo_solve(problem, warm_start=start_b)
-        assert len(backend_calls) == 3
-        memo_solve(problem, warm_start=start_b)
-        memo_solve(problem)
-        assert len(backend_calls) == 3
-
-
-def test_memo_answers_a_warm_start_from_the_same_lps_stored_optimum(backend_calls):
-    from gridmarg.lp import memo_solve, solve_memo_scope
-    problem = _two_var([1.0, 2.0], [5.0, 5.0], [1.0, 1.0], 4.0)
-    other = _two_var([2.0, 1.0], [5.0, 5.0], [1.0, 1.0], 4.0)
-    with solve_memo_scope():
-        first = memo_solve(problem)
-        assert memo_solve(_two_var([1.0, 2.0], [5.0, 5.0], [1.0, 1.0], 4.0),
-                          warm_start=first) is first
-        from_first = memo_solve(other, warm_start=first)   # another LP: solved
-        assert memo_solve(other, warm_start=from_first) is from_first
-        # The same LP as a canonical-basis solve is another solve.
-        memo_solve(problem, warm_start=first, canonical_basis=True)
-    assert len(backend_calls) == 3
-    np.testing.assert_array_equal(solve(problem, warm_start=first).x, first.x)
-
-
-def test_memo_names_a_start_by_its_key_and_solves_a_start_without_one(backend_calls):
-    from gridmarg.lp import _MEMO, memo_solve, solve_memo_scope
-    problem = _two_var([1.0, 2.0], [5.0, 5.0], [1.0, 1.0], 4.0)
-    start_lp = _two_var([1.0, 1.0], [5.0, 5.0], [1.0, 1.0], 4.0)
-    with solve_memo_scope():
-        stored = memo_solve(start_lp)
-        loose = solve(start_lp)   # solved outside the memo
-        assert stored.memo_key is not None and loose.memo_key is None
-        backend_calls.clear()
-        from_stored = memo_solve(problem, warm_start=stored)
-        assert from_stored.memo_key is not None
-        assert memo_solve(problem, warm_start=stored) is from_stored
-        assert len(backend_calls) == 1
-        # A start without a key bypasses the memo: each solve from it reaches
-        # the backend, and none is stored.
-        stored_now = len(_MEMO.get())
-        from_loose = memo_solve(problem, warm_start=loose)
-        again = memo_solve(problem, warm_start=loose)
-        assert len(backend_calls) == 3
-        assert again is not from_loose and from_loose.memo_key is None
-        assert len(_MEMO.get()) == stored_now
-        assert_same_bits(again.x, from_loose.x)
-
-
-def _with_fixed_column(cost) -> LpProblem:
-    # min c.x  s.t. x0 + x1 + x2 = 4, x0, x1 in [0, 5], x2 fixed at 1.
-    b = LpBuilder()
-    b.add_vars(2, cost=cost[:2], ub=5.0)
-    b.add_var(cost=cost[2], lb=1.0, ub=1.0)
-    b.add_eq([0, 1, 2], [1.0, 1.0, 1.0], 4.0)
-    return b.build()
-
-
-# Column 2 is fixed: the memo keys its cost like any other.
-@pytest.mark.parametrize("column", [0, 1, 2])
-def test_memo_miss_when_a_free_columns_cost_differs(backend_calls, column):
-    from gridmarg.lp import memo_solve, solve_memo_scope
-    cost = [1.0, 2.0, 3.0]
-    cost[column] += 0.5
-    with solve_memo_scope():
-        memo_solve(_with_fixed_column([1.0, 2.0, 3.0]))
-        moved = memo_solve(_with_fixed_column(cost))
-    assert len(backend_calls) == 2
-    assert verify_kkt(_with_fixed_column(cost), moved).passed
-
-
-def _edited(problem: LpProblem, draw, fixed: list[int]) -> LpProblem:
-    """problem with one cost (a fixed column's among them), bound or right-hand side moved."""
-    c, lb, ub = problem.c.copy(), problem.lb.copy(), problem.ub.copy()
-    b_eq, b_ub = problem.b_eq.copy(), problem.b_ub.copy()
-    delta = draw(st.floats(-1.0, 1.0, allow_nan=False))
-    kind = draw(st.sampled_from(["cost", "fixed cost", "bound", "rhs"]))
-    j = draw(st.sampled_from(fixed) if kind == "fixed cost"
-             else st.integers(0, problem.num_vars - 1))
-    if kind in ("cost", "fixed cost"):
-        c[j] += delta
-    elif kind == "bound" and j in fixed:
-        lb[j] = ub[j] = lb[j] + delta
-    elif kind == "bound":
-        ub[j] = max(lb[j], ub[j] + delta)
-    else:
-        rhs = draw(st.sampled_from([b for b in (b_eq, b_ub) if b.size]))
-        rhs[draw(st.integers(0, rhs.size - 1))] += delta
-    return replace(problem, c=c, lb=lb, ub=ub, b_eq=b_eq, b_ub=b_ub)
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(st.data())
-def test_memo_solve_returns_the_solution_a_fresh_solve_from_the_same_start_does(data):
-    # An LP with a fixed column and edits of it, solved in a random order,
-    # cold or from an earlier memo solution: a hit must be exactly the solve
-    # it stands for. A hit on the start's own optimum stands for a solve that
-    # stops at once.
-    from gridmarg.lp import memo_solve, solve_memo_scope
-    draw = data.draw
-    n = draw(st.integers(2, 6))
-    fixed = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lps = [random_feasible_lp(rng, n, n_eq=draw(st.integers(0, 2)),
-                              n_ub=draw(st.integers(1, 4)), fixed=tuple(fixed))]
-    for _ in range(draw(st.integers(1, 3))):
-        lps.append(_edited(draw(st.sampled_from(lps)), draw, fixed))
-    starts = []
-    with solve_memo_scope():
-        for _ in range(draw(st.integers(2, 8))):
-            problem = draw(st.sampled_from(lps))
-            problem = replace(problem, c=problem.c.copy())   # equal arrays, a new object
-            start = draw(st.sampled_from([None] + starts))
-            got = memo_solve(problem, warm_start=start)
-            fresh = solve(problem, warm_start=start)
-            assert got.status is fresh.status
-            if got.status is not SolveStatus.OPTIMAL:
-                continue
-            names = ("x", "eq_duals", "ineq_duals", "reduced_costs")
-            if got is start:
-                assert fresh.iterations == 0
-                for name in names:
-                    np.testing.assert_allclose(getattr(got, name), getattr(fresh, name),
-                                               rtol=0, atol=1e-9)
-                assert got.objective_value == pytest.approx(fresh.objective_value, abs=1e-9)
-            else:
-                for name in names:
-                    assert_same_bits(getattr(got, name), getattr(fresh, name))
-                assert got.objective_value == fresh.objective_value
-            starts.append(got)
-
-
-def test_memo_solve_outside_a_scope_always_solves(backend_calls):
-    from gridmarg.lp import memo_solve
-    memo_solve(merit_order_problem())
-    memo_solve(merit_order_problem())
-    assert len(backend_calls) == 2
-
-
-def test_nested_memo_scope_reads_the_outer_scope_and_drops_its_own(backend_calls):
-    from gridmarg.lp import memo_solve, solve_memo_scope
-    other = _two_var([1.0, 2.0], [5.0, 5.0], [1.0, 1.0], 4.0)
-    with solve_memo_scope():
-        outer = memo_solve(merit_order_problem())
-        with solve_memo_scope(nested=True):
-            assert memo_solve(merit_order_problem()) is outer
-            inner = memo_solve(other)
-            assert memo_solve(other) is inner
-        assert len(backend_calls) == 2
-        assert memo_solve(other) is not inner
-        assert memo_solve(merit_order_problem()) is outer
-        assert len(backend_calls) == 3
-    with solve_memo_scope(nested=True):   # outside any scope it memoizes nothing
-        memo_solve(other)
-        memo_solve(other)
-    assert len(backend_calls) == 5
-
-
-def test_no_memo_entry_outlives_its_cli_command(backend_calls, tmp_path):
-    from gridmarg.cli import main
-    from gridmarg.lp import memo_solve
-    argv = ["metrics", str(TUTORIAL), "--method", "srme1", "--out", str(tmp_path)]
-    assert main(argv) == 0
-    first = len(backend_calls)
-    # The tutorial builds nothing, so its operational base repeats the expansion LP.
-    assert first == 1 + 2   # expansion (= operational base), one perturbed solve per zone
-    assert main(argv) == 0
-    assert len(backend_calls) == 2 * first
-    memo_solve(merit_order_problem())
-    memo_solve(merit_order_problem())
-    assert len(backend_calls) == 2 * first + 2
 
 
 @pytest.mark.parametrize("command", [
@@ -555,7 +361,8 @@ def test_commands_convert_no_model_or_basis_element_by_element(command, backend_
                                                                monkeypatch, tmp_path):
     # The model reaches HiGHS as numpy buffers and a warm start as HiGHS's own
     # basis, so neither the HighsLp field-by-field copy nor the enum -> int8
-    # basis conversion runs on a command; the memo names warm starts by key.
+    # basis conversion runs on a command; a warm start is handed over as the
+    # solution object itself, never named by its basis codes.
     import gridmarg.lp as lp_module
     from gridmarg.cli import main
     counts = {"_status_codes": 0, "HighsLp": 0}

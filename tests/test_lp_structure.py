@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmarg import cli, planner
+from gridmarg import cli, planner, scheduler
 from gridmarg.cli import main
 from gridmarg.errors import InfeasibleWindow, MissingCapacity, ModelBuildError, UnknownZone
 from gridmarg.flex import FlexWindow, check_window_feasible
@@ -335,12 +335,12 @@ def _drop_line_capacity(monkeypatch):
 
 
 def _negative_cost_schedule(monkeypatch):
-    real = cli.schedule_from_result
+    real = scheduler.schedule_from_result
 
     def schedule(grid, result, source):
         out = real(grid, result, source)
         return replace(out, per_load={**out.per_load, "ev_b": _below_zero(out.per_load["ev_b"])})
-    monkeypatch.setattr(cli, "schedule_from_result", schedule)
+    monkeypatch.setattr(scheduler, "schedule_from_result", schedule)
 
 
 CLI_ERRORS = {

@@ -7,12 +7,14 @@ from gridmarg.grid import Generator, GridModel, ScenarioConfig, Zone
 from gridmarg.metrics import (average_emission_rate, icev_comparison, long_run_mer, srme_dual,
                               srme_uniform)
 from gridmarg.planner import (FixedCapacities, ScaleEV, SingleHour, build_expansion_lp,
-                              build_operational_lp, perturb_demand, solve_model)
+                              build_operational_lp, perturb_demand, solve_expansion,
+                              solve_model)
 from gridmarg.scenario_io import load_scenario
 
 from oracles import spy_on_solves
 from toys import (MERIT_STACK_MARGINAL_EF, breakeven_wind, frozen_structure, merit_stack,
-                  negative_lr_toy, single_bus, storage_coupled, storage_roundtrip)
+                  negative_lr_toy, operational_base, single_bus, storage_coupled,
+                  storage_roundtrip)
 from test_scenario_io import TUTORIAL
 
 
@@ -65,7 +67,7 @@ def test_aer_zero_demand_and_unknown_zone():
 def test_srme1_headroom_equals_factor():
     # Coal interior at every hour; the re-solve difference is pure coal.
     grid = single_bus(demand=50.0, cap=100.0)
-    series = srme_uniform(grid, FixedCapacities.none())
+    series = srme_uniform(grid, FixedCapacities.none(), operational_base(grid))
     np.testing.assert_allclose(series.rates[0], 0.9, atol=1e-9)
     # Oracle: one manual re-solve, same arithmetic as the definition.
     base = solve_model(build_operational_lp(grid, FixedCapacities.none()))
@@ -77,7 +79,8 @@ def test_srme1_headroom_equals_factor():
 
 
 def test_srme1_zero_emission_fleet():
-    series = srme_uniform(all_renewable(), FixedCapacities.none())
+    grid = all_renewable()
+    series = srme_uniform(grid, FixedCapacities.none(), operational_base(grid))
     np.testing.assert_allclose(series.rates[0], 0.0, atol=1e-12)
 
 
@@ -86,7 +89,7 @@ def test_srme1_storage_coupling_exceeds_fleet_factor():
     # generator factor, while the energy-weighted total stays within the
     # round-trip-adjusted fleet bound.
     grid = storage_roundtrip()
-    series = srme_uniform(grid, FixedCapacities.none())
+    series = srme_uniform(grid, FixedCapacities.none(), operational_base(grid))
     assert series.rates[0, 0] > 0.9
     assert series.rates[0, 1] == pytest.approx(0.0, abs=1e-9)
     demand = grid.zones[0].demand
@@ -103,7 +106,7 @@ def test_srme1_zero_demand_hours_get_zero_rate():
     grid = single_bus(demand=50.0)
     zones = (Zone(id="Z", demand=np.concatenate([np.zeros(2), np.full(22, 50.0)])),)
     grid = GridModel(zones=zones, generators=grid.generators, config=grid.config)
-    series = srme_uniform(grid, FixedCapacities.none())
+    series = srme_uniform(grid, FixedCapacities.none(), operational_base(grid))
     assert series.rates[0, 0] == 0.0 and series.rates[0, 1] == 0.0
     np.testing.assert_allclose(series.rates[0, 2:], 0.9, atol=1e-9)
 
@@ -111,14 +114,14 @@ def test_srme1_zero_demand_hours_get_zero_rate():
 def test_srme1_infeasible_perturbation():
     grid = single_bus(demand=100.0, cap=101.0, nse_penalty=None)
     with pytest.raises(InfeasiblePerturbation):
-        srme_uniform(grid, FixedCapacities.none())
+        srme_uniform(grid, FixedCapacities.none(), operational_base(grid))
 
 
 def test_srme1_two_zone_targeting_on_tutorial():
     # Perturbing zone A rides the coal margin (0.9); zone B, behind the
     # saturated line, rides its local gas margin (0.4).
     grid = load_scenario(TUTORIAL)
-    series = srme_uniform(grid, FixedCapacities.none())
+    series = srme_uniform(grid, FixedCapacities.none(), operational_base(grid))
     np.testing.assert_allclose(series.rate_for("A"), 0.9, atol=1e-9)
     np.testing.assert_allclose(series.rate_for("B"), 0.4, atol=1e-9)
 
@@ -126,26 +129,29 @@ def test_srme1_two_zone_targeting_on_tutorial():
 # --- SRME2 ----------------------------------------------------------------------
 
 def test_srme2_merit_order_exact():
-    series = srme_dual(merit_stack(), FixedCapacities.none())
+    grid = merit_stack()
+    series = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
     np.testing.assert_allclose(series.rates[0], MERIT_STACK_MARGINAL_EF, atol=1e-9)
     assert series.details["lambda_second"] >= 0
 
 
 def test_srme2_all_renewable_zero():
-    series = srme_dual(all_renewable(), FixedCapacities.none())
+    grid = all_renewable()
+    series = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
     np.testing.assert_allclose(series.rates[0], 0.0, atol=1e-12)
 
 
 def test_srme2_storage_roundtrip_rate():
-    series = srme_dual(storage_roundtrip(), FixedCapacities.none())
+    grid = storage_roundtrip()
+    series = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
     assert series.rates[0, 0] == pytest.approx(0.9, abs=1e-9)
     assert series.rates[0, 1] == pytest.approx(0.9 / 0.81, abs=1e-9)
 
 
 def test_srme2_two_zone_rates_match_finite_difference():
     grid = load_scenario(TUTORIAL)
-    series = srme_dual(grid, FixedCapacities.none())
     base = solve_model(build_operational_lp(grid, FixedCapacities.none()))
+    series = srme_dual(grid, FixedCapacities.none(), base)
     for zone, hour in (("A", 3), ("A", 20), ("B", 3), ("B", 20)):
         pg = perturb_demand(grid, [zone], SingleHour(zone, hour, 1.0))
         pert = solve_model(build_operational_lp(pg, FixedCapacities.none()))
@@ -158,8 +164,8 @@ def test_srme2_two_zone_rates_match_finite_difference():
 
 def test_srme2_matches_finite_difference_oracle():
     grid = storage_roundtrip()
-    series = srme_dual(grid, FixedCapacities.none())
     base = solve_model(build_operational_lp(grid, FixedCapacities.none()))
+    series = srme_dual(grid, FixedCapacities.none(), base)
     for hour in range(2):
         pg = perturb_demand(grid, ["Z"], SingleHour("Z", hour, 1.0))
         pert = solve_model(build_operational_lp(pg, FixedCapacities.none()))
@@ -217,8 +223,8 @@ def test_srme2_finite_difference_property_on_random_systems():
     for _ in range(14):
         grid = _random_system(rng)
         caps = FixedCapacities.none()
-        series = srme_dual(grid, caps)
         base = solve_model(build_operational_lp(grid, caps))
+        series = srme_dual(grid, caps, base)
         for zid in grid.zone_ids():
             zi = series.zone_ids.index(zid)
             for hour in (int(h) for h in rng.choice(24, size=4, replace=False)):
@@ -234,7 +240,7 @@ def test_srme2_finite_difference_property_on_random_systems():
 
 def test_srme2_step2_recovers_least_cost():
     for grid in (merit_stack(), storage_roundtrip(), frozen_structure()):
-        series = srme_dual(grid, FixedCapacities.none())
+        series = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
         cbar = series.details["base_objective"]
         step2 = series.details["step2_cost"]
         assert series.details["lambda_second"] >= 0.0
@@ -247,11 +253,13 @@ def test_srme2_nonbinding_cost_cap_gives_mu_directly():
     # cap dual is zero and the rate equals the bare balance dual of the
     # emissions solve. (With NSE enabled the cap always binds: slack money
     # buys shed load at 0.9 t per 8980 $, and lambda reports that ratio.)
-    series = srme_dual(single_bus(demand=50.0, nse_penalty=None), FixedCapacities.none())
+    grid = single_bus(demand=50.0, nse_penalty=None)
+    series = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
     assert series.details["lambda_second"] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(series.rates[0], 0.9, atol=1e-9)
 
-    shed = srme_dual(single_bus(demand=50.0, nse_penalty=9000.0), FixedCapacities.none())
+    grid = single_bus(demand=50.0, nse_penalty=9000.0)
+    shed = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
     assert shed.details["lambda_second"] == pytest.approx(0.9 / 8980.0, rel=1e-6)
     np.testing.assert_allclose(shed.rates[0], 0.9, atol=1e-9)
 
@@ -260,8 +268,8 @@ def test_srme2_nonbinding_cost_cap_gives_mu_directly():
 
 def test_lr_mer_frozen_structure_equals_sr_attribution():
     grid = frozen_structure()
-    rates = srme_dual(grid, FixedCapacities.none())
-    report = long_run_mer(grid, ScaleEV(0.05), sr_rates=rates)
+    rates = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
+    report = long_run_mer(grid, ScaleEV(0.05), sr_rates=rates, base=solve_expansion(grid))
     assert report.lr_mer == pytest.approx(0.4, abs=1e-9)
     assert abs(report.lr_mer - report.sr_attributed / report.delta_demand_mwh) <= 1e-6
     # Invariant holds by construction: lr_mer * delta = emission delta.
@@ -274,21 +282,23 @@ def test_lr_mer_breakeven_wind_builds_and_zeroes_rate():
     base = solve_model(build_expansion_lp(grid))
     assert base.new_gen_capacity["wind"] == pytest.approx(220.0, rel=1e-9)
     assert base.generation["coal"].sum() == pytest.approx(0.0, abs=1e-6)
-    report = long_run_mer(grid, ScaleEV(0.05))
+    report = long_run_mer(grid, ScaleEV(0.05), base=base)
     assert report.lr_mer == pytest.approx(0.0, abs=1e-9)
     assert report.capacity_deltas["wind"]["new_mw"] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_lr_mer_negative_via_unlocked_wind():
-    report = long_run_mer(negative_lr_toy(), ScaleEV(0.05))
+    grid = negative_lr_toy()
+    report = long_run_mer(grid, ScaleEV(0.05), base=solve_expansion(grid))
     assert report.lr_mer == pytest.approx(-0.9, abs=1e-6)
     assert report.lr_mer < 0
     assert report.capacity_deltas["wind"]["new_mw"] > 0
 
 
 def test_lr_mer_degenerate_delta_guard():
+    grid = frozen_structure()
     with pytest.raises(DegenerateDelta):
-        long_run_mer(frozen_structure(), ScaleEV(1e-9))
+        long_run_mer(grid, ScaleEV(1e-9), base=solve_expansion(grid))
 
 
 @pytest.mark.parametrize("make_grid", [frozen_structure, storage_coupled, negative_lr_toy])
@@ -306,7 +316,8 @@ def test_warm_started_ev_scaled_solve_matches_cold(make_grid):
 
 def test_lr_mer_warm_starts_from_its_own_base(monkeypatch):
     calls = spy_on_solves(monkeypatch)
-    report = long_run_mer(storage_coupled(), ScaleEV(0.05))
+    grid = storage_coupled()
+    report = long_run_mer(grid, ScaleEV(0.05), base=solve_expansion(grid))
     assert len(calls) == 2
     base_sol, base_start, pert_start = calls[0].solution, calls[0].warm_start, calls[1].warm_start
     assert base_start is None
@@ -317,7 +328,7 @@ def test_lr_mer_warm_starts_from_its_own_base(monkeypatch):
 
 def test_aer_attribution_field():
     grid = frozen_structure()
-    report = long_run_mer(grid, ScaleEV(0.05), aer_value=0.75)
+    report = long_run_mer(grid, ScaleEV(0.05), aer_value=0.75, base=solve_expansion(grid))
     assert report.aer_attributed == pytest.approx(0.75 * report.delta_demand_mwh)
 
 
@@ -346,7 +357,8 @@ def test_icev_comparison_arithmetic():
 
 def test_srme2_unbounded_base_solve_raises_unbounded(monkeypatch):
     from gridmarg.errors import UnboundedModel
+    grid = merit_stack()
     monkeypatch.setattr(lp, "solve", lambda problem, *args, **kwargs:
                         lp.LpSolution(status=lp.SolveStatus.UNBOUNDED))
-    with pytest.raises(UnboundedModel):
-        srme_dual(merit_stack(), FixedCapacities.none())
+    with pytest.raises(UnboundedModel):   # the base, step 1, is the caller's solve
+        srme_dual(grid, FixedCapacities.none(), operational_base(grid))

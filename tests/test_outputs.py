@@ -10,7 +10,7 @@ import gridmarg
 from gridmarg.metrics import EmissionRateSeries
 from gridmarg.outputs import (read_srme_csv, write_consequential_json, write_dispatch_outputs,
                               write_schedule_csv, write_srme_csv, write_trace_csv)
-from gridmarg.planner import FixedCapacities, build_expansion_lp, solve_model
+from gridmarg.planner import build_expansion_lp, solve_expansion, solve_model
 from gridmarg.scheduler import schedule_min_srme
 
 from test_metrics import _report_with_rate
@@ -54,7 +54,7 @@ def test_consequential_json_written(tmp_path):
 
 def test_schedule_and_trace_files(tmp_path):
     grid = storage_coupled()
-    sched, trace = schedule_min_srme(grid, FixedCapacities.none(), method="SRME1")
+    sched, trace = schedule_min_srme(grid, solve_expansion(grid), method="SRME1")
     write_schedule_csv(sched, tmp_path / "schedule.csv")
     write_trace_csv(trace, tmp_path / "iteration_trace.csv")
     lines = (tmp_path / "schedule.csv").read_text().splitlines()

@@ -297,3 +297,34 @@ def test_tutorial_line_flows_decode():
     np.testing.assert_allclose(x[model.index.flow_bwd["ab"]], 0.0, atol=1e-9)
 
 
+
+
+# --- the operational result of a grid with nothing to build ---------------------
+
+@pytest.mark.parametrize("which", ["tutorial", "fleet"])
+def test_operational_result_with_nothing_to_build_is_the_expansion_solution(
+        which, tmp_path, monkeypatch):
+    from gridmarg.grid import resolve_scenario
+    from gridmarg.planner import solve_expansion, solve_operational
+    from gridmarg.scenario_io import load_scenario
+    from oracles import spy_on_solves
+    from test_lp import assert_same_bits, synth_grid
+    from test_scenario_io import TUTORIAL
+    grid = (resolve_scenario(load_scenario(TUTORIAL)) if which == "tutorial"
+            else synth_grid("fleet", 1, tmp_path))
+    assert not grid.has_investment
+    expansion = solve_expansion(grid)
+    calls = spy_on_solves(monkeypatch)
+    got = solve_operational(grid, expansion)
+    assert calls == []
+    model = build_operational_lp(grid, expansion.fixed_capacities())
+    cold = solve_model(model)
+    assert len(calls) == 1 and calls[0].warm_start is None
+    for name in ("x", "eq_duals", "ineq_duals", "reduced_costs"):
+        assert_same_bits(getattr(got.solution, name), getattr(cold.solution, name))
+    # The operational model's cost offset, not the expansion model's (the
+    # existing fleet's fixed O&M, which the tutorial does not charge).
+    offset = build_expansion_lp(grid).cost_offset
+    assert (offset > 0) == (which == "fleet") and model.cost_offset == 0.0
+    assert got.total_cost == cold.total_cost == expansion.total_cost - offset
+    assert got.mode == cold.mode

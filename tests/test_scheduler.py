@@ -9,13 +9,13 @@ from gridmarg.errors import ModelBuildError, ScheduleMismatch
 from gridmarg.flex import ChargingSchedule, ScheduleSource
 from gridmarg.grid import FlexibleLoad, Generator, GridModel, ScenarioConfig, Zone
 from gridmarg.planner import (FixedCapacities, build_expansion_lp, build_operational_lp,
-                              solve_model)
+                              solve_expansion, solve_model)
 from gridmarg.scheduler import (PIN_SNAP_TOL, consequential_check, evaluate_fixed_schedule,
                                 pin_schedule, schedule_from_result, schedule_min_srme)
 
 from oracles import spy_on_solves
 from test_cli import scenario_file
-from toys import backfire, solar_midday, storage_coupled, with_flex_window
+from toys import backfire, operational_base, solar_midday, storage_coupled, with_flex_window
 
 
 def test_delay_window_seeks_cheap_hour():
@@ -83,9 +83,8 @@ def test_uniform_rates_leave_cost_min_schedule():
                                      max_charge_rate_mw=20.0),),
         config=ScenarioConfig(horizon_hours=horizon),
     )
-    caps = FixedCapacities.none()
     base = solve_model(build_expansion_lp(grid))
-    sched, trace = schedule_min_srme(grid, caps, method="SRME1")
+    sched, trace = schedule_min_srme(grid, base, method="SRME1")
     assert trace.converged
     np.testing.assert_allclose(sched.per_load["ev"], base.flex_served["ev"], atol=1e-6)
     assert trace.records[-1].schedule_delta_norm == pytest.approx(0.0, abs=1e-6)
@@ -116,7 +115,7 @@ def test_zero_rate_hour_attracts_shiftable_energy():
                                      max_charge_rate_mw=25.0),),
         config=ScenarioConfig(horizon_hours=horizon),
     )
-    sched, trace = schedule_min_srme(grid, FixedCapacities.none(), method="SRME1")
+    sched, trace = schedule_min_srme(grid, solve_expansion(grid), method="SRME1")
     assert trace.converged
     assert trace.iterations_used <= 3
     assert sched.per_load["ev"][12] == pytest.approx(25.0, abs=1e-6)  # rate cap binds
@@ -126,7 +125,7 @@ def test_zero_rate_hour_attracts_shiftable_energy():
 def test_storage_coupled_loop_converges_with_sound_proxy():
     grid = storage_coupled()
     for method in ("SRME1", "SRME2"):
-        sched, trace = schedule_min_srme(grid, FixedCapacities.none(), method=method)
+        sched, trace = schedule_min_srme(grid, solve_expansion(grid), method=method)
         assert trace.converged, method
         assert trace.iterations_used <= 10
         for rec in trace.records:
@@ -139,7 +138,7 @@ def test_evaluate_fixed_schedule_is_fixed_point_of_expansion():
     grid = with_flex_window(solar_midday(), 12, 12)
     exp = solve_model(build_expansion_lp(grid))
     schedule = schedule_from_result(grid, exp, ScheduleSource.COST_MIN)
-    report = evaluate_fixed_schedule(grid, schedule)
+    report = evaluate_fixed_schedule(grid, schedule, exp)
     assert report.base_total_cost == pytest.approx(exp.total_cost, rel=1e-9, abs=1e-6)
     assert report.base_total_emissions == pytest.approx(exp.total_emissions, rel=1e-9)
 
@@ -179,11 +178,11 @@ def test_evaluate_rejects_mismatched_energy():
     bad = ChargingSchedule(served=schedule.served, per_load={"ev": schedule.per_load["ev"] * 1.1},
                            source=ScheduleSource.FIXED, zone_ids=schedule.zone_ids)
     with pytest.raises(ScheduleMismatch):
-        evaluate_fixed_schedule(grid, bad)
+        evaluate_fixed_schedule(grid, bad, exp)
     with pytest.raises(ScheduleMismatch):
         evaluate_fixed_schedule(grid, ChargingSchedule(served=schedule.served, per_load={},
                                                        source=ScheduleSource.FIXED,
-                                                       zone_ids=schedule.zone_ids))
+                                                       zone_ids=schedule.zone_ids), exp)
 
 
 def test_emissions_signal_backfires_on_midday_solar_toy():
@@ -193,15 +192,14 @@ def test_emissions_signal_backfires_on_midday_solar_toy():
     midday_base = ev[10:16].sum() + ev[34:40].sum()
     assert midday_base == pytest.approx(120.0, abs=1e-6)  # cost-min charges midday
 
-    caps = base.fixed_capacities()
-    sched, trace = schedule_min_srme(grid, caps, method="SRME1")
+    sched, trace = schedule_min_srme(grid, base, method="SRME1")
     assert trace.converged
     midday_after = sched.per_load["ev"][10:16].sum() + sched.per_load["ev"][34:40].sum()
     assert midday_after <= 1e-6  # the signal vacates midday entirely
 
     rep_cost = evaluate_fixed_schedule(grid, schedule_from_result(grid, base,
-                                                                  ScheduleSource.COST_MIN))
-    rep_srme = evaluate_fixed_schedule(grid, sched)
+                                                                  ScheduleSource.COST_MIN), base)
+    rep_srme = evaluate_fixed_schedule(grid, sched, base)
     assert rep_srme.base_total_emissions > rep_cost.base_total_emissions
     # 120 MWh moved from new solar to evening gas at 0.45 t/MWh.
     assert rep_srme.base_total_emissions - rep_cost.base_total_emissions == pytest.approx(
@@ -212,7 +210,8 @@ def test_consequential_check_uses_pinned_operational_solves():
     grid = storage_coupled()
     caps = FixedCapacities.none()
     base = solve_model(build_expansion_lp(grid))
-    delta = consequential_check(pin_schedule(grid, base.flex_served), caps, 0.05)
+    pinned = pin_schedule(grid, base.flex_served)
+    delta = consequential_check(pinned, caps, 0.05, operational_base(pinned, caps)).delta
     assert np.isfinite(delta)
     # Scaling the schedule by 1.05 grows served energy by 5%; emissions move
     # with it, so the check is strictly positive on this fossil-margin toy.
@@ -228,8 +227,9 @@ def test_consequential_check_scales_the_snapped_schedule():
     for value in (0.0, -PIN_SNAP_TOL):
         profile = load.baseline_profile.copy()
         profile[0] = value
-        checks.append(consequential_check(pin_schedule(grid, {load.id: profile}),
-                                          FixedCapacities.none(), 0.05))
+        pinned = pin_schedule(grid, {load.id: profile})
+        checks.append(consequential_check(pinned, FixedCapacities.none(), 0.05,
+                                          operational_base(pinned)).delta)
     assert checks[0] == checks[1]
 
 
@@ -239,29 +239,10 @@ def test_penalty_loop_pins_each_schedule_once(monkeypatch):
     monkeypatch.setattr(scheduler, "pin_schedule",
                         lambda grid, per_load: pinned.append(per_load) or real(grid, per_load))
     grid = with_flex_window(solar_midday(), 0, 8)   # two passes with SRME2 rates
-    _, trace = schedule_min_srme(grid, FixedCapacities.none(), method="SRME2")
+    _, trace = schedule_min_srme(grid, solve_expansion(grid), method="SRME2")
     assert trace.iterations_used >= 2
     # The cost-min schedule and each pass's schedule, once each.
     assert len(pinned) == 1 + trace.iterations_used
-
-
-def test_memo_keeps_only_the_cost_and_check_solves_of_the_penalty_loop(monkeypatch):
-    from gridmarg import lp
-    solves = spy_on_solves(monkeypatch)
-    grid = with_flex_window(solar_midday(), 0, 8)   # two passes with SRME2 rates
-    _, plain = schedule_min_srme(grid, FixedCapacities.none(), method="SRME2")
-    unscoped = len(solves)
-    solves.clear()
-    with lp.solve_memo_scope():
-        _, trace = schedule_min_srme(grid, FixedCapacities.none(), method="SRME2")
-        kept = len(lp._MEMO.get())
-    assert trace == plain and trace.iterations_used >= 2
-    # Each pass's rates start from the pinned base its previous check solved.
-    assert len(solves) <= unscoped - trace.iterations_used
-    # Kept: the cost-min solve and two pinned solves per check. The rate and
-    # penalty solves of each pass are dropped when the pass ends.
-    assert kept <= 1 + 2 * (trace.iterations_used + 1)
-    assert kept < len(solves)
 
 
 def test_pin_schedule_snaps_round_off_and_rejects_real_negatives():
@@ -279,3 +260,71 @@ def test_pin_schedule_snaps_round_off_and_rejects_real_negatives():
     pinned = pin_schedule(grid, {load.id: profile})
     with pytest.raises(ModelBuildError, match="nonnegative"):
         build_operational_lp(pinned, FixedCapacities.none())
+
+
+# --- the results a schedule shares with earlier solves ------------------------------
+
+def _census_grid(which: str, flex: str, tmp_path):
+    from gridmarg.cli import _apply_flex_mode
+    from gridmarg.grid import resolve_scenario
+    from gridmarg.scenario_io import load_scenario
+    from test_lp import synth_grid
+    from test_scenario_io import TUTORIAL
+    grid = (resolve_scenario(load_scenario(TUTORIAL)) if which == "tutorial"
+            else synth_grid(which, 1, tmp_path))
+    return _apply_flex_mode(grid, flex)
+
+
+@pytest.mark.parametrize("which", ["tutorial", "fleet", "expansion"])
+def test_rigid_cost_schedule_pins_to_the_grid_itself(which, tmp_path):
+    from test_lp import assert_same_bits
+    grid = _census_grid(which, "none", tmp_path)
+    assert grid.charging_is_rigid
+    expansion = solve_expansion(grid)
+    own = build_expansion_lp(grid).problem
+    pinned = build_expansion_lp(pin_schedule(grid, expansion.flex_served)).problem
+    for name in ("c", "b_eq", "b_ub", "lb", "ub"):
+        assert_same_bits(getattr(pinned, name), getattr(own, name))
+    for rows in ("rows_eq", "rows_ub"):
+        for name in ("data", "indices", "indptr"):
+            assert_same_bits(getattr(getattr(pinned, rows), name),
+                             getattr(getattr(own, rows), name))
+
+
+@pytest.mark.parametrize("make_grid,method", [
+    (lambda: with_flex_window(solar_midday(), 0, 8), "SRME2"),
+    (backfire, "SRME1"),
+], ids=["solar-delay8-srme2", "backfire-srme1"])
+def test_each_pass_rates_start_from_its_check_base_without_solving_it(make_grid, method,
+                                                                     monkeypatch):
+    grid = make_grid()
+    expansion = solve_expansion(grid)
+    solves = spy_on_solves(monkeypatch)
+    rate_calls = []
+    real = scheduler.short_run_rates
+
+    def rates(pinned, caps, method, base, zones="all"):
+        before = len(solves)
+        series = real(pinned, caps, method, base, zones)
+        rate_calls.append((base, solves[before:], zones))
+        return series
+    monkeypatch.setattr(scheduler, "short_run_rates", rates)
+    _, trace = schedule_min_srme(grid, expansion, method=method)
+    assert len(rate_calls) == trace.iterations_used >= 2
+    for check, (base, calls, zones) in zip(trace.checks, rate_calls):
+        assert base is check.base
+        # Only the rates' own solves: step 2, or one perturbed solve per zone.
+        assert len(calls) == (1 if method == "SRME2" else len(zones))
+        assert all(call.warm_start is base.solution for call in calls)
+
+
+def test_a_pass_that_returns_to_a_schedule_reads_its_earlier_check(tmp_path):
+    # On the fleet grid with an 8 h delay window, SRME1's third pass returns
+    # to the first pass's schedule.
+    grid = _census_grid("fleet", "delay8", tmp_path)
+    _, trace = schedule_min_srme(grid, solve_expansion(grid), method="SRME1")
+    assert trace.iterations_used == 3
+    assert trace.checks[3] is trace.checks[1] and trace.checks[2] is not trace.checks[1]
+    first, _, third = trace.records
+    assert third.consequential_tco2 == first.consequential_tco2
+    assert first.consequential_tco2 == pytest.approx(220.594810415, abs=1e-9)

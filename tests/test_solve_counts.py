@@ -93,3 +93,11 @@ def test_fleet_delay8_srme1_schedule_makes_its_recorded_solves(solves, tmp_path,
     # Its third pass repeats the first pass's schedule.
     assert _count(solves, tmp_path, fleet,
                    ["schedule", "--signal", "srme1", "--flex", "delay8"]) == 19
+
+
+def test_rigid_schedule_on_a_grid_to_build_makes_its_recorded_solves(solves, tmp_path):
+    # Rigid charging leaves one schedule, the cost schedule: the signal's
+    # evaluation is the cost schedule's, whose base is the expansion solve.
+    scenario = synth_scenario("expansion", 1, tmp_path)
+    assert _count(solves, tmp_path, scenario,
+                  ["schedule", "--signal", "srme2", "--flex", "none"]) == 7

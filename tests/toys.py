@@ -9,6 +9,14 @@ import numpy as np
 
 from gridmarg.grid import (FlexibleLoad, Generator, GridModel, ScenarioConfig, StorageUnit,
                            Zone)
+from gridmarg.planner import DispatchResult, FixedCapacities, build_operational_lp, solve_model
+
+
+def operational_base(grid: GridModel, caps: FixedCapacities | None = None) -> DispatchResult:
+    """grid's operational optimum at caps (nothing built by default): the base
+    that the short-run estimators and the consequential check take from their
+    caller."""
+    return solve_model(build_operational_lp(grid, caps or FixedCapacities.none()))
 
 
 def single_bus(demand: float = 50.0, cap: float = 100.0, horizon: int = 24,

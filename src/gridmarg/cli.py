@@ -26,7 +26,7 @@ from .errors import DegenerateDelta, GridmargError, InfeasibleModel, UnboundedMo
 from .grid import CostMultipliers, GridModel, resolve_scenario
 from .metrics import (ConsequentialReport, average_emission_rate, icev_comparison,
                       long_run_mer, short_run_rates)
-from .planner import ScaleEV, solve_expansion, solve_operational
+from .planner import solve_expansion, solve_operational
 from .scenario_io import load_scenario
 from .scheduler import compare_signal
 
@@ -69,10 +69,11 @@ def _ev_fleet(grid: GridModel, zone: str | None = None) -> float | None:
     return None
 
 
-def _per_vehicle(report: ConsequentialReport, grid: GridModel,
-                 zone: str | None = None) -> ConsequentialReport:
+def _per_vehicle(report: ConsequentialReport, zone: str | None = None) -> ConsequentialReport:
     """report with its per-vehicle normalization against the ICEV, for the
-    fleet of _ev_fleet(grid, zone); report itself where there is no fleet."""
+    fleet of _ev_fleet(grid, zone) on the report's grid; report itself where
+    there is no fleet."""
+    grid = report.base.model.grid
     fleet = _ev_fleet(grid, zone)
     if fleet is None:
         return report
@@ -93,8 +94,8 @@ def cmd_solve(args) -> int:
     if args.mode == "expansion":
         result = solve_expansion(grid)
     else:
-        result = solve_operational(grid, solve_expansion(grid))
-    outputs.write_dispatch_outputs(grid, result, args.out)
+        result = solve_operational(solve_expansion(grid))
+    outputs.write_dispatch_outputs(result, args.out)
     log.info("solved %s (%s): cost %.2f, emissions %.2f tCO2",
              args.scenario, args.mode, result.total_cost, result.total_emissions)
     return 0
@@ -115,16 +116,14 @@ def cmd_metrics(args) -> int:
         return 0
 
     if args.method in ("srme1", "srme2"):
-        expansion = solve_expansion(grid)
         zones = "all" if args.zone in ("all", "each-separately") else args.zone
-        series = short_run_rates(grid, expansion.fixed_capacities(), args.method.upper(),
-                                 solve_operational(grid, expansion), zones)
+        series = short_run_rates(args.method.upper(), solve_operational(solve_expansion(grid)),
+                                 zones)
         outputs.write_srme_csv(series, outdir / "srme.csv")
         log.info("wrote %s rates for %d zone(s)", series.method, len(series.zone_ids))
         return 0
 
     # lrmer: one base solve, differenced against each perturbation
-    fraction = grid.config.perturbation_fraction
     base = solve_expansion(grid)
     if args.zone == "each-separately":
         # A zone whose perturbation moves no demand (no EV load) has no rate;
@@ -132,9 +131,8 @@ def cmd_metrics(args) -> int:
         reports = {}
         for zone in grid.zone_ids():
             try:
-                reports[zone] = outputs.report_to_dict(_per_vehicle(
-                    long_run_mer(grid, ScaleEV(fraction), target_zones=[zone], base=base),
-                    grid, zone))
+                reports[zone] = outputs.report_to_dict(
+                    _per_vehicle(long_run_mer(base, target_zones=[zone]), zone))
             except DegenerateDelta as exc:
                 log.warning("zone %s: DegenerateDelta: %s", zone, exc)
                 reports[zone] = {"error": f"DegenerateDelta: {exc}"}
@@ -144,10 +142,8 @@ def cmd_metrics(args) -> int:
             return 1
     else:
         zone = None if args.zone == "all" else args.zone
-        report = _per_vehicle(long_run_mer(grid, ScaleEV(fraction),
-                                           target_zones="all" if zone is None else [zone],
-                                           base=base),
-                              grid, zone)
+        report = _per_vehicle(long_run_mer(base, target_zones="all" if zone is None else [zone]),
+                              zone)
         outputs.write_consequential_json(report, outdir / "consequential.json")
         print(outputs.fmt(report.lr_mer))
     return 0
@@ -157,8 +153,7 @@ def cmd_schedule(args) -> int:
     grid = _apply_flex_mode(_load(args.scenario), args.flex)
     outdir = outputs.out_dir(args.out)
 
-    schedule, trace, cost_report, report = compare_signal(grid, solve_expansion(grid),
-                                                          args.signal)
+    schedule, trace, cost_report, report = compare_signal(solve_expansion(grid), args.signal)
 
     outputs.write_schedule_csv(schedule, outdir / "schedule.csv")
     if trace is not None:
@@ -236,9 +231,8 @@ def _run_sweep_cell(raw_grid: GridModel, cell: dict,
                       cost_multipliers=CostMultipliers(renewable_capex=cell["renewable_capex"],
                                                        gas_price=cell["gas_price"]))
         grid = _apply_flex_mode(resolve_scenario(replace(raw_grid, config=cfg)), cell["flex"])
-        report = long_run_mer(grid, ScaleEV(grid.config.perturbation_fraction),
-                              target_zones=cell["target_zone"],
-                              base=solve_expansion(grid, warm_start=warm_start))
+        report = long_run_mer(solve_expansion(grid, warm_start=warm_start),
+                              target_zones=cell["target_zone"])
         metrics = {
             "lr_mer_tco2_per_mwh": report.lr_mer,
             "aer_system_tco2_per_mwh": average_emission_rate(report.base),

@@ -38,14 +38,6 @@ class FlexWindow:
     def is_rigid(self) -> bool:
         return self.advance == 0 and self.delay == 0
 
-    @classmethod
-    def no_flex(cls) -> "FlexWindow":
-        return cls(0, 0)
-
-    @classmethod
-    def delay_only(cls, delay: int) -> "FlexWindow":
-        return cls(0, delay)
-
 
 def cumulative_bounds(baseline: np.ndarray, window: FlexWindow) -> tuple[np.ndarray, np.ndarray]:
     """Per-hour [floor, ceiling] on cumulative served energy.

@@ -144,8 +144,9 @@ something to build over more than 96 h, else cold.
 
 Every call of ``solve`` reaches the backend; nothing here remembers a
 solve. Where a command needs one result twice, the caller that solved it
-hands it on (``planner.solve_operational``, ``metrics``, ``scheduler``).
-Solution arrays are read-only, so every caller it reaches can share it.
+hands the decoded result on, and the result carries its model, so a
+perturbed re-solve starts from it (``planner.solve_derived``). Solution
+arrays are read-only, so every caller it reaches can share it.
 """
 
 from __future__ import annotations

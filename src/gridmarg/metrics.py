@@ -23,6 +23,10 @@ EV-scaled) differenced over annual totals. The EV-scaled LP differs from the
 base only in the bounds of the EV charging columns, so its solve starts from
 the base solve's optimal basis.
 
+Every estimator takes its base from the caller and reads the grid and the
+capacities from the model the base carries; each perturbed solve is
+planner.solve_derived(base, perturbed grid).
+
 All emissions quantities are recomputed from primal generation; duals are
 used only where they are the estimator itself (SRME2).
 """
@@ -37,8 +41,8 @@ from . import lp
 from .errors import (CostCapInfeasible, DegenerateDelta, InfeasibleModel,
                      InfeasiblePerturbation, UnknownZone, ZeroDemand)
 from .grid import GridModel
-from .planner import (DispatchResult, FixedCapacities, ScaleEV, UniformAll, _resolve_zones,
-                      build_operational_lp, perturb_demand, solve_expansion, solve_model)
+from .planner import (DispatchResult, ScaleEV, UniformAll, _resolve_zones, perturb_demand,
+                      solve_derived)
 
 SRME1 = "SRME1"
 SRME2 = "SRME2"
@@ -53,9 +57,6 @@ class EmissionRateSeries:
     zone_ids: tuple[str, ...]
     alt_rates: np.ndarray | None = None     # SRME1 only: annual-zonal-load normalization
     details: dict[str, float] = field(default_factory=dict)
-
-    def rate_for(self, zone_id: str) -> np.ndarray:
-        return self.rates[self.zone_ids.index(zone_id)]
 
 
 @dataclass(frozen=True)
@@ -103,21 +104,21 @@ def flex_served_by_zone(grid: GridModel, per_load: dict[str, np.ndarray]) -> np.
     return out
 
 
-def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities, base: DispatchResult,
-                 zones="all") -> EmissionRateSeries:
+def srme_uniform(base: DispatchResult, zones="all") -> EmissionRateSeries:
     """SRME1: per-zone uniform perturbation rates on a fixed-capacity system.
 
     rate[z,t] = (hourly system emissions, perturbed - base)
                 / (srme1_fraction * fixed zonal demand at t)
 
     Hours with zero zonal demand carry a zero rate (no perturbation happened
-    there). base is grid's operational optimum at fixed_capacities, which
-    the caller solved. One perturbed operational solve per requested zone;
+    there). base is an operational optimum, which the caller solved. One
+    perturbed solve of base's LP per requested zone (planner.solve_derived);
     each starts from base's basis, since the perturbed LP differs from the
     base only in right-hand sides (the zone's balance rows and clean-share
     row). Every solve reaches the LP's canonical vertex (see gridmarg.lp), so
     the rates are those of cold solves.
     """
+    grid = base.model.grid
     zone_ids = grid.zone_ids()
     targets = _resolve_zones(grid, zones)
 
@@ -129,10 +130,8 @@ def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities, base: Dispa
     for zi, zone_id in enumerate(zone_ids):
         if zone_id not in targets:
             continue
-        pert_grid = perturb_demand(grid, [zone_id], UniformAll(frac))
         try:
-            pert = solve_model(build_operational_lp(pert_grid, fixed_capacities),
-                               warm_start=base.solution)
+            pert = solve_derived(base, perturb_demand(grid, [zone_id], UniformAll(frac)))
         except InfeasibleModel as exc:
             raise InfeasiblePerturbation(
                 f"uniform {frac:.0%} perturbation of zone {zone_id} is infeasible") from exc
@@ -151,14 +150,13 @@ def srme_uniform(grid: GridModel, fixed_capacities: FixedCapacities, base: Dispa
     )
 
 
-def srme_dual(grid: GridModel, fixed_capacities: FixedCapacities,
-              base: DispatchResult) -> EmissionRateSeries:
+def srme_dual(base: DispatchResult) -> EmissionRateSeries:
     """SRME2: dual-based rates for every zone and hour from two operational solves.
 
-    Step 1 is base, grid's operational optimum at fixed_capacities, which the
-    caller solved; step 2 is solved here.
+    Step 1 is base, an operational optimum, which the caller solved; step 2
+    adds a cost cap to base's LP and is solved here.
     """
-    model = build_operational_lp(grid, fixed_capacities)
+    model = base.model
     sol1 = base.solution
     cbar = sol1.objective_value
     # Slight relative slack keeps the cap numerically feasible at the optimum
@@ -183,7 +181,7 @@ def srme_dual(grid: GridModel, fixed_capacities: FixedCapacities,
 
     lam = float(sol2.ineq_duals[-1]) if cost_idx.size else 0.0
     step2_cost = float(model.problem.c @ sol2.x)
-    rates = np.zeros((len(base.zone_ids), grid.horizon))
+    rates = np.zeros((len(base.zone_ids), model.grid.horizon))
     for zi, zid in enumerate(base.zone_ids):
         rows = model.index.balance_rows[zid]
         rates[zi] = sol2.eq_duals[rows] - lam * sol1.eq_duals[rows]
@@ -197,25 +195,25 @@ def srme_dual(grid: GridModel, fixed_capacities: FixedCapacities,
     )
 
 
-def short_run_rates(grid: GridModel, fixed_capacities: FixedCapacities, method: str,
-                    base: DispatchResult, zones="all") -> EmissionRateSeries:
+def short_run_rates(method: str, base: DispatchResult, zones="all") -> EmissionRateSeries:
     """SRME1 rates (perturbing zones) or SRME2 rates (of every zone) at fixed
-    capacity, from base, grid's operational optimum there, which the caller solved."""
+    capacity, from base, an operational optimum, which the caller solved."""
     if method == SRME1:
-        return srme_uniform(grid, fixed_capacities, base, zones=zones)
+        return srme_uniform(base, zones=zones)
     if method == SRME2:
-        return srme_dual(grid, fixed_capacities, base)
+        return srme_dual(base)
     raise ValueError(f"method must be {SRME1} or {SRME2}, got {method!r}")
 
 
-def consequential_report(base: DispatchResult, pert: DispatchResult, grid: GridModel,
+def consequential_report(base: DispatchResult, pert: DispatchResult,
                          sr_rates: EmissionRateSeries | None = None,
                          aer_value: float | None = None) -> ConsequentialReport:
-    """Difference two solved results of grid into a ConsequentialReport.
+    """Difference base and pert, a perturbation of base's grid, into a ConsequentialReport.
 
     sr_attributed weights the per-(zone, hour) EV-charging delta by the
     supplied short-run rates.
     """
+    grid = base.model.grid
     delta_demand = pert.total_served - base.total_served
     if abs(delta_demand) < 1.0:
         raise DegenerateDelta(
@@ -270,26 +268,26 @@ def consequential_report(base: DispatchResult, pert: DispatchResult, grid: GridM
     )
 
 
-def long_run_mer(grid: GridModel, perturbation: ScaleEV | None = None,
+def long_run_mer(base: DispatchResult, perturbation: ScaleEV | None = None,
                  target_zones="all", sr_rates: EmissionRateSeries | None = None,
-                 aer_value: float | None = None, *, base: DispatchResult) -> ConsequentialReport:
+                 aer_value: float | None = None) -> ConsequentialReport:
     """LR-MER: two full capacity-expansion solves differenced over annual totals.
 
-    base is grid's expansion optimum, which the caller solved once for all
-    its perturbations. The EV-scaled solve is warm-started from its basis.
-    A perturbation that moves no load (no EV charging in the target zones)
-    leaves base's own LP, so base stands for it and the report raises
-    DegenerateDelta. The report keeps the base result
-    (``report.base``) for callers that need more of it than the totals.
+    base is an expansion optimum, which the caller solved once for all its
+    perturbations. The EV-scaled solve of base's LP (planner.solve_derived)
+    is warm-started from its basis. A perturbation that moves no load (no
+    EV charging in the target zones) leaves base's own LP, so base stands
+    for it and the report raises DegenerateDelta. The report keeps the base
+    result (``report.base``) for callers that need more of it than the totals.
     """
+    grid = base.model.grid
     if perturbation is None:
         perturbation = ScaleEV(grid.config.perturbation_fraction)
     pert_grid = perturb_demand(grid, target_zones, perturbation)
     moved = any(not np.array_equal(load.baseline_profile, scaled.baseline_profile)
                 for load, scaled in zip(grid.flexible_loads, pert_grid.flexible_loads))
-    pert = solve_expansion(pert_grid, warm_start=base.solution) if moved else base
-    return consequential_report(base, pert, grid=grid, sr_rates=sr_rates,
-                                aer_value=aer_value)
+    pert = solve_derived(base, pert_grid) if moved else base
+    return consequential_report(base, pert, sr_rates=sr_rates, aer_value=aer_value)
 
 
 def icev_comparison(report: ConsequentialReport, n_vehicles: float,

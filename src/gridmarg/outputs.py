@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .flex import ChargingSchedule
-from .grid import GridModel
 from .metrics import ConsequentialReport, EmissionRateSeries
 from .planner import DispatchResult
 from .scheduler import IterationTrace
@@ -51,8 +50,9 @@ def _zone_hour_rows(zone_ids, values: np.ndarray, *labels: str) -> list[str]:
             for zi, zid in enumerate(zone_ids) for t in range(values.shape[1])]
 
 
-def write_dispatch_outputs(grid: GridModel, result: DispatchResult, outdir) -> list[str]:
+def write_dispatch_outputs(result: DispatchResult, outdir) -> list[str]:
     """Write dispatch/capacity/emissions/prices/summary files; returns filenames."""
+    grid = result.model.grid
     outdir = out_dir(outdir)
     units = [(gen.zone_id, gen.id, result.generation[gen.id]) for gen in grid.generators]
     units += [(sto.zone_id, sto.id, result.discharge[sto.id] - result.charge[sto.id])
@@ -83,7 +83,7 @@ def write_dispatch_outputs(grid: GridModel, result: DispatchResult, outdir) -> l
     for gen in grid.generators:
         by_kind[gen.kind] = by_kind.get(gen.kind, 0.0) + float(result.generation[gen.id].sum())
     _write_json(outdir / "summary.json", {
-        "mode": result.mode,
+        "mode": result.model.mode,
         "total_cost": result.total_cost,
         "total_emissions_tco2": result.total_emissions,
         "total_served_mwh": result.total_served,

@@ -183,9 +183,13 @@ class ExpansionModel:
     problem: lp.LpProblem
     grid: GridModel
     index: ModelIndex
-    mode: str
+    fixed: FixedCapacities | None      # the pinned capacities; None in expansion mode
     cost_offset: float                 # constant objective part (fixed O&M on existing fleet)
     emissions_coeffs: np.ndarray       # tCO2 per unit of each LP variable (generation only)
+
+    @property
+    def mode(self) -> str:
+        return MODE_EXPANSION if self.fixed is None else MODE_OPERATIONAL
 
 
 @dataclass(frozen=True)
@@ -207,20 +211,15 @@ class FixedCapacities:
     storage_energy: dict[str, float] = field(default_factory=dict)
     lines: dict[str, float] = field(default_factory=dict)
 
-    @classmethod
-    def none(cls) -> "FixedCapacities":
-        """All-zero capacities: operate the existing fleet as-is."""
-        return cls()
-
 
 def build_expansion_lp(grid: GridModel) -> ExpansionModel:
     """Capacity-expansion LP: investment, retirement, and dispatch co-optimized."""
-    return _build(grid, MODE_EXPANSION, None)
+    return _build(grid, None)
 
 
 def build_operational_lp(grid: GridModel, fixed_capacities: FixedCapacities) -> ExpansionModel:
     """Operational LP with investment pinned; objective has operational terms only."""
-    return _build(grid, MODE_OPERATIONAL, fixed_capacities)
+    return _build(grid, fixed_capacities)
 
 
 # Structures of the innermost open structure_scope, by _structure_key. A
@@ -275,18 +274,18 @@ def _row(terms: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, np.ndarray]
             np.concatenate([np.full(len(vars_), c) for vars_, c in terms]))
 
 
-def _build(grid: GridModel, mode: str, fixed: FixedCapacities | None) -> ExpansionModel:
+def _build(grid: GridModel, fixed: FixedCapacities | None) -> ExpansionModel:
     try:
         grid.validate()
     except ValidationError as exc:
         raise ModelBuildError(str(exc)) from exc
     structures = _STRUCTURES.get()
     if structures is None:
-        return _fill(_assemble(grid), grid, mode, fixed)
+        return _fill(_assemble(grid), grid, fixed)
     key = _structure_key(grid)
     if key not in structures:
         structures[key] = _assemble(grid)
-    return _fill(structures[key], grid, mode, fixed)
+    return _fill(structures[key], grid, fixed)
 
 
 def _assemble(grid: GridModel) -> LpStructure:
@@ -441,7 +440,7 @@ def _assemble(grid: GridModel) -> LpStructure:
     return LpStructure(index=ix, matrix=b.matrix(), emissions_coeffs=emissions_coeffs)
 
 
-def _fill(structure: LpStructure, grid: GridModel, mode: str,
+def _fill(structure: LpStructure, grid: GridModel,
           fixed: FixedCapacities | None) -> ExpansionModel:
     """The vector step: costs, right-hand sides, bounds and cost offset, by index.
 
@@ -450,7 +449,7 @@ def _fill(structure: LpStructure, grid: GridModel, mode: str,
     """
     ix = structure.index
     horizon = grid.horizon
-    expansion = mode == MODE_EXPANSION
+    expansion = fixed is None
     n = structure.matrix.num_cols
     c, lb, ub = np.zeros(n), np.zeros(n), np.full(n, np.inf)
     b_eq = np.zeros(structure.matrix.rows_eq.shape[0])
@@ -522,7 +521,7 @@ def _fill(structure: LpStructure, grid: GridModel, mode: str,
         b_ub[ix.co2_cap_row] = float(grid.config.co2_cap_tons)
 
     problem = lp.LpProblem(c=c, matrix=structure.matrix, b_eq=b_eq, b_ub=b_ub, lb=lb, ub=ub)
-    return ExpansionModel(problem=problem, grid=grid, index=ix, mode=mode,
+    return ExpansionModel(problem=problem, grid=grid, index=ix, fixed=fixed,
                           cost_offset=cost_offset, emissions_coeffs=structure.emissions_coeffs)
 
 
@@ -532,7 +531,7 @@ def _fill(structure: LpStructure, grid: GridModel, mode: str,
 class DispatchResult:
     """Decoded solve outcome; immutable by convention once returned."""
 
-    mode: str
+    model: ExpansionModel = field(repr=False)   # the LP whose solution this decodes
     zone_ids: tuple[str, ...]
     total_cost: float
     objective_value: float
@@ -607,17 +606,30 @@ def _crash_start(grid: GridModel) -> lp.LpSolution | None:
         return None
 
 
-def solve_operational(grid: GridModel, expansion: DispatchResult) -> DispatchResult:
-    """grid's operational optimum at the capacities of expansion, grid's solve_expansion result.
+def solve_operational(expansion: DispatchResult) -> DispatchResult:
+    """The operational optimum of expansion's grid at expansion's capacities.
 
-    With nothing to build the operational LP is the expansion LP, array for
-    array, which solve_expansion solved cold: its solution is decoded with the
+    expansion is a solve_expansion result. With nothing to build the
+    operational LP is the expansion LP, array for array, which
+    solve_expansion solved cold: its solution is decoded with the
     operational model (and that model's cost offset) instead of solved again.
     """
-    model = build_operational_lp(grid, expansion.fixed_capacities())
-    if grid.has_investment:
+    model = build_operational_lp(expansion.model.grid, expansion.fixed_capacities())
+    if model.grid.has_investment:
         return solve_model(model)
     return decode_solution(model, expansion.solution)
+
+
+def solve_derived(base: DispatchResult, grid: GridModel) -> DispatchResult:
+    """Solve base's LP rebuilt for grid, from base's solution.
+
+    grid is derived from base.model.grid (a demand perturbation, a scaled
+    schedule), and the rebuilt LP keeps base's mode and pinned capacities,
+    so base's basis is a start for it.
+    """
+    fixed = base.model.fixed
+    model = build_expansion_lp(grid) if fixed is None else build_operational_lp(grid, fixed)
+    return solve_model(model, warm_start=base.solution)
 
 
 def solve_model(model: ExpansionModel, warm_start: lp.LpSolution | None = None) -> DispatchResult:
@@ -668,7 +680,7 @@ def decode_solution(model: ExpansionModel, sol: lp.LpSolution) -> DispatchResult
         served_demand[zpos[load.zone_id]] += flex_served[load.id]
 
     return DispatchResult(
-        mode=model.mode,
+        model=model,
         zone_ids=zone_ids,
         total_cost=float(sol.objective_value) + model.cost_offset,
         objective_value=float(sol.objective_value),

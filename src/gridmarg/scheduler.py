@@ -10,11 +10,11 @@ the current schedule up by the configured EV perturbation), not on schedule
 stability; the schedule delta norm is reported for diagnostics only.
 
 Every schedule is pinned once (pin_schedule) and every solve around it
-reads that one pinned grid: the check solves it and scales it with
-perturb_demand(..., ScaleEV), and the next pass's rates start from the
-check's base. The loop keeps its checks by the pinned loads' profiles, so a
-pass that returns to an earlier schedule (a converged pass, a rigid one, a
-cycle) reads that schedule's check instead of solving it again.
+reads that one pinned grid from its check's base: the check scales it
+(planner.solve_derived), and the next pass's rates start from the base.
+The loop keeps its checks by the pinned loads' profiles, so a pass that
+returns to an earlier schedule (a converged pass, a rigid one, a cycle)
+reads that schedule's check instead of solving it again.
 
 Final schedules are evaluated under full capacity expansion at base and
 EV-scaled levels, which is where structural (capacity) effects enter. A
@@ -23,8 +23,8 @@ evaluation starts from the grid's expansion optimum where the grid has
 something to build. With nothing to build, a pinned expansion LP is the
 operational LP of the schedule's check, solved cold as the check solves it,
 so compare_signal decodes the loop's checks instead. With rigid charging the
-one schedule pins to the grid itself: its evaluation starts from the grid's
-expansion result, and serves for the signal's too.
+one schedule pins to the grid itself: the grid's optimum, decoded with the
+pinned grid's model, is the pinned one, and one evaluation serves both.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .flex import ChargingSchedule, ScheduleSource
 from .grid import GridModel
 from .metrics import (SRME1, SRME2, ConsequentialReport, consequential_report,
                       flex_served_by_zone, long_run_mer, short_run_rates)
-from .planner import (DispatchResult, FixedCapacities, ScaleEV, build_expansion_lp,
-                      build_operational_lp, decode_solution, perturb_demand, solve_expansion,
+from .planner import (DispatchResult, ScaleEV, build_expansion_lp, build_operational_lp,
+                      decode_solution, perturb_demand, solve_derived, solve_expansion,
                       solve_model, solve_operational)
 from . import lp
 
@@ -105,8 +105,8 @@ def pin_schedule(grid: GridModel, per_load: dict[str, np.ndarray]) -> GridModel:
     return replace(grid, flexible_loads=tuple(loads))
 
 
-def schedule_from_result(grid: GridModel, result: DispatchResult,
-                         source: ScheduleSource) -> ChargingSchedule:
+def schedule_from_result(result: DispatchResult, source: ScheduleSource) -> ChargingSchedule:
+    grid = result.model.grid
     per_load = {load.id: result.flex_served[load.id].copy() for load in grid.flexible_loads}
     return ChargingSchedule(served=flex_served_by_zone(grid, per_load), per_load=per_load,
                             source=source, zone_ids=tuple(grid.zone_ids()))
@@ -118,27 +118,24 @@ def _profiles(grid: GridModel) -> tuple[bytes, ...]:
     return tuple(load.effective_baseline().tobytes() for load in grid.flexible_loads)
 
 
-def consequential_check(pinned: GridModel, fixed_capacities: FixedCapacities,
-                        fraction: float, base: DispatchResult) -> ConsequentialCheck:
+def consequential_check(base: DispatchResult, fraction: float) -> ConsequentialCheck:
     """Operational emissions delta from scaling a pinned grid's schedule by (1 + fraction).
 
-    base is pinned's operational optimum at fixed_capacities, solved by the
-    caller. The scaled LP differs from pinned only in the bounds of the
-    charging columns, so its solve starts from base's basis.
+    base is the pinned grid's operational optimum, solved by the caller. The
+    scaled LP differs from base's only in the bounds of the charging
+    columns, so its solve starts from base's basis (planner.solve_derived).
     """
-    scaled = perturb_demand(pinned, "all", ScaleEV(fraction))
-    pert = solve_model(build_operational_lp(scaled, fixed_capacities),
-                       warm_start=base.solution)
-    return ConsequentialCheck(base, pert)
+    return ConsequentialCheck(base, solve_derived(
+        base, perturb_demand(base.model.grid, "all", ScaleEV(fraction))))
 
 
-def schedule_min_srme(grid: GridModel, expansion: DispatchResult,
+def schedule_min_srme(expansion: DispatchResult,
                       method: str = SRME1) -> tuple[ChargingSchedule, IterationTrace]:
     """Iteratively schedule flexible charging against frozen marginal-emission rates.
 
-    The loop runs at the capacities of expansion, grid's solve_expansion
-    result, and starts from the cost-minimizing operational schedule
-    (planner.solve_operational). Each pass re-solves the flexible
+    The loop runs on the grid and at the capacities of expansion, a
+    solve_expansion result, and starts from the cost-minimizing operational
+    schedule (planner.solve_operational). Each pass re-solves the flexible
     operational model with the objective
     cost + emissions_penalty * sum(R_k[z,t] * served[z,t]); rates R_k come
     from the pinned schedule of the previous pass (SRME1 perturbs only the
@@ -151,6 +148,7 @@ def schedule_min_srme(grid: GridModel, expansion: DispatchResult,
     method = method.upper()
     if method not in (SRME1, SRME2):
         raise ValueError(f"method must be {SRME1} or {SRME2}, got {method!r}")
+    grid = expansion.model.grid
     cfg = grid.config
     caps = expansion.fixed_capacities()
     zone_ids = grid.zone_ids()
@@ -160,25 +158,26 @@ def schedule_min_srme(grid: GridModel, expansion: DispatchResult,
     # No penalty can move a rigid schedule, and it pins to grid itself.
     rigid = grid.charging_is_rigid
 
-    start = solve_operational(grid, expansion)  # B0: cost-minimizing flexible schedule
+    start = solve_operational(expansion)  # B0: cost-minimizing flexible schedule
     checks: dict[tuple[bytes, ...], ConsequentialCheck] = {}
 
-    def pin_and_check(result: DispatchResult) -> tuple[GridModel, ConsequentialCheck]:
+    def pin_and_check(result: DispatchResult) -> ConsequentialCheck:
         pinned = pin_schedule(grid, result.flex_served)
         key = _profiles(pinned)
         if key not in checks:
-            base = start if rigid else solve_model(build_operational_lp(pinned, caps))
-            checks[key] = consequential_check(pinned, caps, cfg.perturbation_fraction, base)
-        return pinned, checks[key]
+            model = build_operational_lp(pinned, caps)
+            base = decode_solution(model, start.solution) if rigid else solve_model(model)
+            checks[key] = consequential_check(base, cfg.perturbation_fraction)
+        return checks[key]
 
     result = start
-    pinned, check = pin_and_check(result)
+    check = pin_and_check(result)
     trace_checks = [check]
-    model = None if rigid else build_operational_lp(grid, caps)
+    model = start.model
     records: list[IterationRecord] = []
     converged = False
     for iteration in range(1, cfg.max_iterations + 1):
-        rates = short_run_rates(pinned, caps, method, check.base, rate_zones)
+        rates = short_run_rates(method, check.base, rate_zones)
         if rigid:
             new_result = result
         else:
@@ -186,7 +185,7 @@ def schedule_min_srme(grid: GridModel, expansion: DispatchResult,
             for fid, zi in load_zones:
                 c2[model.index.served[fid]] += cfg.emissions_penalty * rates.rates[zi]
             new_result = solve_model(replace(model, problem=replace(model.problem, c=c2)))
-        new_pinned, new_check = pin_and_check(new_result)
+        new_check = pin_and_check(new_result)
 
         def proxy(profiles: dict[str, np.ndarray]) -> float:
             total = 0.0
@@ -205,14 +204,14 @@ def schedule_min_srme(grid: GridModel, expansion: DispatchResult,
             rate_weighted_proxy=proxy(new),
             rate_weighted_proxy_prev=proxy(old),
         ))
-        result, pinned, check = new_result, new_pinned, new_check
+        result, check = new_result, new_check
         trace_checks.append(check)
         if rel < cfg.convergence_threshold:
             converged = True
             break
 
     source = ScheduleSource.MIN_SRME1 if method == SRME1 else ScheduleSource.MIN_SRME2
-    schedule = schedule_from_result(grid, result, source)
+    schedule = schedule_from_result(result, source)
     return schedule, IterationTrace(records=tuple(records), converged=converged,
                                     checks=tuple(trace_checks))
 
@@ -230,59 +229,61 @@ def _pin_requested(grid: GridModel, schedule: ChargingSchedule) -> GridModel:
     return pinned
 
 
-def evaluate_fixed_schedule(grid: GridModel, schedule: ChargingSchedule,
+def evaluate_fixed_schedule(schedule: ChargingSchedule,
                             expansion: DispatchResult) -> ConsequentialReport:
     """Full capacity expansion at base and EV-scaled levels with charging pinned.
 
-    expansion is grid's own solve_expansion result. The base solve starts
-    from its basis where grid has something to build, else cold, as the
-    schedule's consequential check solves the same LP. A schedule that pins
-    to grid itself (with rigid charging, the baseline) takes expansion as its
-    base. Raises ScheduleMismatch unless each load's scheduled energy matches
-    its baseline request to 1e-6 MWh.
+    expansion is a solve_expansion result; schedule is pinned to its grid.
+    The base solve starts from expansion's basis where the grid has
+    something to build, else cold, as the schedule's check solves the same
+    LP. A schedule that pins to the grid itself (with rigid charging, the
+    baseline) takes expansion's solution, decoded as the pinned grid's, as
+    its base. Raises ScheduleMismatch unless each load's scheduled energy
+    matches its baseline request to 1e-6 MWh.
     """
+    grid = expansion.model.grid
     pinned = _pin_requested(grid, schedule)
     if grid.charging_is_rigid and _profiles(pinned) == _profiles(grid):
-        base = expansion
+        base = decode_solution(build_expansion_lp(pinned), expansion.solution)
     else:
         base = solve_expansion(pinned, warm_start=expansion.solution if grid.has_investment
                                else None)
-    return long_run_mer(pinned, ScaleEV(grid.config.perturbation_fraction), base=base)
+    return long_run_mer(base)
 
 
 def _evaluation_from_check(grid: GridModel, schedule: ChargingSchedule,
                            check: ConsequentialCheck) -> ConsequentialReport:
     """evaluate_fixed_schedule's report on a grid with nothing to build, from
     the schedule's check: its LPs are the evaluation's, from the same starts."""
-    pinned = _pin_requested(grid, schedule)
-    scaled = perturb_demand(pinned, "all", ScaleEV(grid.config.perturbation_fraction))
-    return consequential_report(decode_solution(build_expansion_lp(pinned), check.base.solution),
-                                decode_solution(build_expansion_lp(scaled), check.pert.solution),
-                                grid=pinned)
+    _pin_requested(grid, schedule)  # its energy check; the pinned grids are the check's
+    return consequential_report(
+        *(decode_solution(build_expansion_lp(r.model.grid), r.solution)
+          for r in (check.base, check.pert)))
 
 
-def compare_signal(grid: GridModel, expansion: DispatchResult, signal: str) -> tuple[
+def compare_signal(expansion: DispatchResult, signal: str) -> tuple[
         ChargingSchedule, IterationTrace | None, ConsequentialReport, ConsequentialReport]:
     """A charging signal's schedule, evaluated against the cost-minimizing one.
 
-    signal is "cost", "srme1" or "srme2"; expansion is grid's solve_expansion
+    signal is "cost", "srme1" or "srme2"; expansion is a solve_expansion
     result, whose schedule is the cost-minimizing one. Returns the signal's
     schedule, its penalty-loop trace (None for the cost signal), and the
     evaluations of the cost schedule and of the signal's schedule.
     """
-    cost_schedule = schedule_from_result(grid, expansion, ScheduleSource.COST_MIN)
+    grid = expansion.model.grid
+    cost_schedule = schedule_from_result(expansion, ScheduleSource.COST_MIN)
     if signal == "cost":
-        report = evaluate_fixed_schedule(grid, cost_schedule, expansion)
+        report = evaluate_fixed_schedule(cost_schedule, expansion)
         return cost_schedule, None, report, report
     if grid.has_investment:
-        cost_report = evaluate_fixed_schedule(grid, cost_schedule, expansion)
-        schedule, trace = schedule_min_srme(grid, expansion, method=signal)
+        cost_report = evaluate_fixed_schedule(cost_schedule, expansion)
+        schedule, trace = schedule_min_srme(expansion, method=signal)
         report = (cost_report if grid.charging_is_rigid
-                  else evaluate_fixed_schedule(grid, schedule, expansion))
+                  else evaluate_fixed_schedule(schedule, expansion))
         return schedule, trace, cost_report, report
     # Nothing to build: the loop starts from expansion's own solution, so its
     # first check is the cost schedule's.
-    schedule, trace = schedule_min_srme(grid, expansion, method=signal)
+    schedule, trace = schedule_min_srme(expansion, method=signal)
     first, last = trace.checks[0], trace.checks[-1]
     cost_report = _evaluation_from_check(grid, cost_schedule, first)
     report = cost_report if last is first else _evaluation_from_check(grid, schedule, last)

@@ -68,9 +68,9 @@ def test_criterion_01_lp_solver_validity():
 def test_criterion_02_srme2_equals_finite_difference():
     started = time.time()
     grid = nondegenerate_48h()
-    caps = FixedCapacities.none()
+    caps = FixedCapacities()
     base = solve_model(build_operational_lp(grid, caps))
-    series = srme_dual(grid, caps, base)
+    series = srme_dual(base)
     worst = 0.0
     for hour in range(48):
         pert_grid = perturb_demand(grid, ["Z"], SingleHour("Z", hour, 1.0))
@@ -91,7 +91,7 @@ def test_criterion_03_emissions_min_recovers_least_cost():
     suite = [merit_stack(), storage_roundtrip(), frozen_structure(), nondegenerate_48h(),
              storage_coupled()]
     for grid in suite:
-        series = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
+        series = srme_dual(operational_base(grid))
         cbar = series.details["base_objective"]
         rel = abs(series.details["step2_cost"] - cbar) / max(1.0, abs(cbar))
         assert rel <= 1e-6
@@ -104,7 +104,7 @@ def test_criterion_03_emissions_min_recovers_least_cost():
 
 def test_criterion_04_merit_order_exactness():
     grid = merit_stack()
-    series = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
+    series = srme_dual(operational_base(grid))
     diffs = np.abs(series.rates[0] - MERIT_STACK_MARGINAL_EF)
     assert np.max(diffs) <= 1e-9
     _report(4, "merit-order-exactness", f"max |rate - marginal factor| {np.max(diffs):.2e}")
@@ -114,10 +114,10 @@ def test_criterion_05_lr_below_sr_on_breakeven_toy():
     grid = breakeven_wind()
     base = solve_model(build_expansion_lp(grid))
     caps = base.fixed_capacities()
-    sr = srme_uniform(grid, caps, operational_base(grid, caps))
+    sr = srme_uniform(operational_base(grid, caps))
     demand = grid.zones[0].demand
     sr_weighted = float((sr.rates[0] * demand).sum() / demand.sum())
-    report = long_run_mer(grid, ScaleEV(0.05), base=base)
+    report = long_run_mer(base, ScaleEV(0.05))
     assert sr_weighted > 0
     assert report.lr_mer <= 0.1 * sr_weighted
     _report(5, "lr-below-sr-direction",
@@ -127,8 +127,8 @@ def test_criterion_05_lr_below_sr_on_breakeven_toy():
 
 def test_criterion_06_frozen_structure_equivalence():
     grid = frozen_structure()
-    rates = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
-    report = long_run_mer(grid, ScaleEV(0.05), sr_rates=rates, base=solve_expansion(grid))
+    rates = srme_dual(operational_base(grid))
+    report = long_run_mer(solve_expansion(grid), ScaleEV(0.05), sr_rates=rates)
     sr_rate = report.sr_attributed / report.delta_demand_mwh
     diff = abs(report.lr_mer - sr_rate)
     assert diff <= 1e-6
@@ -152,7 +152,7 @@ def test_criterion_07_flexibility_cost_monotonicity():
 
 def test_criterion_08_penalty_loop_convergence():
     grid = storage_coupled()
-    sched, trace = schedule_min_srme(grid, solve_expansion(grid), method="SRME2")
+    sched, trace = schedule_min_srme(solve_expansion(grid), method="SRME2")
     assert trace.converged
     assert trace.iterations_used <= 10
     for rec in trace.records:
@@ -168,10 +168,10 @@ def test_criterion_09_emissions_signal_backfire():
     started = time.time()
     grid = backfire()
     base = solve_model(build_expansion_lp(grid))
-    cost_schedule = schedule_from_result(grid, base, ScheduleSource.COST_MIN)
-    report_cost = evaluate_fixed_schedule(grid, cost_schedule, base)
-    schedule, trace = schedule_min_srme(grid, base, method="SRME1")
-    report_srme = evaluate_fixed_schedule(grid, schedule, base)
+    cost_schedule = schedule_from_result(base, ScheduleSource.COST_MIN)
+    report_cost = evaluate_fixed_schedule(cost_schedule, base)
+    schedule, trace = schedule_min_srme(base, method="SRME1")
+    report_srme = evaluate_fixed_schedule(schedule, base)
     delta = report_srme.base_total_emissions - report_cost.base_total_emissions
     assert delta > 0.0  # strictly higher consequential emissions
     elapsed = time.time() - started

@@ -42,9 +42,9 @@ def _count_runs(monkeypatch) -> list[None]:
 def test_warm_srme1_rates_equal_the_cold_ones(kind, seed, tmp_path, monkeypatch):
     grid = synth_grid(kind, seed, tmp_path)
     caps = solve_model(build_expansion_lp(grid)).fixed_capacities()
-    warm = srme_uniform(grid, caps, operational_base(grid, caps))
+    warm = srme_uniform(operational_base(grid, caps))
     dropped = spy_on_solves(monkeypatch, cold=True)   # every solve cold
-    cold_series = srme_uniform(grid, caps, operational_base(grid, caps))
+    cold_series = srme_uniform(operational_base(grid, caps))
     assert sum(call.warm_start is not None for call in dropped) == len(grid.zone_ids())
     np.testing.assert_allclose(warm.rates, cold_series.rates, rtol=0, atol=1e-12)
     np.testing.assert_allclose(warm.alt_rates, cold_series.alt_rates, rtol=0, atol=1e-12)
@@ -56,9 +56,9 @@ def test_warm_srme2_rates_equal_the_cold_ones_bit_for_bit(kind, seed, flex, tmp_
                                                           monkeypatch):
     grid = _apply_flex_mode(synth_grid(kind, seed, tmp_path), flex)
     caps = solve_model(build_expansion_lp(grid)).fixed_capacities()
-    warm = srme_dual(grid, caps, operational_base(grid, caps))
+    warm = srme_dual(operational_base(grid, caps))
     calls = spy_on_solves(monkeypatch, cold=True)   # every solve cold
-    cold = srme_dual(grid, caps, operational_base(grid, caps))
+    cold = srme_dual(operational_base(grid, caps))
     step2 = [call for call in calls if call.options["canonical_basis"]]
     assert len(step2) == 1 and step2[0].warm_start is not None
     np.testing.assert_array_equal(warm.rates, cold.rates)
@@ -135,8 +135,8 @@ def test_warm_and_cold_ev_scaled_solves_build_the_same_capacity(kind, seed, hour
     scaled = build_expansion_lp(perturb_demand(grid, "all",
                                                ScaleEV(grid.config.perturbation_fraction)))
     warm = _capacity_deltas(consequential_report(
-        base, solve_model(scaled, warm_start=base.solution), grid=grid))
-    cold = _capacity_deltas(consequential_report(base, solve_model(scaled), grid=grid))
+        base, solve_model(scaled, warm_start=base.solution)))
+    cold = _capacity_deltas(consequential_report(base, solve_model(scaled)))
     # An entry is listed only where its delta is nonzero; a missing one reads 0.
     for key in warm.keys() | cold.keys():
         assert warm.get(key, 0.0) == pytest.approx(cold.get(key, 0.0), abs=1e-6), key

@@ -317,7 +317,7 @@ def test_metrics_lrmer_each_zone_separately_reports_zones_with_a_rate(tmp_path, 
     assert report["A"] == {"error": "DegenerateDelta: demand delta 0 MWh is below 1 MWh; "
                                     "rate undefined"}
     grid = load_scenario(TUTORIAL)
-    alone = long_run_mer(grid, ScaleEV(0.05), target_zones=["B"], base=solve_expansion(grid))
+    alone = long_run_mer(solve_expansion(grid), ScaleEV(0.05), target_zones=["B"])
     assert report["B"]["lr_mer_tco2_per_mwh"] == alone.lr_mer
     assert "WARNING gridmarg: zone A: DegenerateDelta" in capsys.readouterr().err
 
@@ -609,9 +609,9 @@ def test_sweep_chain_steps_over_a_failed_cell(tmp_path, monkeypatch):
                                 "flexibility_modes": ["none"]}))
     real_lr_mer = cli.long_run_mer
 
-    def fails_at_run_1(grid, *args, **kwargs):
-        report = real_lr_mer(grid, *args, **kwargs)  # both solves run first
-        if grid.config.ev_penetration_multiplier == 1.0:
+    def fails_at_run_1(base, *args, **kwargs):
+        report = real_lr_mer(base, *args, **kwargs)  # both solves run first
+        if base.model.grid.config.ev_penetration_multiplier == 1.0:
             raise RuntimeError("injected failure")
         return report
     monkeypatch.setattr(cli, "long_run_mer", fails_at_run_1)
@@ -640,7 +640,7 @@ def test_chained_default_sweep_matches_cold_lr_mer_per_cell(tmp_path):
     for ev, metrics in got.items():
         grid = resolve_scenario(replace(raw, config=replace(raw.config,
                                                             ev_penetration_multiplier=ev)))
-        cold = long_run_mer(grid, base=solve_expansion(grid))
+        cold = long_run_mer(solve_expansion(grid))
         expected = {
             "lr_mer_tco2_per_mwh": cold.lr_mer,
             "aer_system_tco2_per_mwh": average_emission_rate(cold.base),

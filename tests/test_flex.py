@@ -8,14 +8,14 @@ from gridmarg.lp import LpBuilder, SolveStatus, solve
 
 def test_cumulative_bounds_no_flex_pins_baseline():
     baseline = np.array([3.0, 0.0, 5.0, 2.0])
-    floor, ceiling = cumulative_bounds(baseline, FlexWindow.no_flex())
+    floor, ceiling = cumulative_bounds(baseline, FlexWindow(0, 0))
     np.testing.assert_array_equal(floor, np.cumsum(baseline))
     np.testing.assert_array_equal(ceiling, np.cumsum(baseline))
 
 
 def test_cumulative_bounds_delay_only():
     baseline = np.array([4.0, 1.0, 0.0, 2.0, 0.0])
-    floor, ceiling = cumulative_bounds(baseline, FlexWindow.delay_only(2))
+    floor, ceiling = cumulative_bounds(baseline, FlexWindow(0, 2))
     # Ceiling: nothing may be served before it is requested.
     np.testing.assert_array_equal(ceiling, [4, 5, 5, 7, 7])
     # Floor: everything requested by t-2 must be done by t (clamped at the start).
@@ -31,13 +31,13 @@ def test_cumulative_bounds_window_clamps_at_horizon():
 
 def test_rate_too_small_for_rigid_pulse():
     with pytest.raises(InfeasibleWindow, match="max charge rate"):
-        check_window_feasible(np.array([0.0, 10.0]), FlexWindow.no_flex(), 5.0, "ev")
+        check_window_feasible(np.array([0.0, 10.0]), FlexWindow(0, 0), 5.0, "ev")
 
 
 def test_one_hour_of_delay_rescues_the_pulse():
-    check_window_feasible(np.array([10.0, 0.0]), FlexWindow.delay_only(1), 5.0, "ev")
+    check_window_feasible(np.array([10.0, 0.0]), FlexWindow(0, 1), 5.0, "ev")
     with pytest.raises(InfeasibleWindow):
-        check_window_feasible(np.array([10.0, 0.0]), FlexWindow.no_flex(), 5.0, "ev")
+        check_window_feasible(np.array([10.0, 0.0]), FlexWindow(0, 0), 5.0, "ev")
 
 
 def _window_lp_feasible(baseline, window, rate) -> bool:

@@ -337,8 +337,8 @@ def _drop_line_capacity(monkeypatch):
 def _negative_cost_schedule(monkeypatch):
     real = scheduler.schedule_from_result
 
-    def schedule(grid, result, source):
-        out = real(grid, result, source)
+    def schedule(result, source):
+        out = real(result, source)
         return replace(out, per_load={**out.per_load, "ev_b": _below_zero(out.per_load["ev_b"])})
     monkeypatch.setattr(scheduler, "schedule_from_result", schedule)
 

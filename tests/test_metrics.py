@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridmarg import lp
+from gridmarg import lp, planner
 from gridmarg.errors import (DegenerateDelta, InfeasiblePerturbation, UnknownZone, ZeroDemand)
 from gridmarg.grid import Generator, GridModel, ScenarioConfig, Zone
 from gridmarg.metrics import (average_emission_rate, icev_comparison, long_run_mer, srme_dual,
@@ -67,20 +67,20 @@ def test_aer_zero_demand_and_unknown_zone():
 def test_srme1_headroom_equals_factor():
     # Coal interior at every hour; the re-solve difference is pure coal.
     grid = single_bus(demand=50.0, cap=100.0)
-    series = srme_uniform(grid, FixedCapacities.none(), operational_base(grid))
+    series = srme_uniform(operational_base(grid))
     np.testing.assert_allclose(series.rates[0], 0.9, atol=1e-9)
     # Oracle: one manual re-solve, same arithmetic as the definition.
-    base = solve_model(build_operational_lp(grid, FixedCapacities.none()))
+    base = solve_model(build_operational_lp(grid, FixedCapacities()))
     from gridmarg.planner import UniformAll
     pert = solve_model(build_operational_lp(
-        perturb_demand(grid, ["Z"], UniformAll(0.03)), FixedCapacities.none()))
+        perturb_demand(grid, ["Z"], UniformAll(0.03)), FixedCapacities()))
     manual = (pert.zonal_emissions.sum(axis=0) - base.zonal_emissions.sum(axis=0)) / (0.03 * 50.0)
     np.testing.assert_allclose(series.rates[0], manual, atol=1e-12)
 
 
 def test_srme1_zero_emission_fleet():
     grid = all_renewable()
-    series = srme_uniform(grid, FixedCapacities.none(), operational_base(grid))
+    series = srme_uniform(operational_base(grid))
     np.testing.assert_allclose(series.rates[0], 0.0, atol=1e-12)
 
 
@@ -89,7 +89,7 @@ def test_srme1_storage_coupling_exceeds_fleet_factor():
     # generator factor, while the energy-weighted total stays within the
     # round-trip-adjusted fleet bound.
     grid = storage_roundtrip()
-    series = srme_uniform(grid, FixedCapacities.none(), operational_base(grid))
+    series = srme_uniform(operational_base(grid))
     assert series.rates[0, 0] > 0.9
     assert series.rates[0, 1] == pytest.approx(0.0, abs=1e-9)
     demand = grid.zones[0].demand
@@ -106,7 +106,7 @@ def test_srme1_zero_demand_hours_get_zero_rate():
     grid = single_bus(demand=50.0)
     zones = (Zone(id="Z", demand=np.concatenate([np.zeros(2), np.full(22, 50.0)])),)
     grid = GridModel(zones=zones, generators=grid.generators, config=grid.config)
-    series = srme_uniform(grid, FixedCapacities.none(), operational_base(grid))
+    series = srme_uniform(operational_base(grid))
     assert series.rates[0, 0] == 0.0 and series.rates[0, 1] == 0.0
     np.testing.assert_allclose(series.rates[0, 2:], 0.9, atol=1e-9)
 
@@ -114,61 +114,61 @@ def test_srme1_zero_demand_hours_get_zero_rate():
 def test_srme1_infeasible_perturbation():
     grid = single_bus(demand=100.0, cap=101.0, nse_penalty=None)
     with pytest.raises(InfeasiblePerturbation):
-        srme_uniform(grid, FixedCapacities.none(), operational_base(grid))
+        srme_uniform(operational_base(grid))
 
 
 def test_srme1_two_zone_targeting_on_tutorial():
     # Perturbing zone A rides the coal margin (0.9); zone B, behind the
     # saturated line, rides its local gas margin (0.4).
     grid = load_scenario(TUTORIAL)
-    series = srme_uniform(grid, FixedCapacities.none(), operational_base(grid))
-    np.testing.assert_allclose(series.rate_for("A"), 0.9, atol=1e-9)
-    np.testing.assert_allclose(series.rate_for("B"), 0.4, atol=1e-9)
+    series = srme_uniform(operational_base(grid))
+    np.testing.assert_allclose(series.rates[series.zone_ids.index("A")], 0.9, atol=1e-9)
+    np.testing.assert_allclose(series.rates[series.zone_ids.index("B")], 0.4, atol=1e-9)
 
 
 # --- SRME2 ----------------------------------------------------------------------
 
 def test_srme2_merit_order_exact():
     grid = merit_stack()
-    series = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
+    series = srme_dual(operational_base(grid))
     np.testing.assert_allclose(series.rates[0], MERIT_STACK_MARGINAL_EF, atol=1e-9)
     assert series.details["lambda_second"] >= 0
 
 
 def test_srme2_all_renewable_zero():
     grid = all_renewable()
-    series = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
+    series = srme_dual(operational_base(grid))
     np.testing.assert_allclose(series.rates[0], 0.0, atol=1e-12)
 
 
 def test_srme2_storage_roundtrip_rate():
     grid = storage_roundtrip()
-    series = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
+    series = srme_dual(operational_base(grid))
     assert series.rates[0, 0] == pytest.approx(0.9, abs=1e-9)
     assert series.rates[0, 1] == pytest.approx(0.9 / 0.81, abs=1e-9)
 
 
 def test_srme2_two_zone_rates_match_finite_difference():
     grid = load_scenario(TUTORIAL)
-    base = solve_model(build_operational_lp(grid, FixedCapacities.none()))
-    series = srme_dual(grid, FixedCapacities.none(), base)
+    base = solve_model(build_operational_lp(grid, FixedCapacities()))
+    series = srme_dual(base)
     for zone, hour in (("A", 3), ("A", 20), ("B", 3), ("B", 20)):
         pg = perturb_demand(grid, [zone], SingleHour(zone, hour, 1.0))
-        pert = solve_model(build_operational_lp(pg, FixedCapacities.none()))
+        pert = solve_model(build_operational_lp(pg, FixedCapacities()))
         fd = pert.total_emissions - base.total_emissions
         zi = series.zone_ids.index(zone)
         assert series.rates[zi, hour] == pytest.approx(fd, abs=1e-6), (zone, hour)
-    np.testing.assert_allclose(series.rate_for("A"), 0.9, atol=1e-9)
-    np.testing.assert_allclose(series.rate_for("B"), 0.4, atol=1e-9)
+    np.testing.assert_allclose(series.rates[series.zone_ids.index("A")], 0.9, atol=1e-9)
+    np.testing.assert_allclose(series.rates[series.zone_ids.index("B")], 0.4, atol=1e-9)
 
 
 def test_srme2_matches_finite_difference_oracle():
     grid = storage_roundtrip()
-    base = solve_model(build_operational_lp(grid, FixedCapacities.none()))
-    series = srme_dual(grid, FixedCapacities.none(), base)
+    base = solve_model(build_operational_lp(grid, FixedCapacities()))
+    series = srme_dual(base)
     for hour in range(2):
         pg = perturb_demand(grid, ["Z"], SingleHour("Z", hour, 1.0))
-        pert = solve_model(build_operational_lp(pg, FixedCapacities.none()))
+        pert = solve_model(build_operational_lp(pg, FixedCapacities()))
         fd = pert.total_emissions - base.total_emissions
         assert series.rates[0, hour] == pytest.approx(fd, abs=1e-6)
 
@@ -222,9 +222,9 @@ def test_srme2_finite_difference_property_on_random_systems():
     checked = 0
     for _ in range(14):
         grid = _random_system(rng)
-        caps = FixedCapacities.none()
+        caps = FixedCapacities()
         base = solve_model(build_operational_lp(grid, caps))
-        series = srme_dual(grid, caps, base)
+        series = srme_dual(base)
         for zid in grid.zone_ids():
             zi = series.zone_ids.index(zid)
             for hour in (int(h) for h in rng.choice(24, size=4, replace=False)):
@@ -238,9 +238,25 @@ def test_srme2_finite_difference_property_on_random_systems():
     assert checked >= 15  # the screen must not have skipped everything
 
 
+def test_srme2_solves_step_2_on_its_bases_lp_without_building_one(monkeypatch):
+    grid = load_scenario(TUTORIAL)
+    base = operational_base(grid)
+    fills = []
+    real_fill = planner._fill
+    monkeypatch.setattr(planner, "_fill", lambda *args: fills.append(args) or real_fill(*args))
+    calls = spy_on_solves(monkeypatch)
+    srme_dual(base)
+    assert fills == []
+    assert len(calls) == 1 and calls[0].warm_start is base.solution
+    # Step 2 is base's LP with the cost cap as one more row, minimizing emissions.
+    step2 = calls[0].problem
+    assert step2.num_ub == base.model.problem.num_ub + 1
+    np.testing.assert_array_equal(step2.c, base.model.emissions_coeffs)
+
+
 def test_srme2_step2_recovers_least_cost():
     for grid in (merit_stack(), storage_roundtrip(), frozen_structure()):
-        series = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
+        series = srme_dual(operational_base(grid))
         cbar = series.details["base_objective"]
         step2 = series.details["step2_cost"]
         assert series.details["lambda_second"] >= 0.0
@@ -254,12 +270,12 @@ def test_srme2_nonbinding_cost_cap_gives_mu_directly():
     # emissions solve. (With NSE enabled the cap always binds: slack money
     # buys shed load at 0.9 t per 8980 $, and lambda reports that ratio.)
     grid = single_bus(demand=50.0, nse_penalty=None)
-    series = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
+    series = srme_dual(operational_base(grid))
     assert series.details["lambda_second"] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(series.rates[0], 0.9, atol=1e-9)
 
     grid = single_bus(demand=50.0, nse_penalty=9000.0)
-    shed = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
+    shed = srme_dual(operational_base(grid))
     assert shed.details["lambda_second"] == pytest.approx(0.9 / 8980.0, rel=1e-6)
     np.testing.assert_allclose(shed.rates[0], 0.9, atol=1e-9)
 
@@ -268,8 +284,8 @@ def test_srme2_nonbinding_cost_cap_gives_mu_directly():
 
 def test_lr_mer_frozen_structure_equals_sr_attribution():
     grid = frozen_structure()
-    rates = srme_dual(grid, FixedCapacities.none(), operational_base(grid))
-    report = long_run_mer(grid, ScaleEV(0.05), sr_rates=rates, base=solve_expansion(grid))
+    rates = srme_dual(operational_base(grid))
+    report = long_run_mer(solve_expansion(grid), ScaleEV(0.05), sr_rates=rates)
     assert report.lr_mer == pytest.approx(0.4, abs=1e-9)
     assert abs(report.lr_mer - report.sr_attributed / report.delta_demand_mwh) <= 1e-6
     # Invariant holds by construction: lr_mer * delta = emission delta.
@@ -282,14 +298,14 @@ def test_lr_mer_breakeven_wind_builds_and_zeroes_rate():
     base = solve_model(build_expansion_lp(grid))
     assert base.new_gen_capacity["wind"] == pytest.approx(220.0, rel=1e-9)
     assert base.generation["coal"].sum() == pytest.approx(0.0, abs=1e-6)
-    report = long_run_mer(grid, ScaleEV(0.05), base=base)
+    report = long_run_mer(base, ScaleEV(0.05))
     assert report.lr_mer == pytest.approx(0.0, abs=1e-9)
     assert report.capacity_deltas["wind"]["new_mw"] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_lr_mer_negative_via_unlocked_wind():
     grid = negative_lr_toy()
-    report = long_run_mer(grid, ScaleEV(0.05), base=solve_expansion(grid))
+    report = long_run_mer(solve_expansion(grid), ScaleEV(0.05))
     assert report.lr_mer == pytest.approx(-0.9, abs=1e-6)
     assert report.lr_mer < 0
     assert report.capacity_deltas["wind"]["new_mw"] > 0
@@ -298,7 +314,7 @@ def test_lr_mer_negative_via_unlocked_wind():
 def test_lr_mer_degenerate_delta_guard():
     grid = frozen_structure()
     with pytest.raises(DegenerateDelta):
-        long_run_mer(grid, ScaleEV(1e-9), base=solve_expansion(grid))
+        long_run_mer(solve_expansion(grid), ScaleEV(1e-9))
 
 
 @pytest.mark.parametrize("make_grid", [frozen_structure, storage_coupled, negative_lr_toy])
@@ -317,7 +333,7 @@ def test_warm_started_ev_scaled_solve_matches_cold(make_grid):
 def test_lr_mer_warm_starts_from_its_own_base(monkeypatch):
     calls = spy_on_solves(monkeypatch)
     grid = storage_coupled()
-    report = long_run_mer(grid, ScaleEV(0.05), base=solve_expansion(grid))
+    report = long_run_mer(solve_expansion(grid), ScaleEV(0.05))
     assert len(calls) == 2
     base_sol, base_start, pert_start = calls[0].solution, calls[0].warm_start, calls[1].warm_start
     assert base_start is None
@@ -328,7 +344,7 @@ def test_lr_mer_warm_starts_from_its_own_base(monkeypatch):
 
 def test_aer_attribution_field():
     grid = frozen_structure()
-    report = long_run_mer(grid, ScaleEV(0.05), aer_value=0.75, base=solve_expansion(grid))
+    report = long_run_mer(solve_expansion(grid), ScaleEV(0.05), aer_value=0.75)
     assert report.aer_attributed == pytest.approx(0.75 * report.delta_demand_mwh)
 
 
@@ -361,4 +377,4 @@ def test_srme2_unbounded_base_solve_raises_unbounded(monkeypatch):
     monkeypatch.setattr(lp, "solve", lambda problem, *args, **kwargs:
                         lp.LpSolution(status=lp.SolveStatus.UNBOUNDED))
     with pytest.raises(UnboundedModel):   # the base, step 1, is the caller's solve
-        srme_dual(grid, FixedCapacities.none(), operational_base(grid))
+        srme_dual(operational_base(grid))

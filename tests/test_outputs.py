@@ -20,7 +20,7 @@ from toys import merit_stack, storage_coupled
 def test_dispatch_outputs_written(tmp_path):
     grid = merit_stack()
     result = solve_model(build_expansion_lp(grid))
-    files = write_dispatch_outputs(grid, result, tmp_path)
+    files = write_dispatch_outputs(result, tmp_path)
     for name in files:
         assert (tmp_path / name).exists()
     dispatch = (tmp_path / "dispatch.csv").read_text().splitlines()
@@ -54,7 +54,7 @@ def test_consequential_json_written(tmp_path):
 
 def test_schedule_and_trace_files(tmp_path):
     grid = storage_coupled()
-    sched, trace = schedule_min_srme(grid, solve_expansion(grid), method="SRME1")
+    sched, trace = schedule_min_srme(solve_expansion(grid), method="SRME1")
     write_schedule_csv(sched, tmp_path / "schedule.csv")
     write_trace_csv(trace, tmp_path / "iteration_trace.csv")
     lines = (tmp_path / "schedule.csv").read_text().splitlines()

@@ -315,7 +315,7 @@ def test_operational_result_with_nothing_to_build_is_the_expansion_solution(
     assert not grid.has_investment
     expansion = solve_expansion(grid)
     calls = spy_on_solves(monkeypatch)
-    got = solve_operational(grid, expansion)
+    got = solve_operational(expansion)
     assert calls == []
     model = build_operational_lp(grid, expansion.fixed_capacities())
     cold = solve_model(model)
@@ -327,4 +327,32 @@ def test_operational_result_with_nothing_to_build_is_the_expansion_solution(
     offset = build_expansion_lp(grid).cost_offset
     assert (offset > 0) == (which == "fleet") and model.cost_offset == 0.0
     assert got.total_cost == cold.total_cost == expansion.total_cost - offset
-    assert got.mode == cold.mode
+    assert got.model.mode == cold.model.mode
+
+
+# --- a derived solve: base's LP rebuilt for a perturbed grid --------------------
+
+@pytest.mark.parametrize("mode", ["expansion", "operational"])
+@pytest.mark.parametrize("perturbation", [ScaleEV(0.05), UniformAll(0.03)],
+                         ids=["scale-ev", "uniform"])
+def test_derived_solve_is_a_warm_solve_of_a_fresh_build(mode, perturbation, tmp_path):
+    # The re-solve that LR-MER, SRME1 and the consequential check share:
+    # the perturbed grid's LP in the base's mode at its capacities, solved
+    # from the base's solution.
+    from gridmarg.planner import solve_derived, solve_expansion, solve_operational
+    from test_lp import assert_same_bits, synth_grid
+    grid = synth_grid("expansion", 1, tmp_path)
+    expansion = solve_expansion(grid)
+    caps = expansion.fixed_capacities()
+    base = expansion if mode == "expansion" else solve_operational(expansion)
+    assert base.model.fixed == (None if mode == "expansion" else caps)
+    perturbed = perturb_demand(base.model.grid, ["B"], perturbation)
+    got = solve_derived(base, perturbed)
+    want = solve_model(build_expansion_lp(perturbed) if mode == "expansion"
+                       else build_operational_lp(perturbed, caps), warm_start=base.solution)
+    assert got.model.grid is perturbed and got.model.mode == want.model.mode
+    for name in ("c", "b_eq", "b_ub", "lb", "ub"):
+        assert_same_bits(getattr(got.model.problem, name), getattr(want.model.problem, name))
+    for name in ("x", "eq_duals", "ineq_duals", "reduced_costs"):
+        assert_same_bits(getattr(got.solution, name), getattr(want.solution, name))
+    assert got.total_cost == want.total_cost

@@ -8,8 +8,8 @@ from gridmarg.cli import main
 from gridmarg.errors import ModelBuildError, ScheduleMismatch
 from gridmarg.flex import ChargingSchedule, ScheduleSource
 from gridmarg.grid import FlexibleLoad, Generator, GridModel, ScenarioConfig, Zone
-from gridmarg.planner import (FixedCapacities, build_expansion_lp, build_operational_lp,
-                              solve_expansion, solve_model)
+from gridmarg.planner import (FixedCapacities, ScaleEV, build_expansion_lp,
+                              build_operational_lp, perturb_demand, solve_expansion, solve_model)
 from gridmarg.scheduler import (PIN_SNAP_TOL, consequential_check, evaluate_fixed_schedule,
                                 pin_schedule, schedule_from_result, schedule_min_srme)
 
@@ -84,7 +84,7 @@ def test_uniform_rates_leave_cost_min_schedule():
         config=ScenarioConfig(horizon_hours=horizon),
     )
     base = solve_model(build_expansion_lp(grid))
-    sched, trace = schedule_min_srme(grid, base, method="SRME1")
+    sched, trace = schedule_min_srme(base, method="SRME1")
     assert trace.converged
     np.testing.assert_allclose(sched.per_load["ev"], base.flex_served["ev"], atol=1e-6)
     assert trace.records[-1].schedule_delta_norm == pytest.approx(0.0, abs=1e-6)
@@ -115,7 +115,7 @@ def test_zero_rate_hour_attracts_shiftable_energy():
                                      max_charge_rate_mw=25.0),),
         config=ScenarioConfig(horizon_hours=horizon),
     )
-    sched, trace = schedule_min_srme(grid, solve_expansion(grid), method="SRME1")
+    sched, trace = schedule_min_srme(solve_expansion(grid), method="SRME1")
     assert trace.converged
     assert trace.iterations_used <= 3
     assert sched.per_load["ev"][12] == pytest.approx(25.0, abs=1e-6)  # rate cap binds
@@ -125,7 +125,7 @@ def test_zero_rate_hour_attracts_shiftable_energy():
 def test_storage_coupled_loop_converges_with_sound_proxy():
     grid = storage_coupled()
     for method in ("SRME1", "SRME2"):
-        sched, trace = schedule_min_srme(grid, solve_expansion(grid), method=method)
+        sched, trace = schedule_min_srme(solve_expansion(grid), method=method)
         assert trace.converged, method
         assert trace.iterations_used <= 10
         for rec in trace.records:
@@ -137,8 +137,8 @@ def test_storage_coupled_loop_converges_with_sound_proxy():
 def test_evaluate_fixed_schedule_is_fixed_point_of_expansion():
     grid = with_flex_window(solar_midday(), 12, 12)
     exp = solve_model(build_expansion_lp(grid))
-    schedule = schedule_from_result(grid, exp, ScheduleSource.COST_MIN)
-    report = evaluate_fixed_schedule(grid, schedule, exp)
+    schedule = schedule_from_result(exp, ScheduleSource.COST_MIN)
+    report = evaluate_fixed_schedule(schedule, exp)
     assert report.base_total_cost == pytest.approx(exp.total_cost, rel=1e-9, abs=1e-6)
     assert report.base_total_emissions == pytest.approx(exp.total_emissions, rel=1e-9)
 
@@ -174,15 +174,15 @@ def test_schedule_evaluations_start_from_the_expansion_optimum(tmp_path, monkeyp
 def test_evaluate_rejects_mismatched_energy():
     grid = with_flex_window(solar_midday(), 12, 12)
     exp = solve_model(build_expansion_lp(grid))
-    schedule = schedule_from_result(grid, exp, ScheduleSource.COST_MIN)
+    schedule = schedule_from_result(exp, ScheduleSource.COST_MIN)
     bad = ChargingSchedule(served=schedule.served, per_load={"ev": schedule.per_load["ev"] * 1.1},
                            source=ScheduleSource.FIXED, zone_ids=schedule.zone_ids)
     with pytest.raises(ScheduleMismatch):
-        evaluate_fixed_schedule(grid, bad, exp)
+        evaluate_fixed_schedule(bad, exp)
     with pytest.raises(ScheduleMismatch):
-        evaluate_fixed_schedule(grid, ChargingSchedule(served=schedule.served, per_load={},
-                                                       source=ScheduleSource.FIXED,
-                                                       zone_ids=schedule.zone_ids), exp)
+        evaluate_fixed_schedule(ChargingSchedule(served=schedule.served, per_load={},
+                                                 source=ScheduleSource.FIXED,
+                                                 zone_ids=schedule.zone_ids), exp)
 
 
 def test_emissions_signal_backfires_on_midday_solar_toy():
@@ -192,14 +192,13 @@ def test_emissions_signal_backfires_on_midday_solar_toy():
     midday_base = ev[10:16].sum() + ev[34:40].sum()
     assert midday_base == pytest.approx(120.0, abs=1e-6)  # cost-min charges midday
 
-    sched, trace = schedule_min_srme(grid, base, method="SRME1")
+    sched, trace = schedule_min_srme(base, method="SRME1")
     assert trace.converged
     midday_after = sched.per_load["ev"][10:16].sum() + sched.per_load["ev"][34:40].sum()
     assert midday_after <= 1e-6  # the signal vacates midday entirely
 
-    rep_cost = evaluate_fixed_schedule(grid, schedule_from_result(grid, base,
-                                                                  ScheduleSource.COST_MIN), base)
-    rep_srme = evaluate_fixed_schedule(grid, sched, base)
+    rep_cost = evaluate_fixed_schedule(schedule_from_result(base, ScheduleSource.COST_MIN), base)
+    rep_srme = evaluate_fixed_schedule(sched, base)
     assert rep_srme.base_total_emissions > rep_cost.base_total_emissions
     # 120 MWh moved from new solar to evening gas at 0.45 t/MWh.
     assert rep_srme.base_total_emissions - rep_cost.base_total_emissions == pytest.approx(
@@ -208,10 +207,10 @@ def test_emissions_signal_backfires_on_midday_solar_toy():
 
 def test_consequential_check_uses_pinned_operational_solves():
     grid = storage_coupled()
-    caps = FixedCapacities.none()
+    caps = FixedCapacities()
     base = solve_model(build_expansion_lp(grid))
     pinned = pin_schedule(grid, base.flex_served)
-    delta = consequential_check(pinned, caps, 0.05, operational_base(pinned, caps)).delta
+    delta = consequential_check(operational_base(pinned, caps), 0.05).delta
     assert np.isfinite(delta)
     # Scaling the schedule by 1.05 grows served energy by 5%; emissions move
     # with it, so the check is strictly positive on this fossil-margin toy.
@@ -228,8 +227,7 @@ def test_consequential_check_scales_the_snapped_schedule():
         profile = load.baseline_profile.copy()
         profile[0] = value
         pinned = pin_schedule(grid, {load.id: profile})
-        checks.append(consequential_check(pinned, FixedCapacities.none(), 0.05,
-                                          operational_base(pinned)).delta)
+        checks.append(consequential_check(operational_base(pinned), 0.05).delta)
     assert checks[0] == checks[1]
 
 
@@ -239,7 +237,7 @@ def test_penalty_loop_pins_each_schedule_once(monkeypatch):
     monkeypatch.setattr(scheduler, "pin_schedule",
                         lambda grid, per_load: pinned.append(per_load) or real(grid, per_load))
     grid = with_flex_window(solar_midday(), 0, 8)   # two passes with SRME2 rates
-    _, trace = schedule_min_srme(grid, solve_expansion(grid), method="SRME2")
+    _, trace = schedule_min_srme(solve_expansion(grid), method="SRME2")
     assert trace.iterations_used >= 2
     # The cost-min schedule and each pass's schedule, once each.
     assert len(pinned) == 1 + trace.iterations_used
@@ -254,12 +252,12 @@ def test_pin_schedule_snaps_round_off_and_rejects_real_negatives():
         pinned = pin_schedule(grid, {load.id: profile})
         assert pinned.flexible_loads[0].baseline_profile[0] == 0.0
         assert profile[0] == value  # the caller's array is left alone
-        build_operational_lp(pinned, FixedCapacities.none())
+        build_operational_lp(pinned, FixedCapacities())
     profile = load.baseline_profile.copy()
     profile[0] = -2.0 * PIN_SNAP_TOL
     pinned = pin_schedule(grid, {load.id: profile})
     with pytest.raises(ModelBuildError, match="nonnegative"):
-        build_operational_lp(pinned, FixedCapacities.none())
+        build_operational_lp(pinned, FixedCapacities())
 
 
 # --- the results a schedule shares with earlier solves ------------------------------
@@ -303,13 +301,13 @@ def test_each_pass_rates_start_from_its_check_base_without_solving_it(make_grid,
     rate_calls = []
     real = scheduler.short_run_rates
 
-    def rates(pinned, caps, method, base, zones="all"):
+    def rates(method, base, zones="all"):
         before = len(solves)
-        series = real(pinned, caps, method, base, zones)
+        series = real(method, base, zones)
         rate_calls.append((base, solves[before:], zones))
         return series
     monkeypatch.setattr(scheduler, "short_run_rates", rates)
-    _, trace = schedule_min_srme(grid, expansion, method=method)
+    _, trace = schedule_min_srme(expansion, method=method)
     assert len(rate_calls) == trace.iterations_used >= 2
     for check, (base, calls, zones) in zip(trace.checks, rate_calls):
         assert base is check.base
@@ -322,9 +320,58 @@ def test_a_pass_that_returns_to_a_schedule_reads_its_earlier_check(tmp_path):
     # On the fleet grid with an 8 h delay window, SRME1's third pass returns
     # to the first pass's schedule.
     grid = _census_grid("fleet", "delay8", tmp_path)
-    _, trace = schedule_min_srme(grid, solve_expansion(grid), method="SRME1")
+    _, trace = schedule_min_srme(solve_expansion(grid), method="SRME1")
     assert trace.iterations_used == 3
     assert trace.checks[3] is trace.checks[1] and trace.checks[2] is not trace.checks[1]
     first, _, third = trace.records
     assert third.consequential_tco2 == first.consequential_tco2
     assert first.consequential_tco2 == pytest.approx(220.594810415, abs=1e-9)
+
+
+# --- rigid charging at its rate cap ---------------------------------------------
+
+def _rate_capped_tutorial(scale: float) -> GridModel:
+    """The tutorial with ev_b at penetration scale `scale` and its rate cap at
+    its effective peak: any upward scaling of the unpinned load fails to build."""
+    from dataclasses import replace
+    from gridmarg.scenario_io import load_scenario
+    from test_scenario_io import TUTORIAL
+    grid = load_scenario(TUTORIAL)
+    (load,) = grid.flexible_loads
+    peak = float(np.max(load.baseline_profile * scale))
+    return replace(grid, flexible_loads=(replace(load, penetration_scale=scale,
+                                                 max_charge_rate_mw=peak),))
+
+
+# The rigid shortcuts hand the unpinned grid's solution on as the pinned
+# grid's optimum; the EV scaling after them must still scale the pinned grid,
+# which has no rate cap (and whose profile is the scaled baseline, so 1.3
+# also checks that the scaling is not applied on top of the penetration scale).
+@pytest.mark.parametrize("scale", [1.0, 1.3])
+@pytest.mark.parametrize("signal", ["cost", "srme1", "srme2"])
+def test_rigid_schedule_at_its_rate_cap_runs(signal, scale, tmp_path):
+    scenario = scenario_file(tmp_path, _rate_capped_tutorial(scale))
+    assert main(["schedule", scenario, "--signal", signal, "--flex", "none",
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.3])
+def test_rigid_check_at_the_rate_cap_scales_the_pinned_grid(scale):
+    from test_lp import assert_same_bits
+    grid = _rate_capped_tutorial(scale)
+    assert grid.charging_is_rigid
+    expansion = solve_expansion(grid)
+    _, trace = schedule_min_srme(expansion, method="SRME1")
+    pinned = pin_schedule(grid, expansion.flex_served)
+    scaled = perturb_demand(pinned, "all", ScaleEV(grid.config.perturbation_fraction))
+    want = build_operational_lp(scaled, expansion.fixed_capacities()).problem
+    for check in trace.checks:
+        assert check.base.model.grid.flexible_loads[0].max_charge_rate_mw is None
+        for name in ("c", "b_eq", "b_ub", "lb", "ub"):
+            assert_same_bits(getattr(check.pert.model.problem, name), getattr(want, name))
+    # The cost schedule's evaluation takes the expansion solution as its base,
+    # decoded with the pinned grid's model.
+    report = evaluate_fixed_schedule(schedule_from_result(expansion, ScheduleSource.COST_MIN),
+                                     expansion)
+    assert report.base.solution is expansion.solution
+    assert report.base.model.grid.flexible_loads[0].max_charge_rate_mw is None

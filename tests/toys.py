@@ -16,7 +16,7 @@ def operational_base(grid: GridModel, caps: FixedCapacities | None = None) -> Di
     """grid's operational optimum at caps (nothing built by default): the base
     that the short-run estimators and the consequential check take from their
     caller."""
-    return solve_model(build_operational_lp(grid, caps or FixedCapacities.none()))
+    return solve_model(build_operational_lp(grid, caps or FixedCapacities()))
 
 
 def single_bus(demand: float = 50.0, cap: float = 100.0, horizon: int = 24,

@@ -21,12 +21,12 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from . import lp, outputs, planner
+from . import outputs
 from .errors import DegenerateDelta, GridmargError, InfeasibleModel, UnboundedModel, UnknownZone
 from .grid import CostMultipliers, GridModel, resolve_scenario
 from .metrics import (ConsequentialReport, average_emission_rate, icev_comparison,
                       long_run_mer, short_run_rates)
-from .planner import solve_expansion, solve_operational
+from .planner import DispatchResult, solve_expansion, solve_operational
 from .scenario_io import load_scenario
 from .scheduler import compare_signal
 
@@ -218,21 +218,25 @@ def _read_sweep_spec(path: str | None, zone_ids: list[str]) -> tuple[str, list[d
     return hashlib.sha256(raw).hexdigest(), cells
 
 
-def _run_sweep_cell(raw_grid: GridModel, cell: dict,
-                    warm_start: lp.LpSolution | None = None) -> tuple[dict, lp.LpSolution | None]:
-    """One sweep cell: its outcome row, and its base solution if it succeeded.
+def _run_sweep_cell(raw_grid: GridModel, cell: dict, like: DispatchResult | None = None,
+                    base: DispatchResult | None = None) -> tuple[dict, DispatchResult | None]:
+    """One sweep cell: its outcome row, and its base result if that solved.
 
-    warm_start seeds the cell's base expansion solve (see _run_sweep_group).
+    base, if given, is the cell's base result, held from a cell that differs
+    only in target_zone; else like, if given, seeds the cell's base solve
+    (see _run_sweep_group).
     """
     started = time.time()
     try:
-        cfg = replace(raw_grid.config,
-                      ev_penetration_multiplier=cell["ev_multiplier"],
-                      cost_multipliers=CostMultipliers(renewable_capex=cell["renewable_capex"],
-                                                       gas_price=cell["gas_price"]))
-        grid = _apply_flex_mode(resolve_scenario(replace(raw_grid, config=cfg)), cell["flex"])
-        report = long_run_mer(solve_expansion(grid, warm_start=warm_start),
-                              target_zones=cell["target_zone"])
+        if base is None:
+            cfg = replace(raw_grid.config,
+                          ev_penetration_multiplier=cell["ev_multiplier"],
+                          cost_multipliers=CostMultipliers(renewable_capex=cell["renewable_capex"],
+                                                           gas_price=cell["gas_price"]))
+            grid = _apply_flex_mode(resolve_scenario(replace(raw_grid, config=cfg)),
+                                    cell["flex"])
+            base = solve_expansion(grid, like)
+        report = long_run_mer(base, target_zones=cell["target_zone"])
         metrics = {
             "lr_mer_tco2_per_mwh": report.lr_mer,
             "aer_system_tco2_per_mwh": average_emission_rate(report.base),
@@ -241,33 +245,37 @@ def _run_sweep_cell(raw_grid: GridModel, cell: dict,
             "delta_demand_mwh": report.delta_demand_mwh,
             "base_total_cost_usd": report.base_total_cost,
         }
-        return ({**cell, "status": "success", "metrics": metrics,
-                 "wall_clock_s": time.time() - started}, report.base.solution)
+        outcome = {**cell, "status": "success", "metrics": metrics}
     except Exception as exc:  # individual failures must not abort the sweep
-        return ({**cell, "status": "error", "error": f"{type(exc).__name__}: {exc}",
-                 "metrics": {}, "wall_clock_s": time.time() - started}, None)
+        outcome = {**cell, "status": "error", "error": f"{type(exc).__name__}: {exc}",
+                   "metrics": {}}
+    return {**outcome, "wall_clock_s": time.time() - started}, base
 
 
 def _run_sweep_group(raw_grid: GridModel, cells: list[dict]) -> list[dict]:
     """Run cells that share a flexibility mode, in order, as one warm-start chain.
 
     Such cells build expansion LPs of one shape that differ only in bounds
-    and costs, so each cell's base solve starts from the base solution of the
-    last cell before it that succeeded; the first cell's base solve has no
-    start of its own (see planner.solve_expansion).
+    and costs, so each cell's base LP fills the structure of the base result
+    of the last cell before it that succeeded, and its solve starts from
+    that result's solution; the first cell's base has neither (see
+    planner.solve_expansion). Cells that differ only in target_zone have
+    one base LP, and the cells after the first take its result as it is.
     Which solves start from which basis depends on the spec alone, never on
-    the worker count. The cells also share their LP structures (one per
-    shape, see gridmarg.planner).
+    the worker count.
     """
-    outcomes, warm_start = [], None
-    with planner.structure_scope():
-        for cell in cells:
-            # Looked up by name at call time, so a wrapper bound to the module
-            # attribute (the benchmark's tracer) sees every cell.
-            outcome, base = _run_sweep_cell(raw_grid, cell, warm_start)
-            outcomes.append(outcome)
-            if base is not None:
-                warm_start = base
+    outcomes, like, held = [], None, (None, None)
+    for cell in cells:
+        key = tuple(cell[k] for k in CELL_KEYS if k != "target_zone")
+        # Looked up by name at call time, so a wrapper bound to the module
+        # attribute (the benchmark's tracer) sees every cell.
+        outcome, base = _run_sweep_cell(raw_grid, cell, like,
+                                        held[1] if held[0] == key else None)
+        outcomes.append(outcome)
+        if base is not None:
+            held = key, base
+        if outcome["status"] == "success":
+            like = base
     return outcomes
 
 
@@ -363,8 +371,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr,
                         force=True)
     try:
-        with planner.structure_scope():
-            return args.func(args)
+        return args.func(args)
     except InfeasibleModel as exc:
         log.error("infeasible: %s", exc)
         return 2

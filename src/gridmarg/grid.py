@@ -199,6 +199,11 @@ class FlexibleLoad:
     max_charge_rate_mw: float | None = None   # None: defaults to 3x effective baseline peak
     penetration_scale: float = 1.0
 
+    @property
+    def is_rigid(self) -> bool:
+        """Whether the window is zero, so that charging is fixed at the baseline."""
+        return self.max_advance_hours == 0 and self.max_delay_hours == 0
+
     def effective_baseline(self) -> np.ndarray:
         return self.baseline_profile * self.penetration_scale
 
@@ -220,7 +225,7 @@ class FlexibleLoad:
             raise ValidationError(f"flexible_load {self.id}: window hours must be nonnegative")
         if self.penetration_scale < 0:
             raise ValidationError(f"flexible_load {self.id}: penetration_scale must be nonnegative")
-        if self.max_advance_hours == 0 and self.max_delay_hours == 0:
+        if self.is_rigid:
             peak = float(np.max(self.effective_baseline(), initial=0.0))
             if self.effective_max_charge_rate() < peak - 1e-9:
                 raise ValidationError(
@@ -300,8 +305,7 @@ class GridModel:
     def charging_is_rigid(self) -> bool:
         """Whether every flexible load has a zero window, so that its charging
         columns are fixed at its baseline and no schedule but that one exists."""
-        return all(l.max_advance_hours == 0 and l.max_delay_hours == 0
-                   for l in self.flexible_loads)
+        return all(l.is_rigid for l in self.flexible_loads)
 
     def zone_ids(self) -> list[str]:
         return [z.id for z in self.zones]

@@ -129,16 +129,16 @@ LpSolution: a sweep worker returns its outcome rows, never a solution.
 
 Every solve builds a fresh HiGHS instance, and an LpProblem is immutable
 once built. Problems of one shape share one LpMatrix: the planner assembles
-it once per grid topology and command, and each build fills only its own
-costs, right-hand sides and bounds. The matrix's arrays are read-only, and
-its column-wise form is computed on first use, once per matrix rather than
-once per solve. A warm start only changes where the simplex starts, and
+it for a command's first LP of a grid topology, and each build derived from
+that LP fills only its own costs, right-hand sides and bounds. The matrix's
+arrays are read-only, and its column-wise form is computed on first use,
+once per matrix rather than once per solve. A warm start only changes where the simplex starts, and
 with the tie-break, not the vertex it reaches.
 
 A sweep chains warm starts within each group of cells that share a
 flexibility mode: those cells build expansion LPs of one shape, so each
-cell's base solve starts from the base solution of the group's last cell
-that succeeded. Only the group's first base solve has no such start; it
+cell's base LP is built from, and solved from, the base result of the
+group's last cell that succeeded. Only the group's first base solve has no such start; it
 starts from ``planner.solve_expansion``'s crash basis where the grid has
 something to build over more than 96 h, else cold.
 

@@ -26,30 +26,30 @@ A build runs in two steps after validating the grid:
 
   * the structure step (``_assemble``) lays out the columns and rows, records
     them in a ModelIndex, and assembles the constraint matrix (an
-    ``lp.LpMatrix``) and the emissions coefficients. It reads only the grid
-    fields that reach a matrix coefficient or a shape (``_structure_key``):
-    entity ids and zones, capacity-factor profiles, storage efficiencies,
-    line losses, min-stable fractions and commitment flags, clean shares,
-    clean and emission factors, the buildable/retirable/expandable flags,
-    the flexible loads' ids and zones, and whether NSE and a CO2 cap are on.
+    ``lp.LpMatrix``) and the emissions coefficients.
   * the vector step (``_fill``) writes the costs, right-hand sides, bounds
     and cost offset from the grid by index assignment, and runs every check
     on those values (pinned capacities, charging windows).
 
-Inside ``structure_scope()`` (one per CLI command, one per sweep group) a
-structure is assembled once per key and shared by every build with that
-key, so demand perturbations, EV scaling, charging windows, pinned
-schedules, cost multipliers and operational pinning build no new matrix.
-Outside a scope every build assembles its own. Either way the LP is the same, array for
-array.
+A build given ``like=``, a model of the grid its own grid is derived from,
+skips the structure step and fills like's index, matrix and emissions
+coefficients. Demand perturbations, EV scaling, charging windows, pinned
+schedules, cost multipliers and operational pinning reach only the vectors,
+so every re-solve of such a grid builds from the model of the result it
+starts from, and nothing looks a structure up. The LP is the one a fresh
+build returns, array for array. A grid that differs in anything the
+structure step reads (an entity, a profile, an efficiency or loss, a
+commitment, clean-share or emissions parameter, whether NSE or a CO2 cap is
+on) is not derived, and is built without ``like``.
 
 Every command's expansion solves go through ``solve_expansion``. Given no
-warm start, it starts a long horizon (over 2 * CRASH_HOURS) with something
-to build from a crash basis: it solves the expansion LP of the grid's first
-CRASH_HOURS (``grid.first_hours``, per-horizon costs scaled to match), then
-the full operational LP at those capacities, and starts the full expansion
-solve from that optimum. If either step is infeasible or unbounded, cannot
-be built, or breaks down numerically, the full solve starts cold. The cost tie-break makes the optimal
+earlier result to start from, it starts a long horizon (over 2 *
+CRASH_HOURS) with something to build from a crash basis: it solves the
+expansion LP of the grid's first CRASH_HOURS (``grid.first_hours``,
+per-horizon costs scaled to match), then the full operational LP at those
+capacities, and starts the full expansion solve from that optimum. If
+either step is infeasible or unbounded, cannot be built, or breaks down
+numerically, the full solve starts cold. The cost tie-break makes the optimal
 vertex unique (see gridmarg.lp), so the start changes the simplex path and
 its time, not the answer: capacities, emissions and costs agree with a cold
 solve to round-off. Duals at a dual-degenerate optimum (``prices.csv``)
@@ -58,9 +58,6 @@ can still depend on the basis reached.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,7 +76,13 @@ MODE_OPERATIONAL = "operational_fixed"
 
 @dataclass(frozen=True)
 class ScaleEV:
-    """Scale flexible-load baselines in the target zones by (1 + fraction)."""
+    """Scale flexible-load baselines in the target zones by (1 + fraction).
+
+    A rigid load also drops its explicit rate cap, as a pinned one does
+    (scheduler.pin_schedule): its charging is fixed at its baseline, so the
+    cap never reaches its LP, and a cap at the baseline's peak would reject
+    any upward scaling.
+    """
     fraction: float
 
 
@@ -117,7 +120,8 @@ def perturb_demand(grid: GridModel, target_zones, mode) -> GridModel:
     if isinstance(mode, ScaleEV):
         zones = _resolve_zones(grid, target_zones)
         loads = tuple(
-            replace(l, baseline_profile=l.baseline_profile * (1.0 + mode.fraction))
+            replace(l, baseline_profile=l.baseline_profile * (1.0 + mode.fraction),
+                    max_charge_rate_mw=None if l.is_rigid else l.max_charge_rate_mw)
             if l.zone_id in zones else l
             for l in grid.flexible_loads)
         return replace(grid, flexible_loads=loads)
@@ -193,15 +197,6 @@ class ExpansionModel:
 
 
 @dataclass(frozen=True)
-class LpStructure:
-    """What the structure step assembles: shared by every model built from it."""
-
-    index: ModelIndex
-    matrix: lp.LpMatrix
-    emissions_coeffs: np.ndarray       # read-only
-
-
-@dataclass(frozen=True)
 class FixedCapacities:
     """Investment outcomes pinned into an operational model (MW / MWh)."""
 
@@ -212,51 +207,22 @@ class FixedCapacities:
     lines: dict[str, float] = field(default_factory=dict)
 
 
-def build_expansion_lp(grid: GridModel) -> ExpansionModel:
-    """Capacity-expansion LP: investment, retirement, and dispatch co-optimized."""
-    return _build(grid, None)
+def build_expansion_lp(grid: GridModel, like: ExpansionModel | None = None) -> ExpansionModel:
+    """Capacity-expansion LP: investment, retirement, and dispatch co-optimized.
+
+    like, a model of a grid that grid is derived from (same entities, same
+    matrix), lends its structure, so only the vectors are filled.
+    """
+    return _build(grid, None, like)
 
 
-def build_operational_lp(grid: GridModel, fixed_capacities: FixedCapacities) -> ExpansionModel:
-    """Operational LP with investment pinned; objective has operational terms only."""
-    return _build(grid, fixed_capacities)
+def build_operational_lp(grid: GridModel, fixed_capacities: FixedCapacities,
+                         like: ExpansionModel | None = None) -> ExpansionModel:
+    """Operational LP with investment pinned; objective has operational terms only.
 
-
-# Structures of the innermost open structure_scope, by _structure_key. A
-# context variable, so that builds deep in metrics and the scheduler share it
-# without passing it through every call.
-_STRUCTURES: ContextVar[dict[tuple, LpStructure] | None] = ContextVar(
-    "gridmarg_lp_structures", default=None)
-
-
-@contextmanager
-def structure_scope() -> Iterator[None]:
-    """Share assembled LP structures among the builds inside the with block."""
-    token = _STRUCTURES.set({})
-    try:
-        yield
-    finally:
-        _STRUCTURES.reset(token)
-
-
-def _structure_key(grid: GridModel) -> tuple:
-    """Every grid field that reaches a matrix coefficient or a shape, or the
-    emissions coefficients. Other fields reach only the vectors."""
-    def profile(gen):
-        cf = gen.capacity_factor_profile
-        return None if cf is None else cf.tobytes()
-
-    return (
-        grid.horizon, grid.config.nse_penalty is not None, grid.config.co2_cap_tons is not None,
-        tuple((z.id, z.clean_share_min) for z in grid.zones),
-        tuple((g.id, g.zone_id, g.kind, g.buildable, g.retirable, g.has_commitment,
-               g.min_stable_fraction, g.emissions_factor, g.is_clean, profile(g))
-              for g in grid.generators),
-        tuple((s.id, s.zone_id, s.buildable, s.charge_efficiency, s.discharge_efficiency)
-              for s in grid.storage_units),
-        tuple((l.id, l.from_zone, l.to_zone, l.expandable, l.loss_fraction) for l in grid.lines),
-        tuple((l.id, l.zone_id) for l in grid.flexible_loads),
-    )
+    like lends its structure as in build_expansion_lp.
+    """
+    return _build(grid, fixed_capacities, like)
 
 
 def _pin(fixed: FixedCapacities, table: str, key: str) -> float:
@@ -274,22 +240,20 @@ def _row(terms: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, np.ndarray]
             np.concatenate([np.full(len(vars_), c) for vars_, c in terms]))
 
 
-def _build(grid: GridModel, fixed: FixedCapacities | None) -> ExpansionModel:
+def _build(grid: GridModel, fixed: FixedCapacities | None,
+           like: ExpansionModel | None) -> ExpansionModel:
     try:
         grid.validate()
     except ValidationError as exc:
         raise ModelBuildError(str(exc)) from exc
-    structures = _STRUCTURES.get()
-    if structures is None:
-        return _fill(_assemble(grid), grid, fixed)
-    key = _structure_key(grid)
-    if key not in structures:
-        structures[key] = _assemble(grid)
-    return _fill(structures[key], grid, fixed)
+    if like is None:
+        return _fill(*_assemble(grid), grid, fixed)
+    return _fill(like.index, like.problem.matrix, like.emissions_coeffs, grid, fixed)
 
 
-def _assemble(grid: GridModel) -> LpStructure:
-    """The structure step: lay out the columns and rows, and assemble the matrix."""
+def _assemble(grid: GridModel) -> tuple[ModelIndex, lp.LpMatrix, np.ndarray]:
+    """The structure step: lay out the columns and rows, and assemble the
+    matrix and the (read-only) emissions coefficients."""
     horizon = grid.horizon
     b = lp.LpBuilder()
     ix = ModelIndex()
@@ -437,23 +401,22 @@ def _assemble(grid: GridModel) -> LpStructure:
     for vars_, factor in emis:
         emissions_coeffs[vars_] = factor
     emissions_coeffs.flags.writeable = False
-    return LpStructure(index=ix, matrix=b.matrix(), emissions_coeffs=emissions_coeffs)
+    return ix, b.matrix(), emissions_coeffs
 
 
-def _fill(structure: LpStructure, grid: GridModel,
+def _fill(ix: ModelIndex, matrix: lp.LpMatrix, emissions_coeffs: np.ndarray, grid: GridModel,
           fixed: FixedCapacities | None) -> ExpansionModel:
     """The vector step: costs, right-hand sides, bounds and cost offset, by index.
 
     Every check on values (pinned capacities, charging windows) runs here,
-    so it runs on every build, shared structure or not.
+    so it runs on every build, handed-over structure or not.
     """
-    ix = structure.index
     horizon = grid.horizon
     expansion = fixed is None
-    n = structure.matrix.num_cols
+    n = matrix.num_cols
     c, lb, ub = np.zeros(n), np.zeros(n), np.full(n, np.inf)
-    b_eq = np.zeros(structure.matrix.rows_eq.shape[0])
-    b_ub = np.zeros(structure.matrix.rows_ub.shape[0])
+    b_eq = np.zeros(matrix.rows_eq.shape[0])
+    b_ub = np.zeros(matrix.rows_ub.shape[0])
     cost_offset = 0.0
 
     def invest(col: int, cost: float, table: str, key: str) -> None:
@@ -520,9 +483,9 @@ def _fill(structure: LpStructure, grid: GridModel,
     if ix.co2_cap_row is not None:
         b_ub[ix.co2_cap_row] = float(grid.config.co2_cap_tons)
 
-    problem = lp.LpProblem(c=c, matrix=structure.matrix, b_eq=b_eq, b_ub=b_ub, lb=lb, ub=ub)
+    problem = lp.LpProblem(c=c, matrix=matrix, b_eq=b_eq, b_ub=b_ub, lb=lb, ub=ub)
     return ExpansionModel(problem=problem, grid=grid, index=ix, fixed=fixed,
-                          cost_offset=cost_offset, emissions_coeffs=structure.emissions_coeffs)
+                          cost_offset=cost_offset, emissions_coeffs=emissions_coeffs)
 
 
 # --- decode ----------------------------------------------------------------------
@@ -574,22 +537,26 @@ class DispatchResult:
 CRASH_HOURS = 48
 
 
-def solve_expansion(grid: GridModel, warm_start: lp.LpSolution | None = None) -> DispatchResult:
-    """Build and solve grid's capacity-expansion LP, from warm_start's basis if given.
+def solve_expansion(grid: GridModel, like: DispatchResult | None = None) -> DispatchResult:
+    """Build and solve grid's capacity-expansion LP.
 
-    Without a warm start, an LP with an investment column over more than
-    2 * CRASH_HOURS hours starts from _crash_start's basis, else cold.
+    like, an expansion result of a grid that grid is derived from (another
+    cell of a sweep group), lends its model's structure and starts the solve
+    from its solution. Without it, an LP with an investment column over more
+    than 2 * CRASH_HOURS hours starts from _crash_start's basis, else cold.
     """
+    if like is not None:
+        return solve_model(build_expansion_lp(grid, like=like.model), warm_start=like.solution)
     model = build_expansion_lp(grid)
-    if warm_start is None and grid.horizon > 2 * CRASH_HOURS and grid.has_investment:
-        warm_start = _crash_start(grid)
-    return solve_model(model, warm_start=warm_start)
+    start = (_crash_start(model) if grid.horizon > 2 * CRASH_HOURS and grid.has_investment
+             else None)
+    return solve_model(model, warm_start=start)
 
 
-def _crash_start(grid: GridModel) -> lp.LpSolution | None:
+def _crash_start(model: ExpansionModel) -> lp.LpSolution | None:
     """The full-horizon operational optimum at the capacities of the expansion
-    over grid's first CRASH_HOURS (grid.first_hours), or None where either
-    solve fails.
+    over the first CRASH_HOURS of model's grid (grid.first_hours), or None
+    where either solve fails. The operational LP fills model's structure.
 
     Capacities from a short horizon are a cheap first guess (the first step
     of time-series aggregation; Kotzur et al. 2018, Applied Energy 213), and
@@ -599,8 +566,9 @@ def _crash_start(grid: GridModel) -> lp.LpSolution | None:
     against 14,113 cold, in about half the time.
     """
     try:
-        short = solve_model(build_expansion_lp(first_hours(grid, CRASH_HOURS)))
-        return solve_model(build_operational_lp(grid, short.fixed_capacities())).solution
+        short = solve_model(build_expansion_lp(first_hours(model.grid, CRASH_HOURS)))
+        return solve_model(build_operational_lp(model.grid, short.fixed_capacities(),
+                                                like=model)).solution
     except (InfeasibleModel, UnboundedModel, ModelBuildError, InfeasibleWindow,
             NumericalFailure):
         return None
@@ -614,7 +582,8 @@ def solve_operational(expansion: DispatchResult) -> DispatchResult:
     solve_expansion solved cold: its solution is decoded with the
     operational model (and that model's cost offset) instead of solved again.
     """
-    model = build_operational_lp(expansion.model.grid, expansion.fixed_capacities())
+    model = build_operational_lp(expansion.model.grid, expansion.fixed_capacities(),
+                                 like=expansion.model)
     if model.grid.has_investment:
         return solve_model(model)
     return decode_solution(model, expansion.solution)
@@ -624,11 +593,12 @@ def solve_derived(base: DispatchResult, grid: GridModel) -> DispatchResult:
     """Solve base's LP rebuilt for grid, from base's solution.
 
     grid is derived from base.model.grid (a demand perturbation, a scaled
-    schedule), and the rebuilt LP keeps base's mode and pinned capacities,
-    so base's basis is a start for it.
+    schedule), and the rebuilt LP fills base's structure and keeps its mode
+    and pinned capacities, so base's basis is a start for it.
     """
     fixed = base.model.fixed
-    model = build_expansion_lp(grid) if fixed is None else build_operational_lp(grid, fixed)
+    model = (build_expansion_lp(grid, like=base.model) if fixed is None
+             else build_operational_lp(grid, fixed, like=base.model))
     return solve_model(model, warm_start=base.solution)
 
 

@@ -40,8 +40,8 @@ from .grid import GridModel
 from .metrics import (SRME1, SRME2, ConsequentialReport, consequential_report,
                       flex_served_by_zone, long_run_mer, short_run_rates)
 from .planner import (DispatchResult, ScaleEV, build_expansion_lp, build_operational_lp,
-                      decode_solution, perturb_demand, solve_derived, solve_expansion,
-                      solve_model, solve_operational)
+                      decode_solution, perturb_demand, solve_derived, solve_model,
+                      solve_operational)
 from . import lp
 
 
@@ -165,7 +165,7 @@ def schedule_min_srme(expansion: DispatchResult,
         pinned = pin_schedule(grid, result.flex_served)
         key = _profiles(pinned)
         if key not in checks:
-            model = build_operational_lp(pinned, caps)
+            model = build_operational_lp(pinned, caps, like=start.model)
             base = decode_solution(model, start.solution) if rigid else solve_model(model)
             checks[key] = consequential_check(base, cfg.perturbation_fraction)
         return checks[key]
@@ -243,11 +243,12 @@ def evaluate_fixed_schedule(schedule: ChargingSchedule,
     """
     grid = expansion.model.grid
     pinned = _pin_requested(grid, schedule)
+    model = build_expansion_lp(pinned, like=expansion.model)
     if grid.charging_is_rigid and _profiles(pinned) == _profiles(grid):
-        base = decode_solution(build_expansion_lp(pinned), expansion.solution)
+        base = decode_solution(model, expansion.solution)
     else:
-        base = solve_expansion(pinned, warm_start=expansion.solution if grid.has_investment
-                               else None)
+        base = solve_model(model, warm_start=expansion.solution if grid.has_investment
+                           else None)
     return long_run_mer(base)
 
 
@@ -257,7 +258,7 @@ def _evaluation_from_check(grid: GridModel, schedule: ChargingSchedule,
     the schedule's check: its LPs are the evaluation's, from the same starts."""
     _pin_requested(grid, schedule)  # its energy check; the pinned grids are the check's
     return consequential_report(
-        *(decode_solution(build_expansion_lp(r.model.grid), r.solution)
+        *(decode_solution(build_expansion_lp(r.model.grid, like=r.model), r.solution)
           for r in (check.base, check.pert)))
 
 

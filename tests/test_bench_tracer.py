@@ -12,15 +12,16 @@ import sys
 from pathlib import Path
 
 from test_scenario_io import TUTORIAL
+from test_solve_counts import TUTORIAL_COUNTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_traced_worker_runs_a_schedule_with_no_repeat_solve(tmp_path):
+    args = ["schedule", "--signal", "srme2", "--flex", "none"]
     job = tmp_path / "job.json"
     job.write_text(json.dumps({
-        "commands": [["schedule", str(TUTORIAL), "--signal", "srme2", "--flex", "none",
-                      "--out", str(tmp_path / "schedule")]],
+        "commands": [[args[0], str(TUTORIAL), *args[1:], "--out", str(tmp_path / "schedule")]],
         "trace_out": str(tmp_path / "trace.json"),
     }))
     env = dict(os.environ)
@@ -33,7 +34,10 @@ def test_traced_worker_runs_a_schedule_with_no_repeat_solve(tmp_path):
     assert result["codes"] == [0]
     layers = result["layers"]
     assert layers["lp.solves"] > 0
-    assert layers["planner.builds"] > 0
+    # Every build, derived or not, goes through a public builder the tracer
+    # wraps: it counts each of the command's planner._fill calls.
+    (built,) = [built for a, _, built, _ in TUTORIAL_COUNTS if a == args]
+    assert layers["planner.builds"] == built
     # No layer remembers a solve, so this counts every LP the command solves
     # twice. The tutorial builds nothing and --flex none leaves one schedule:
     # the operational start, the check's base, the rates' base and both

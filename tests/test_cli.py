@@ -603,6 +603,26 @@ def test_sweep_chains_base_solves_within_each_flex_group(tmp_path, monkeypatch):
             assert pert.warm_start is base.solution
 
 
+def test_sweep_cells_that_differ_only_in_target_zone_share_one_base(tmp_path, monkeypatch):
+    # Zone A has no EV load, so its cells fail after their base solve; zone
+    # B's cells take that base as it is and solve only their EV-scaled LP.
+    calls = spy_on_solves(monkeypatch)
+    rows = {}
+    for zones in ("each-separately", ["B"]):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"ev_multipliers": [0.9, 1.0], "target_zones": zones}))
+        out = tmp_path / str(len(rows))
+        before = len(calls)
+        assert main(["sweep", str(TUTORIAL), "--spec", str(spec), "--out", str(out)]) == 0
+        rows[str(zones)] = [{k: v for k, v in r.items() if k not in ("run_id", "target_zone")}
+                            for r in read_csv_rows(out / "sweep_results.csv")]
+        if zones == "each-separately":
+            base0, pert0, base1, pert1 = calls[before:]
+            assert base0.warm_start is None and pert0.warm_start is base0.solution
+            assert base1.warm_start is base0.solution and pert1.warm_start is base1.solution
+    assert rows["each-separately"] == rows["['B']"]
+
+
 def test_sweep_chain_steps_over_a_failed_cell(tmp_path, monkeypatch):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"ev_multipliers": [0.9, 1.0, 1.1],

@@ -1,14 +1,14 @@
-"""LP structures shared within a scope: one assembly per LP shape, vectors filled per build.
+"""A derived LP fills the structure of the model it comes from.
 
-Inside ``planner.structure_scope()`` a build looks its structure (index,
-matrix, emissions coefficients) up by the grid's structure key and fills
-only the costs, right-hand sides and bounds. These tests pin what that may
-not change: a build from a shared structure returns the LP a build with an
-empty cache returns, array for array and dtype for dtype, with the same
-index and cost offset; a grid that differs in any field that reaches the
-matrix gets its own structure, while rigid, windowed and pinned charging
-share one; every check on values still runs; and the CLI assembles each LP
-shape once per command without changing its solves.
+A build given ``like=`` (a model of the grid its own grid is derived from)
+skips the structure step and fills only the costs, right-hand sides and
+bounds into like's index, matrix and emissions coefficients. These tests
+pin what that may not change: the LP equals a fresh build of the derived
+grid, array for array and dtype for dtype, with the same index and cost
+offset; rigid, windowed and pinned charging share one structure; and every
+check on values still runs. That every command hands over only structures
+its grids would assemble is checked on every command of
+``test_solve_counts``.
 """
 
 import functools
@@ -25,12 +25,10 @@ from gridmarg.errors import InfeasibleWindow, MissingCapacity, ModelBuildError, 
 from gridmarg.flex import FlexWindow, check_window_feasible
 from gridmarg.grid import CostMultipliers, resolve_scenario
 from gridmarg.planner import (FixedCapacities, ScaleEV, SingleHour, UniformAll,
-                              build_expansion_lp, build_operational_lp, perturb_demand,
-                              structure_scope)
+                              build_expansion_lp, build_operational_lp, perturb_demand)
 from gridmarg.scenario_io import load_scenario
 from gridmarg.scheduler import pin_schedule
 
-from oracles import spy_on_solves
 from test_build_digests import every_feature, pinned_capacities
 from test_cli import scenario_file
 from test_scenario_io import TUTORIAL
@@ -70,31 +68,31 @@ def assert_same_model(got, want):
     assert got.mode == want.mode
 
 
-def build(grid, fixed: FixedCapacities | None):
-    return build_expansion_lp(grid) if fixed is None else build_operational_lp(grid, fixed)
+def build(grid, fixed: FixedCapacities | None, like=None):
+    return (build_expansion_lp(grid, like=like) if fixed is None
+            else build_operational_lp(grid, fixed, like=like))
 
 
-def outcome(grid, fixed):
+def outcome(grid, fixed, like=None):
     """The built model, or the type and message of the error the build raised."""
     try:
-        return build(grid, fixed)
-    except Exception as exc:  # compared, never swallowed: see assert_shared_equals_fresh
+        return build(grid, fixed, like)
+    except Exception as exc:  # compared, never swallowed: see assert_derived_equals_fresh
         return type(exc), str(exc)
 
 
-def assert_shared_equals_fresh(base, derived, fixed=None):
-    """Build derived in a scope primed with base's structure, and again with no
-    cache; both builds give the same model or raise the same error. Returns
-    the two builds of the scope: base's and derived's."""
-    with structure_scope():
-        primed = build_expansion_lp(base)
-        shared = outcome(derived, fixed)
+def assert_derived_equals_fresh(base, derived, fixed=None):
+    """Build derived from base's expansion model, and again from scratch;
+    both builds give the same model or raise the same error. Returns base's
+    model and the derived build."""
+    like = build_expansion_lp(base)
+    shared = outcome(derived, fixed, like)
     fresh = outcome(derived, fixed)
     if isinstance(fresh, tuple):
         assert shared == fresh
     else:
         assert_same_model(shared, fresh)
-    return primed, shared
+    return like, shared
 
 
 def changed(grid, collection: str, entity_id: str, **changes):
@@ -158,13 +156,14 @@ def derived_grids(draw):
 @given(derived_grids())
 def test_a_derived_lp_from_a_shared_structure_equals_a_fresh_build(case):
     base, derived, fixed, kind = case
-    primed, shared = assert_shared_equals_fresh(base, derived, fixed)
+    like, shared = assert_derived_equals_fresh(base, derived, fixed)
     if not isinstance(shared, tuple):   # every kind of change reaches only the vectors
-        assert shared.problem.matrix is primed.problem.matrix
-        assert shared.index is primed.index
+        assert shared.problem.matrix is like.problem.matrix
+        assert shared.index is like.index
+        assert shared.emissions_coeffs is like.emissions_coeffs
 
 
-# --- the structure key -----------------------------------------------------------
+# --- changes that reach only the vectors ----------------------------------------
 
 def variant_of(grid, collection: str, entity_id: str | None, changes: dict):
     """grid with one entity (or, for collection "config", the config) changed."""
@@ -173,35 +172,10 @@ def variant_of(grid, collection: str, entity_id: str | None, changes: dict):
     return changed(grid, collection, entity_id, **changes)
 
 
-WIND_CF = every_feature().generators[3].capacity_factor_profile
 A_DEMAND = every_feature().zones[0].demand
 
-# One change of every_feature per grid field that reaches a matrix
-# coefficient, a shape or the emissions coefficients (every_feature sets a
-# CO2 cap): (collection, entity id, changes).
-STRUCTURE_CHANGES = {
-    "capacity_factor_profile": ("generators", "wind", {"capacity_factor_profile": WIND_CF * 0.9}),
-    "charge_efficiency": ("storage_units", "bat_A", {"charge_efficiency": 0.8}),
-    "discharge_efficiency": ("storage_units", "bat_A", {"discharge_efficiency": 0.9}),
-    "loss_fraction": ("lines", "AB", {"loss_fraction": 0.03}),
-    "min_stable_fraction": ("generators", "coal", {"min_stable_fraction": 0.3}),
-    "commitment_off": ("generators", "peaker", {"startup_cost": 0.0}),
-    "commitment_on": ("generators", "hydro", {"kind": "thermal", "heat_rate": 9.0,
-                                              "capacity_factor_profile": None,
-                                              "startup_cost": 10.0}),
-    "clean_share_min": ("zones", "A", {"clean_share_min": 0.4}),
-    "clean_share_added": ("zones", "B", {"clean_share_min": 0.2}),
-    "is_clean": ("generators", "hydro", {"is_clean": False}),
-    "emissions_factor": ("generators", "ccgt", {"emissions_factor": 0.4}),
-    "buildable": ("generators", "peaker", {"buildable": False}),
-    "retirable": ("generators", "coal", {"retirable": False}),
-    "storage_buildable": ("storage_units", "bat_A", {"buildable": False}),
-    "expandable": ("lines", "AB", {"expandable": False}),
-    "nse_off": ("config", None, {"nse_penalty": None}),
-    "co2_cap_off": ("config", None, {"co2_cap_tons": None}),
-}
-
-# Changes that reach only the vectors: the variant shares the base's structure.
+# One change of every_feature per kind of grid field that reaches only the
+# vectors: (collection, entity id, changes).
 VECTOR_CHANGES = {
     "demand": ("zones", "A", {"demand": A_DEMAND * 1.1}),
     "fuel_price": ("generators", "coal", {"fuel_price": 2.5}),
@@ -216,35 +190,21 @@ VECTOR_CHANGES = {
 }
 
 
-def spy_on_assembly(monkeypatch) -> list[tuple]:
-    """Record the structure key of every structure the planner assembles."""
-    real, keys = planner._assemble, []
-
-    def spy(grid):
-        keys.append(planner._structure_key(grid))
-        return real(grid)
-    monkeypatch.setattr(planner, "_assemble", spy)
-    return keys
-
-
-@pytest.mark.parametrize("change", sorted(STRUCTURE_CHANGES))
-def test_a_grid_that_differs_in_one_structure_field_gets_its_own_structure(change, monkeypatch):
-    base = every_feature()
-    variant = variant_of(base, *STRUCTURE_CHANGES[change])
-    keys = spy_on_assembly(monkeypatch)
-    primed, shared = assert_shared_equals_fresh(base, variant, pinned_capacities(variant))
-    assert shared.problem.matrix is not primed.problem.matrix
-    assert len(keys) == 3 and keys[0] != keys[1] == keys[2]   # base and variant, then fresh
+def count_assemblies(monkeypatch) -> list[None]:
+    """One entry per structure the planner assembles."""
+    real, calls = planner._assemble, []
+    monkeypatch.setattr(planner, "_assemble", lambda grid: calls.append(None) or real(grid))
+    return calls
 
 
 @pytest.mark.parametrize("change", sorted(VECTOR_CHANGES))
 def test_a_grid_that_differs_only_in_vectors_shares_the_structure(change, monkeypatch):
     base = every_feature()
     variant = variant_of(base, *VECTOR_CHANGES[change])
-    keys = spy_on_assembly(monkeypatch)
-    primed, shared = assert_shared_equals_fresh(base, variant, pinned_capacities(base))
-    assert shared.problem.matrix is primed.problem.matrix
-    assert len(keys) == 2   # base in the scope, the fresh build outside it
+    assembled = count_assemblies(monkeypatch)
+    like, shared = assert_derived_equals_fresh(base, variant, pinned_capacities(base))
+    assert shared.problem.matrix is like.problem.matrix
+    assert len(assembled) == 2   # base's model, then the fresh build
 
 
 def test_rigid_windowed_and_pinned_charging_share_one_structure(monkeypatch):
@@ -253,12 +213,12 @@ def test_rigid_windowed_and_pinned_charging_share_one_structure(monkeypatch):
     delayed = cli._apply_flex_mode(windowed, "delay8")
     pinned = pin_schedule(windowed, {l.id: l.effective_baseline()
                                      for l in windowed.flexible_loads})
-    keys = spy_on_assembly(monkeypatch)
-    with structure_scope():
-        models = [build_expansion_lp(g) for g in (windowed, rigid, delayed, pinned)]
-    assert len(keys) == 1
-    assert all(m.problem.matrix is models[0].problem.matrix for m in models)
-    for grid, model in zip((rigid, delayed, pinned), models[1:]):
+    assembled = count_assemblies(monkeypatch)
+    like = build_expansion_lp(windowed)
+    models = [build_expansion_lp(g, like=like) for g in (rigid, delayed, pinned)]
+    assert len(assembled) == 1
+    assert all(m.problem.matrix is like.problem.matrix for m in models)
+    for grid, model in zip((rigid, delayed, pinned), models):
         assert_same_model(model, build_expansion_lp(grid))
 
 
@@ -280,7 +240,7 @@ def _negative_pin(grid):
 
 
 ERROR_CASES = {
-    # name: (primed grid, failing grid, fixed capacities, error, message)
+    # name: (like's grid, failing grid, fixed capacities, error, message)
     "negative_pinned_profile": (
         lambda g: pin_schedule(g, {l.id: l.effective_baseline() for l in g.flexible_loads}),
         _negative_pin, None, ModelBuildError, "baseline_profile must be nonnegative"),
@@ -295,17 +255,16 @@ ERROR_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_every_build_check_still_runs_on_a_shared_structure(case, monkeypatch):
-    primed_grid, failing_grid, fixed, error, message = ERROR_CASES[case]
-    base = primed_grid(every_feature())
+    like_grid, failing_grid, fixed, error, message = ERROR_CASES[case]
+    base = like_grid(every_feature())
     failing = failing_grid(base)
-    keys = spy_on_assembly(monkeypatch)
-    with structure_scope():
-        build_expansion_lp(base)
-        with pytest.raises(error, match=message):
-            build(failing, fixed)
-        with pytest.raises(UnknownZone):
-            perturb_demand(failing, ["Q"], UniformAll(0.1))
-    assert len(keys) == 1   # the failing build found its structure in the scope
+    assembled = count_assemblies(monkeypatch)
+    like = build_expansion_lp(base)
+    with pytest.raises(error, match=message):
+        build(failing, fixed, like)
+    with pytest.raises(UnknownZone):
+        perturb_demand(failing, ["Q"], UniformAll(0.1))
+    assert len(assembled) == 1   # the failing build filled like's structure
     with pytest.raises(error, match=message):
         build(failing, fixed)
 
@@ -364,26 +323,11 @@ def test_each_build_error_still_exits_1(case, tmp_path, monkeypatch, capsys):
     path = scenario(tmp_path)
     if setup is not None:
         setup(monkeypatch)
-    keys = spy_on_assembly(monkeypatch)
+    assembled = count_assemblies(monkeypatch)
     argv = [a.format(path) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"ERROR gridmarg: {logged}: " in err
-    # Except where the zone is refused up front, the failing build came after
-    # one that assembled its structure.
-    assert len(keys) == (0 if case == "unknown_zone" else 1)
-
-
-# --- the CLI assembles each shape once -------------------------------------------
-
-@pytest.mark.parametrize("argv, solves", [
-    (["metrics", str(TUTORIAL), "--method", "srme1"], 3),
-    (["schedule", str(TUTORIAL), "--signal", "srme2", "--flex", "none"], 3),
-])
-def test_tutorial_commands_assemble_each_lp_shape_once(argv, solves, tmp_path, monkeypatch):
-    calls = spy_on_solves(monkeypatch)
-    keys = spy_on_assembly(monkeypatch)
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-    assert len(keys) == len(set(keys)) == 1
-    # The solves counted before structures were shared.
-    assert len(calls) == solves
+    # Except where the zone is refused up front, the failing build filled the
+    # structure of the one model the command assembled.
+    assert len(assembled) == (0 if case == "unknown_zone" else 1)

@@ -375,3 +375,21 @@ def test_rigid_check_at_the_rate_cap_scales_the_pinned_grid(scale):
                                      expansion)
     assert report.base.solution is expansion.solution
     assert report.base.model.grid.flexible_loads[0].max_charge_rate_mw is None
+
+
+# EV scaling drops a rigid load's cap, which never reaches its LP, so the
+# unpinned grid's LR-MER scales as the pinned grid's check does.
+@pytest.mark.parametrize("scale", [1.0, 1.3])
+def test_lrmer_at_the_rate_cap_reports_what_the_uncapped_grid_reports(scale, tmp_path):
+    from dataclasses import replace
+    capped = _rate_capped_tutorial(scale)
+    uncapped = replace(capped, flexible_loads=tuple(replace(load, max_charge_rate_mw=None)
+                                                    for load in capped.flexible_loads))
+    blobs = []
+    for name, grid in (("capped", capped), ("uncapped", uncapped)):
+        (tmp_path / name).mkdir()
+        out = tmp_path / name / "out"
+        assert main(["metrics", scenario_file(tmp_path / name, grid), "--method", "lrmer",
+                     "--out", str(out)]) == 0
+        blobs.append((out / "consequential.json").read_bytes())
+    assert blobs[0] == blobs[1]

@@ -5,9 +5,11 @@ skips the structure step and fills only the costs, right-hand sides and
 bounds into like's index, matrix and emissions coefficients. These tests
 pin what that may not change: the LP equals a fresh build of the derived
 grid, array for array and dtype for dtype, with the same index and cost
-offset; rigid, windowed and pinned charging share one structure; and every
-check on values still runs. That every command hands over only structures
-its grids would assemble is checked on every command of
+offset; a grid that differs in any field that reaches the matrix assembles
+a structure of its own, while rigid, windowed and pinned charging share one;
+every check on values still runs; and the CLI assembles each LP shape once
+per command without changing its solves. That every command hands over only
+structures its grids would assemble is checked on every command of
 ``test_solve_counts``.
 """
 
@@ -29,6 +31,7 @@ from gridmarg.planner import (FixedCapacities, ScaleEV, SingleHour, UniformAll,
 from gridmarg.scenario_io import load_scenario
 from gridmarg.scheduler import pin_schedule
 
+from oracles import spy_on_solves
 from test_build_digests import every_feature, pinned_capacities
 from test_cli import scenario_file
 from test_scenario_io import TUTORIAL
@@ -163,7 +166,7 @@ def test_a_derived_lp_from_a_shared_structure_equals_a_fresh_build(case):
         assert shared.emissions_coeffs is like.emissions_coeffs
 
 
-# --- changes that reach only the vectors ----------------------------------------
+# --- which changes reach the structure --------------------------------------------
 
 def variant_of(grid, collection: str, entity_id: str | None, changes: dict):
     """grid with one entity (or, for collection "config", the config) changed."""
@@ -172,7 +175,34 @@ def variant_of(grid, collection: str, entity_id: str | None, changes: dict):
     return changed(grid, collection, entity_id, **changes)
 
 
+WIND_CF = every_feature().generators[3].capacity_factor_profile
 A_DEMAND = every_feature().zones[0].demand
+
+# One change of every_feature per grid field that reaches a matrix
+# coefficient, a shape or the emissions coefficients (every_feature sets a
+# CO2 cap): (collection, entity id, changes). A grid derived this way may not
+# be built like= its base.
+STRUCTURE_CHANGES = {
+    "capacity_factor_profile": ("generators", "wind", {"capacity_factor_profile": WIND_CF * 0.9}),
+    "charge_efficiency": ("storage_units", "bat_A", {"charge_efficiency": 0.8}),
+    "discharge_efficiency": ("storage_units", "bat_A", {"discharge_efficiency": 0.9}),
+    "loss_fraction": ("lines", "AB", {"loss_fraction": 0.03}),
+    "min_stable_fraction": ("generators", "coal", {"min_stable_fraction": 0.3}),
+    "commitment_off": ("generators", "peaker", {"startup_cost": 0.0}),
+    "commitment_on": ("generators", "hydro", {"kind": "thermal", "heat_rate": 9.0,
+                                              "capacity_factor_profile": None,
+                                              "startup_cost": 10.0}),
+    "clean_share_min": ("zones", "A", {"clean_share_min": 0.4}),
+    "clean_share_added": ("zones", "B", {"clean_share_min": 0.2}),
+    "is_clean": ("generators", "wind", {"is_clean": False}),   # in A, the clean-share zone
+    "emissions_factor": ("generators", "ccgt", {"emissions_factor": 0.4}),
+    "buildable": ("generators", "peaker", {"buildable": False}),
+    "retirable": ("generators", "coal", {"retirable": False}),
+    "storage_buildable": ("storage_units", "bat_A", {"buildable": False}),
+    "expandable": ("lines", "AB", {"expandable": False}),
+    "nse_off": ("config", None, {"nse_penalty": None}),
+    "co2_cap_off": ("config", None, {"co2_cap_tons": None}),
+}
 
 # One change of every_feature per kind of grid field that reaches only the
 # vectors: (collection, entity id, changes).
@@ -195,6 +225,30 @@ def count_assemblies(monkeypatch) -> list[None]:
     real, calls = planner._assemble, []
     monkeypatch.setattr(planner, "_assemble", lambda grid: calls.append(None) or real(grid))
     return calls
+
+
+def structure_of(model) -> tuple:
+    """The model's structure as plain values: its index, the bytes of its
+    matrix arrays and of its emissions coefficients."""
+    index = tuple((f.name, tuple((k, np.asarray(v).tobytes()) for k, v in value.items())
+                   if isinstance(value, dict) else value)
+                  for f in fields(planner.ModelIndex)
+                  for value in [getattr(model.index, f.name)])
+    rows = tuple(getattr(getattr(model.problem, name), part).tobytes()
+                 for name in ("rows_eq", "rows_ub") for part in ("data", "indices", "indptr"))
+    return index, rows, model.emissions_coeffs.tobytes()
+
+
+@pytest.mark.parametrize("change", sorted(STRUCTURE_CHANGES))
+def test_a_grid_that_differs_in_one_structure_field_gets_its_own_structure(change, monkeypatch):
+    base = every_feature()
+    variant = variant_of(base, *STRUCTURE_CHANGES[change])
+    assembled = count_assemblies(monkeypatch)
+    like = build_expansion_lp(base)
+    own = build_operational_lp(variant, pinned_capacities(variant))
+    assert len(assembled) == 2   # base's model, then the variant's own
+    # like's structure would give the variant a different LP than its own.
+    assert structure_of(own) != structure_of(like)
 
 
 @pytest.mark.parametrize("change", sorted(VECTOR_CHANGES))
@@ -331,3 +385,18 @@ def test_each_build_error_still_exits_1(case, tmp_path, monkeypatch, capsys):
     # Except where the zone is refused up front, the failing build filled the
     # structure of the one model the command assembled.
     assert len(assembled) == (0 if case == "unknown_zone" else 1)
+
+
+# --- the CLI assembles each shape once -------------------------------------------
+
+@pytest.mark.parametrize("argv, solves", [
+    (["metrics", str(TUTORIAL), "--method", "srme1"], 3),
+    (["schedule", str(TUTORIAL), "--signal", "srme2", "--flex", "none"], 3),
+])
+def test_tutorial_commands_assemble_each_lp_shape_once(argv, solves, tmp_path, monkeypatch):
+    calls = spy_on_solves(monkeypatch)
+    assembled = count_assemblies(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert len(assembled) == 1   # every later build fills the first model's structure
+    # The solves counted before structures were handed over.
+    assert len(calls) == solves

@@ -283,17 +283,28 @@ def cmd_sweep(args) -> int:
     raw_grid = load_scenario(args.scenario)
     spec_sha256, cells = _read_sweep_spec(args.spec, raw_grid.zone_ids())
     outdir = outputs.out_dir(args.out)
-    groups: dict[str, list[dict]] = {}
+    # Cells are grouped by the charging windows their mode gives each load.
+    # Modes that give the same windows build the same grids, so only the
+    # first such mode's cells run, and each other mode's cell copies its
+    # counterpart's outcome (the cells of every mode come in one order).
+    groups: dict[tuple, dict[str, list[dict]]] = {}
     for cell in cells:
-        groups.setdefault(cell["flex"], []).append(cell)
+        windows = tuple((l.max_advance_hours, l.max_delay_hours)
+                        for l in _apply_flex_mode(raw_grid, cell["flex"]).flexible_loads)
+        groups.setdefault(windows, {}).setdefault(cell["flex"], []).append(cell)
+    chains = [next(iter(modes.values())) for modes in groups.values()]
 
-    workers = min(args.parallel, len(groups))
+    workers = min(args.parallel, len(chains))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_sweep_group, itertools.repeat(raw_grid), groups.values()))
+            done = list(pool.map(_run_sweep_group, itertools.repeat(raw_grid), chains))
     else:
-        done = [_run_sweep_group(raw_grid, cells) for cells in groups.values()]
-    outcomes = sorted(itertools.chain.from_iterable(done), key=lambda o: o["run_id"])
+        done = [_run_sweep_group(raw_grid, chain) for chain in chains]
+    outcomes = sorted(({**outcome, "run_id": cell["run_id"], "flex": cell["flex"]}
+                       for modes, ran in zip(groups.values(), done)
+                       for mode_cells in modes.values()
+                       for cell, outcome in zip(mode_cells, ran, strict=True)),
+                      key=lambda o: o["run_id"])
 
     outputs.write_sweep_outputs(outdir, args.scenario, spec_sha256, outcomes)
     failures = sum(1 for o in outcomes if o["status"] != "success")

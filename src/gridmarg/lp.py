@@ -64,7 +64,11 @@ Megiddo 1991 on recovering an optimal basis). It runs in two stages:
      cap_slack as well, so that a cap on the objective the start minimized
      stays feasible. Costs and right-hand sides are now generic, so this
      LP has one optimal basis, and every start reaches it. The warm start
-     may lack that last row; its slack then enters the basis.
+     may lack that last row; its slack then enters the basis. Column
+     bounds are not tie-broken: with every row's right-hand side generic,
+     no basic variable sits at a bound. v is indexed by row position, so
+     which basis is canonical depends on the row layout where the optimum
+     is dual degenerate: moving a limit from a row into a bound can move it.
   2. Restore c and b in a fresh HiGHS instance and solve from stage 1's
      basis. A fresh instance keeps stage 1's internal state (factorization,
      edge weights) out of the path: restored on stage 1's own instance, x
@@ -115,7 +119,9 @@ and ``verify_kkt`` add their terms in scipy's order, so every HiGHS input
 and every result is the one the scipy.sparse version gave, bit for bit.
 ``LpProblem.A_eq`` and ``A_ub`` are ``scipy.sparse.csr_matrix`` views over
 the same arrays for readers outside the solve path (tests, the benchmark's
-checks and tracer); the first access imports scipy.sparse.
+checks and tracer); the first access imports scipy.sparse. A matrix with
+one more <=-row (SRME2's cost cap, ``with_extra_le_row``) extends its
+base's column-wise arrays instead of converting all its entries again.
 
 Nothing crosses into HiGHS element by element. The model goes in through
 the ``passModel`` overload that takes numpy buffers (float64 and int32,
@@ -138,9 +144,10 @@ with the tie-break, not the vertex it reaches.
 A sweep chains warm starts within each group of cells that share a
 flexibility mode: those cells build expansion LPs of one shape, so each
 cell's base LP is built from, and solved from, the base result of the
-group's last cell that succeeded. Only the group's first base solve has no such start; it
-starts from ``planner.solve_expansion``'s crash basis where the grid has
-something to build over more than 96 h, else cold.
+group's last cell that succeeded. Modes that give the loads the same
+charging windows share one chain. Only the group's first base solve has
+no such start; it starts from ``planner.solve_expansion``'s crash basis
+where the grid has something to build over more than 96 h, else cold.
 
 Every call of ``solve`` reaches the backend; nothing here remembers a
 solve. Where a command needs one result twice, the caller that solved it
@@ -319,6 +326,42 @@ class LpMatrix:
         for arr in (start, rows, values):
             arr.flags.writeable = False
         return start, rows, values
+
+    def with_le_row(self, cols: np.ndarray, values: np.ndarray) -> LpMatrix:
+        """This matrix with one <=-row appended after its <=-rows: values in
+        the int32 columns cols, which ascend without repeats.
+
+        The new matrix's ``columns`` are this matrix's, with the row's entry
+        inserted in each of its columns after the column's <=-entries and
+        every equality row's index shifted by one. That is where the
+        conversion of the new rows puts them, so the arrays are the same,
+        made without sorting the matrix's entries again.
+        """
+        ub = self.rows_ub
+        num_ub, n = ub.shape
+        out = LpMatrix(self.rows_eq, CsrRows(
+            np.concatenate((ub.data, values)), np.concatenate((ub.indices, cols)),
+            np.append(ub.indptr, np.int32(ub.nnz + cols.shape[0])), n))
+        start, rows, vals = self.columns
+        has = np.zeros(n, dtype=np.int32)
+        has[cols] = 1
+        shift = np.zeros(n + 1, dtype=np.int32)   # new entries in the columns before each
+        np.cumsum(has, out=shift[1:])
+        entry_col = np.repeat(np.arange(n), np.diff(start))
+        is_eq = rows >= num_ub
+        old_at = np.arange(rows.shape[0]) + shift[entry_col] + (has[entry_col] & is_eq)
+        new_at = (start[cols] + shift[cols]
+                  + np.bincount(entry_col[~is_eq], minlength=n)[cols])
+        new_rows = np.empty(rows.shape[0] + cols.shape[0], dtype=np.int32)
+        new_vals = np.empty(new_rows.shape[0])
+        new_rows[old_at], new_vals[old_at] = rows + is_eq, vals
+        new_rows[new_at], new_vals[new_at] = num_ub, values
+        new_start = start + shift
+        for arr in (new_start, new_rows, new_vals):
+            arr.flags.writeable = False
+        # Seeds the cached property; a frozen dataclass refuses plain assignment.
+        object.__setattr__(out, "columns", (new_start, new_rows, new_vals))
+        return out
 
     @cached_property
     def A_eq(self) -> "scipy.sparse.csr_matrix":
@@ -578,13 +621,9 @@ def with_extra_le_row(problem: LpProblem, idx, coef, rhs: float,
         raise ValueError(f"row references a variable index outside 0..{n - 1}")
     _, cols, vals = _by_column(np.zeros(idx.size, dtype=np.int32), idx[0].astype(np.int32),
                                coef[0])
-    ub = problem.rows_ub
-    indptr = np.append(ub.indptr, np.int32(ub.nnz + cols.shape[0]))
-    rows_ub = CsrRows(np.concatenate((ub.data, vals)), np.concatenate((ub.indices, cols)),
-                      indptr, n)
     return LpProblem(
         c=problem.c if new_cost is None else np.asarray(new_cost, dtype=float),
-        matrix=LpMatrix(problem.rows_eq, rows_ub),
+        matrix=problem.matrix.with_le_row(cols, vals),
         b_eq=problem.b_eq,
         b_ub=np.append(problem.b_ub, float(rhs)),
         lb=problem.lb,

@@ -17,10 +17,21 @@ Flexible loads contribute served-charging and cumulative-served variables
 constrained by their windows (see flex module), a rate cap, and total-energy
 conservation; a rigid load (zero window) differs only in its bounds.
 
+A capacity limit (the generation or commitment cap above, a storage unit's
+charge, discharge and state-of-charge caps, a line's flow caps) is a
+<=-row only where its entity has an investment column (buildable,
+retirable or expandable). Without one the limit is the column's upper
+bound: a singleton row is a bound in disguise, which presolve removes on a
+cold solve, but a warm solve skips presolve and would carry every such row
+(4,536 of the 6,048 <=-rows of the synthetic 168 h fleet grid).
+
 In OPERATIONAL mode every investment/retirement variable is pinned to the
 supplied capacities and the objective keeps only operational terms (fuel,
 variable O&M, startup, non-served-energy penalty). Both modes have the same
-columns and rows; they differ only in costs and bounds.
+columns and rows; they differ only in costs and bounds. A limit with an
+investment column stays a row in both, its column pinned by its bounds in
+operational mode, so that the layout depends only on which entities have
+such a column.
 
 A build runs in two steps after validating the grid:
 
@@ -172,9 +183,11 @@ class ModelIndex:
     balance_rows: dict[str, np.ndarray] = field(default_factory=dict)
     clean_share_rows: dict[str, int] = field(default_factory=dict)
     co2_cap_row: int | None = None
-    # <=-rows whose right-hand side is a capacity: per generator its hourly
-    # capacity rows; per storage unit its charge, discharge and state-of-charge
-    # caps, and per line its forward and backward caps, one array row per hour.
+    # <=-rows whose right-hand side is a capacity, of the entities with an
+    # investment column only: per generator its hourly capacity rows; per
+    # storage unit its charge, discharge and state-of-charge caps, and per
+    # line its forward and backward caps, one array row per hour. Any other
+    # entity's capacity is its columns' upper bound.
     gen_cap_rows: dict[str, np.ndarray] = field(default_factory=dict)
     storage_cap_rows: dict[str, np.ndarray] = field(default_factory=dict)
     line_cap_rows: dict[str, np.ndarray] = field(default_factory=dict)
@@ -263,10 +276,8 @@ def _assemble(grid: GridModel) -> tuple[ModelIndex, lp.LpMatrix, np.ndarray]:
     def each_hour(var: int) -> np.ndarray:
         return np.full(horizon, var)
 
-    def capped(vars_: np.ndarray, new: int | None):
-        """Hourly rows vars_[t] - new <= existing (no new column: vars_[t] <= existing)."""
-        if new is None:
-            return vars_[:, None], (1.0,)
+    def capped(vars_: np.ndarray, new: int):
+        """The block of hourly rows vars_[t] - new <= existing."""
         return np.column_stack((vars_, each_hour(new))), (1.0, -1.0)
 
     # Per-zone injection terms accumulated for balance rows: zone -> [(vars, coef)].
@@ -279,11 +290,14 @@ def _assemble(grid: GridModel) -> tuple[ModelIndex, lp.LpMatrix, np.ndarray]:
         if gen.emissions_factor:
             emis.append((gvars, gen.emissions_factor))
 
-        n_idx = r_idx = None
+        # Each investment column and its coefficient in the capacity rows.
+        invest = []
         if gen.buildable:
-            n_idx = ix.new_gen[gen.id] = b.add_var()
+            ix.new_gen[gen.id] = b.add_var()
+            invest.append((ix.new_gen[gen.id], -1.0))
         if gen.retirable:
-            r_idx = ix.retired_gen[gen.id] = b.add_var()
+            ix.retired_gen[gen.id] = b.add_var()
+            invest.append((ix.retired_gen[gen.id], 1.0))
 
         if gen.has_commitment:
             uvars = b.add_vars(horizon)
@@ -291,35 +305,25 @@ def _assemble(grid: GridModel) -> tuple[ModelIndex, lp.LpMatrix, np.ndarray]:
             ix.commit[gen.id] = uvars
             ix.startup[gen.id] = svars
             # Per hour, in order: gen <= u, min_stable*u <= gen, u <= surviving
-            # capacity, u_t - u_{t-1} <= s_t.
+            # capacity (with an investment column), u_t - u_{t-1} <= s_t.
             idx = [np.column_stack((gvars, uvars))]
             coef = [(1.0, -1.0)]
             if gen.min_stable_fraction > 0:
                 idx.append(np.column_stack((uvars, gvars)))
                 coef.append((gen.min_stable_fraction, -1.0))
-            cap_idx, cap_coef = [uvars], [1.0]
-            if n_idx is not None:
-                cap_idx.append(each_hour(n_idx))
-                cap_coef.append(-1.0)
-            if r_idx is not None:
-                cap_idx.append(each_hour(r_idx))
-                cap_coef.append(1.0)
-            idx.append(np.column_stack(cap_idx))
-            coef.append(cap_coef)
+            if invest:
+                idx.append(np.column_stack([uvars] + [each_hour(i) for i, _ in invest]))
+                coef.append([1.0] + [c for _, c in invest])
             idx.append(np.column_stack((uvars, uvars[prev_hour], svars)))
             coef.append((1.0, -1.0, -1.0))
             rows = b.add_le_rows(tuple(idx), tuple(coef))
-            ix.gen_cap_rows[gen.id] = rows[len(idx) - 2::len(idx)]   # the capacity rows
-        else:
+            if invest:
+                ix.gen_cap_rows[gen.id] = rows[len(idx) - 2::len(idx)]   # the capacity rows
+        elif invest:
             avail = np.asarray(gen.availability(horizon), dtype=float)
-            idx, coef = [gvars], [np.ones(horizon)]
-            if n_idx is not None:
-                idx.append(each_hour(n_idx))
-                coef.append(-avail)
-            if r_idx is not None:
-                idx.append(each_hour(r_idx))
-                coef.append(avail)
-            ix.gen_cap_rows[gen.id] = b.add_le_rows(np.column_stack(idx), np.column_stack(coef))
+            ix.gen_cap_rows[gen.id] = b.add_le_rows(
+                np.column_stack([gvars] + [each_hour(i) for i, _ in invest]),
+                np.column_stack([np.ones(horizon)] + [c * avail for _, c in invest]))
 
     for sto in grid.storage_units:
         ch = b.add_vars(horizon)
@@ -329,14 +333,12 @@ def _assemble(grid: GridModel) -> tuple[ModelIndex, lp.LpMatrix, np.ndarray]:
         inject[sto.zone_id].append((dis, 1.0))
         inject[sto.zone_id].append((ch, -1.0))
 
-        p_idx = e_idx = None
         if sto.buildable:
             p_idx = ix.new_storage_power[sto.id] = b.add_var()
             e_idx = ix.new_storage_energy[sto.id] = b.add_var()
-
-        # Per hour, in order: charge, discharge and state-of-charge caps.
-        idx, coef = zip(capped(ch, p_idx), capped(dis, p_idx), capped(soc, e_idx))
-        ix.storage_cap_rows[sto.id] = b.add_le_rows(idx, coef).reshape(horizon, 3)
+            # Per hour, in order: charge, discharge and state-of-charge caps.
+            idx, coef = zip(capped(ch, p_idx), capped(dis, p_idx), capped(soc, e_idx))
+            ix.storage_cap_rows[sto.id] = b.add_le_rows(idx, coef).reshape(horizon, 3)
         b.add_eq_rows(np.column_stack((soc, soc[prev_hour], ch, dis)),
                       (1.0, -1.0, -sto.charge_efficiency, 1.0 / sto.discharge_efficiency))
 
@@ -349,12 +351,11 @@ def _assemble(grid: GridModel) -> tuple[ModelIndex, lp.LpMatrix, np.ndarray]:
         inject[line.from_zone].append((fwd, -1.0))
         inject[line.from_zone].append((bwd, keep))
         inject[line.to_zone].append((bwd, -1.0))
-        l_idx = None
         if line.expandable:
             l_idx = ix.new_line[line.id] = b.add_var()
-        # Per hour, in order: forward and backward flow caps.
-        idx, coef = zip(capped(fwd, l_idx), capped(bwd, l_idx))
-        ix.line_cap_rows[line.id] = b.add_le_rows(idx, coef).reshape(horizon, 2)
+            # Per hour, in order: forward and backward flow caps.
+            idx, coef = zip(capped(fwd, l_idx), capped(bwd, l_idx))
+            ix.line_cap_rows[line.id] = b.add_le_rows(idx, coef).reshape(horizon, 2)
 
     if grid.config.nse_penalty is not None:
         for zone in grid.zones:
@@ -426,6 +427,14 @@ def _fill(ix: ModelIndex, matrix: lp.LpMatrix, emissions_coeffs: np.ndarray, gri
         else:
             lb[col] = ub[col] = _pin(fixed, table, key)
 
+    def cap(rows: dict[str, np.ndarray], key: str, cols: np.ndarray, value) -> None:
+        """A capacity limit: the right-hand side of key's capacity rows where
+        it has an investment column, else the upper bound of cols."""
+        if key in rows:
+            b_ub[rows[key]] = value
+        else:
+            ub[cols] = value
+
     for gen in grid.generators:
         c[ix.gen[gen.id]] = gen.marginal_cost
         if gen.buildable:
@@ -437,23 +446,25 @@ def _fill(ix: ModelIndex, matrix: lp.LpMatrix, emissions_coeffs: np.ndarray, gri
             cost_offset += gen.fixed_om * gen.existing_cap_mw
         if gen.has_commitment:
             c[ix.startup[gen.id]] = gen.startup_cost
-            b_ub[ix.gen_cap_rows[gen.id]] = gen.existing_cap_mw
+            cap(ix.gen_cap_rows, gen.id, ix.commit[gen.id], gen.existing_cap_mw)
         else:
             avail = np.asarray(gen.availability(horizon), dtype=float)
-            b_ub[ix.gen_cap_rows[gen.id]] = avail * gen.existing_cap_mw
+            cap(ix.gen_cap_rows, gen.id, ix.gen[gen.id], avail * gen.existing_cap_mw)
 
     for sto in grid.storage_units:
         c[ix.discharge[sto.id]] = sto.var_om
         if sto.buildable:
             invest(ix.new_storage_power[sto.id], sto.inv_cost_power, "storage_power", sto.id)
             invest(ix.new_storage_energy[sto.id], sto.inv_cost_energy, "storage_energy", sto.id)
-        b_ub[ix.storage_cap_rows[sto.id]] = (sto.existing_power_mw, sto.existing_power_mw,
-                                             sto.existing_energy_mwh)
+        cap(ix.storage_cap_rows, sto.id,
+            np.column_stack((ix.charge[sto.id], ix.discharge[sto.id], ix.soc[sto.id])),
+            (sto.existing_power_mw, sto.existing_power_mw, sto.existing_energy_mwh))
 
     for line in grid.lines:
         if line.expandable:
             invest(ix.new_line[line.id], line.expansion_cost, "lines", line.id)
-        b_ub[ix.line_cap_rows[line.id]] = line.capacity_mw
+        cap(ix.line_cap_rows, line.id,
+            np.column_stack((ix.flow_fwd[line.id], ix.flow_bwd[line.id])), line.capacity_mw)
 
     for nse in ix.nse.values():
         c[nse] = grid.config.nse_penalty

@@ -7,13 +7,13 @@ the constraint data.
 """
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
 from gridmarg import lp
-from gridmarg.lp import LpBuilder, LpProblem, LpSolution
+from gridmarg.lp import CsrRows, LpBuilder, LpMatrix, LpProblem, LpSolution
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,26 @@ def spy_on_solves(monkeypatch, cold: bool = False) -> list[SolveCall]:
         return solution
     monkeypatch.setattr(lp, "solve", spy)
     return calls
+
+
+def bounds_as_rows(problem: LpProblem) -> LpProblem:
+    """problem with each finite upper bound x_j <= u_j restated as a singleton
+    <=-row, appended after its <=-rows in column order, and the bound dropped.
+
+    The LP is the same; only its layout differs, as the planner's did while
+    it wrote the capacity limits of columns without an investment column as
+    rows.
+    """
+    cols = np.flatnonzero(np.isfinite(problem.ub)).astype(np.int32)
+    ub = problem.rows_ub
+    rows_ub = CsrRows(np.concatenate((ub.data, np.ones(cols.size))),
+                      np.concatenate((ub.indices, cols)),
+                      np.concatenate((ub.indptr, ub.nnz + np.arange(1, cols.size + 1,
+                                                                    dtype=np.int32))),
+                      problem.num_vars)
+    return replace(problem, matrix=LpMatrix(problem.rows_eq, rows_ub),
+                   b_ub=np.concatenate((problem.b_ub, problem.ub[cols])),
+                   ub=np.where(np.isfinite(problem.ub), np.inf, problem.ub))
 
 
 def random_feasible_lp(rng: np.random.Generator, n_vars: int, n_eq: int, n_ub: int) -> LpProblem:

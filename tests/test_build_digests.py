@@ -6,6 +6,10 @@ within a row of any built array changes a digest, and with it the model
 HiGHS receives. The five grids with a rigid flexible load were pinned again
 when rigid loads gained the cumulative columns and rows of windowed ones;
 with those columns and rows dropped, each LP equals the one pinned before.
+All fifteen were pinned again when a capacity limit without an investment
+column became the column's upper bound instead of a singleton <=-row; with
+each such bound put back as a row at its former position, each LP equals
+the one pinned before.
 """
 
 import hashlib
@@ -117,36 +121,36 @@ GRIDS = {
 }
 
 PINNED = {
-    "backfire": {"expansion": "718f91fdf070d5efb9a3557c995acb4d36067dea3c66022226c4d1de13ed3f21",
-                 "operational": "271f8f49adb9e7f364f781afacba3b0f199f22a62ff4ffd5c1a952a15e4ad284"},
-    "backfire_window_3_5": {"expansion": "28a25f2d7e3c29fd6e7c8cdf1d24bb0574e6471338628e50c1af56f9d02a2d5e",
-                            "operational": "f238b78be44ffce5890b9f0c4efb84120f4b099756408e56351e8c9263ae41cc"},
-    "breakeven_wind": {"expansion": "18f233aa706ccfb9cd1065372354c1ee61ad8fff31813457a014498e760619c8",
-                       "operational": "83bef869e70ea237fe349b4ea6cf32bb9e77a623affa7e1b58ad63ea50a815b0"},
-    "every_feature": {"expansion": "acf0af298067ed7dae1b046ecc816fc269801286ea5d6190d10de3b13e397b53",
-                      "operational": "62309c2fede7ba409044dcb6f0c2508bae7a76ade9b051eb69980585eba37ff3"},
-    "frozen_structure": {"expansion": "42f020c77081a3d0ca1a9728aa0ba2556f9311bda8bf3ce30d8713858f6c0403",
-                         "operational": "42f020c77081a3d0ca1a9728aa0ba2556f9311bda8bf3ce30d8713858f6c0403"},
-    "merit_stack": {"expansion": "b957220d59452f62aca7faf4ec728f30af4b356e578991c118f16f9f05bea192",
-                    "operational": "b957220d59452f62aca7faf4ec728f30af4b356e578991c118f16f9f05bea192"},
-    "negative_lr_toy": {"expansion": "8980744999ea1f19d5f898c08476b3979811d9c0e8c629053e5904f7c04dc113",
-                        "operational": "88536b56c010695aae62bc4306382c15abca64854f7477e6fe6ba33ed2dcfcc3"},
-    "nondegenerate_48h": {"expansion": "05901baab1c5c4b9ef74cc6c704cf4ce36063d84366112c0631095168f171c40",
-                          "operational": "05901baab1c5c4b9ef74cc6c704cf4ce36063d84366112c0631095168f171c40"},
-    "single_bus": {"expansion": "5925283d258c234eb7efb4abb0771dfe0e2811c810110653556006a0b5a39001",
-                   "operational": "5925283d258c234eb7efb4abb0771dfe0e2811c810110653556006a0b5a39001"},
-    "single_bus_no_nse": {"expansion": "1ca04d1abc20113c7165888bf57bd6e41652ddfcbced7dbf1a9d7d48f520cd66",
-                          "operational": "1ca04d1abc20113c7165888bf57bd6e41652ddfcbced7dbf1a9d7d48f520cd66"},
-    "solar_midday": {"expansion": "12e690a2e0706a6fbce705f5340ca72ebdcfe37fdc12c1954cee452c15cc5f0b",
-                     "operational": "12e690a2e0706a6fbce705f5340ca72ebdcfe37fdc12c1954cee452c15cc5f0b"},
-    "storage_arbitrage_2h": {"expansion": "235c96f361848bf576f4249e7ae75126b862662addfe7caa84b931b51e1a3090",
-                             "operational": "235c96f361848bf576f4249e7ae75126b862662addfe7caa84b931b51e1a3090"},
-    "storage_coupled": {"expansion": "ed83b656edddf81e1459f41fd7f4aaff9e521a6ea046d797839688fd1a923f50",
-                        "operational": "ed83b656edddf81e1459f41fd7f4aaff9e521a6ea046d797839688fd1a923f50"},
-    "storage_roundtrip": {"expansion": "5e7b8600dd612e495e0fbd8d192eebc915d44e13a26dea5e530f21ece9f51fec",
-                          "operational": "5e7b8600dd612e495e0fbd8d192eebc915d44e13a26dea5e530f21ece9f51fec"},
-    "tutorial": {"expansion": "36136d628bb02842cbc3f216e4a4bc97805dfd180f8384299b4b73ddeb439f87",
-                 "operational": "36136d628bb02842cbc3f216e4a4bc97805dfd180f8384299b4b73ddeb439f87"},
+    "backfire": {"expansion": "8cb79a9df95d8ac533006d6f5e753758fa1e3193aadbde0c9d1a1f66d303bb42",
+               "operational": "7f0f6a20cb2aefc3a11093ce37d9e68a3a04e57c0c2f6d6c15a3a1599ce07438"},
+    "backfire_window_3_5": {"expansion": "7f6677b76c8afa693cb9fc30faf465ad859de32f1b4ff341141b991d744eac6e",
+                          "operational": "5380e6c92e163c14090062d684990ee597656158be2628b6063c7777682d4262"},
+    "breakeven_wind": {"expansion": "955c5210712d5e9661286805d54c50af9f7a5caed18a724ceb60c5cbb8d8f712",
+                     "operational": "e266e5dc3240bfc891ea54ad9e7dc7b5259238d3ab0ec607f5102b9401d983e0"},
+    "every_feature": {"expansion": "8aeb968d0373c14b51a5d3e6f6d648487ba93e9f9e31860c66ff08a53d1a261e",
+                    "operational": "0350d3feb3fe4de0d8502c0cde3d25062e8049ca143f4f28398f63b6fe243c80"},
+    "frozen_structure": {"expansion": "14fcaf573b1b7e2376425ec186a428a7277639ae344fa5ef59876d3ae910eaa1",
+                       "operational": "14fcaf573b1b7e2376425ec186a428a7277639ae344fa5ef59876d3ae910eaa1"},
+    "merit_stack": {"expansion": "1d9aebd883c5dbe4be2b9c05525c15f1d9b089cf04149edbf6c49588ac5b6f67",
+                  "operational": "1d9aebd883c5dbe4be2b9c05525c15f1d9b089cf04149edbf6c49588ac5b6f67"},
+    "negative_lr_toy": {"expansion": "8d7c74a4958c1bd883cab57ca043fe23f5e0fa709a4ff04b3a54b07e2fabd834",
+                      "operational": "70d78aece1530ef7005d4d3bd4a83150a30466d74059a09993545ed190dd2110"},
+    "nondegenerate_48h": {"expansion": "f73403ad3308cbbc29536d33ef6359866b8e52e81a29f3fabfc9998c8381be80",
+                        "operational": "f73403ad3308cbbc29536d33ef6359866b8e52e81a29f3fabfc9998c8381be80"},
+    "single_bus": {"expansion": "d89c53bb7f4a553ced818779efdc0a96ec0c958d441a8d85395a4966c6f3cefb",
+                 "operational": "d89c53bb7f4a553ced818779efdc0a96ec0c958d441a8d85395a4966c6f3cefb"},
+    "single_bus_no_nse": {"expansion": "172f952a11d180fda94db5fc2fbd26510044dba3cb3025fc2300389b03bb0c06",
+                        "operational": "172f952a11d180fda94db5fc2fbd26510044dba3cb3025fc2300389b03bb0c06"},
+    "solar_midday": {"expansion": "fff10616c17493a1568cc97bb4b44c6c023ae8a8f7e7137ff03f9382a646714d",
+                   "operational": "fff10616c17493a1568cc97bb4b44c6c023ae8a8f7e7137ff03f9382a646714d"},
+    "storage_arbitrage_2h": {"expansion": "ff7dc8cca73815ba0969a656974c7fdc386f2498852009530a1284b9721a591f",
+                           "operational": "ff7dc8cca73815ba0969a656974c7fdc386f2498852009530a1284b9721a591f"},
+    "storage_coupled": {"expansion": "cf5c711d74a7711caef423a38a25ccdba7b7787ce7a74510da3e5ba764641803",
+                      "operational": "cf5c711d74a7711caef423a38a25ccdba7b7787ce7a74510da3e5ba764641803"},
+    "storage_roundtrip": {"expansion": "649552b3fa3578f9d522be5464eb6a6d65e6d619a5e4ad486a8a3f9ff758c7a9",
+                        "operational": "649552b3fa3578f9d522be5464eb6a6d65e6d619a5e4ad486a8a3f9ff758c7a9"},
+    "tutorial": {"expansion": "4cfc39563e247035afd0531dd855e3a2c0fb4ca022b8d4e6f7e5b140203d9510",
+               "operational": "4cfc39563e247035afd0531dd855e3a2c0fb4ca022b8d4e6f7e5b140203d9510"},
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from dataclasses import replace
@@ -621,6 +622,25 @@ def test_sweep_cells_that_differ_only_in_target_zone_share_one_base(tmp_path, mo
             assert base0.warm_start is None and pert0.warm_start is base0.solution
             assert base1.warm_start is base0.solution and pert1.warm_start is base1.solution
     assert rows["each-separately"] == rows["['B']"]
+
+
+def test_sweep_modes_with_the_same_windows_share_one_chain(tmp_path, monkeypatch):
+    # The tutorial's EV load has a zero window, so flex none and scenario
+    # build the same grids: one chain of 3 base and 3 EV-scaled solves
+    # serves both modes' cells.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ev_multipliers": [0.9, 1.0, 1.1],
+                                "flexibility_modes": ["none", "scenario"]}))
+    calls = spy_on_solves(monkeypatch)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(TUTORIAL), "--spec", str(spec), "--out", str(out)]) == 0
+    assert len(calls) == 6
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    assert [(r["run_id"], r["flex"]) for r in runs] == [
+        (i, mode) for i, mode in enumerate(["none", "scenario"] * 3)]
+    # Recorded when each mode ran its own chain of the same 6 solves.
+    assert (hashlib.sha256((out / "sweep_results.csv").read_bytes()).hexdigest()
+            == "c3a2a632ac647bf68dfa213cd3d0391f445a43ace71abecc1994e72014713f08")
 
 
 def test_sweep_chain_steps_over_a_failed_cell(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmarg import cli, planner, scheduler
+from gridmarg import cli, lp, planner, scheduler
 from gridmarg.cli import main
 from gridmarg.errors import InfeasibleWindow, MissingCapacity, ModelBuildError, UnknownZone
 from gridmarg.flex import FlexWindow, check_window_feasible
@@ -31,9 +31,10 @@ from gridmarg.planner import (FixedCapacities, ScaleEV, SingleHour, UniformAll,
 from gridmarg.scenario_io import load_scenario
 from gridmarg.scheduler import pin_schedule
 
-from oracles import spy_on_solves
-from test_build_digests import every_feature, pinned_capacities
+from oracles import bounds_as_rows, spy_on_solves
+from test_build_digests import GRIDS, every_feature, pinned_capacities
 from test_cli import scenario_file
+from test_lp import synth_grid
 from test_scenario_io import TUTORIAL
 
 
@@ -164,6 +165,35 @@ def test_a_derived_lp_from_a_shared_structure_equals_a_fresh_build(case):
         assert shared.problem.matrix is like.problem.matrix
         assert shared.index is like.index
         assert shared.emissions_coeffs is like.emissions_coeffs
+
+
+# --- a capacity limit without an investment column is a bound ---------------------
+
+TOYS = sorted(name for name in GRIDS if name not in ("tutorial", "every_feature"))
+
+
+def both_modes(grid):
+    """grid's expansion and operational models, the latter at pinned_capacities."""
+    return build_expansion_lp(grid), build_operational_lp(grid, pinned_capacities(grid))
+
+
+@pytest.mark.parametrize("name", [*sorted(GRIDS), "fleet", "expansion"])
+def test_no_built_lp_has_a_singleton_le_row(name, tmp_path):
+    grid = GRIDS[name]() if name in GRIDS else synth_grid(name, 1, tmp_path, hours=24)
+    for model in both_modes(grid):
+        lengths = np.diff(model.problem.rows_ub.indptr)
+        assert (lengths != 1).all()
+
+
+@pytest.mark.parametrize("name", TOYS)
+def test_bounds_restated_as_rows_give_the_same_optimum(name):
+    for model in both_modes(GRIDS[name]()):
+        problem = model.problem
+        assert np.isfinite(problem.ub).any()   # something to restate
+        as_bounds, as_rows = lp.solve(problem), lp.solve(bounds_as_rows(problem))
+        assert as_bounds.status is as_rows.status is lp.SolveStatus.OPTIMAL
+        assert as_rows.objective_value == pytest.approx(as_bounds.objective_value, rel=1e-9)
+        np.testing.assert_allclose(as_rows.x, as_bounds.x, rtol=0, atol=1e-7)
 
 
 # --- which changes reach the structure --------------------------------------------

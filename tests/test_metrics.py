@@ -1,17 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gridmarg import lp, planner
+from gridmarg import cli, lp, planner
 from gridmarg.errors import (DegenerateDelta, InfeasiblePerturbation, UnknownZone, ZeroDemand)
 from gridmarg.grid import Generator, GridModel, ScenarioConfig, Zone
-from gridmarg.metrics import (average_emission_rate, icev_comparison, long_run_mer, srme_dual,
-                              srme_uniform)
+from gridmarg.metrics import (SRME2, average_emission_rate, icev_comparison, long_run_mer,
+                              srme_dual, srme_uniform)
 from gridmarg.planner import (FixedCapacities, ScaleEV, SingleHour, build_expansion_lp,
-                              build_operational_lp, perturb_demand, solve_expansion,
-                              solve_model)
+                              build_operational_lp, perturb_demand, solve_derived,
+                              solve_expansion, solve_model)
 from gridmarg.scenario_io import load_scenario
+from gridmarg.scheduler import schedule_min_srme
 
-from oracles import spy_on_solves
+from oracles import bounds_as_rows, spy_on_solves
+from test_lp import synth_grid
 from toys import (MERIT_STACK_MARGINAL_EF, breakeven_wind, frozen_structure, merit_stack,
                   negative_lr_toy, operational_base, single_bus, storage_coupled,
                   storage_roundtrip)
@@ -252,6 +256,58 @@ def test_srme2_solves_step_2_on_its_bases_lp_without_building_one(monkeypatch):
     step2 = calls[0].problem
     assert step2.num_ub == base.model.problem.num_ub + 1
     np.testing.assert_array_equal(step2.c, base.model.emissions_coeffs)
+
+
+@pytest.mark.parametrize("name", ["tutorial", "fleet_24h"])
+def test_srme2_step2_columns_extend_the_bases_without_converting_it(name, tmp_path,
+                                                                    monkeypatch):
+    grid = (load_scenario(TUTORIAL) if name == "tutorial"
+            else synth_grid("fleet", 1, tmp_path, hours=24))
+    base = operational_base(grid)
+    base.model.problem.matrix.columns   # cached, as base's own solve left it
+    sorted_sizes = []
+    real_by_column = lp._by_column
+    monkeypatch.setattr(lp, "_by_column",
+                        lambda rows, *args: sorted_sizes.append(rows.shape[0])
+                        or real_by_column(rows, *args))
+    calls = spy_on_solves(monkeypatch)
+    srme_dual(base)
+    # Only the cost-cap row's own entries were sorted.
+    assert sorted_sizes == [np.count_nonzero(base.model.problem.c)]
+    step2 = calls[0].problem
+    fresh = lp.LpMatrix(step2.rows_eq, step2.rows_ub).columns
+    for ours, theirs in zip(step2.matrix.columns, fresh, strict=True):
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+def test_srme2_rates_that_depend_on_the_bound_layout_sit_on_kinks(tmp_path):
+    """A capacity limit written as a column bound instead of a singleton row
+    moves the rows after it, and SRME2's right-hand-side tie-break is
+    indexed by row position, so step 2 can end at another canonical basis
+    where its optimum is dual degenerate. On the first pinned check of an
+    SRME2 schedule with an 8 h delay window (fleet 168 h, seed 3), every
+    cell whose rate differs between the two layouts must be a kink of step
+    2's emissions in the cell's demand: the +1 MW and -1 MW differences
+    disagree, so no one rate is right there. (bounds_as_rows restates the
+    LP in the planner's former layout up to row order; its rates here were
+    those of the former layout, bit for bit, 38 cells off the new ones.)
+    """
+    grid = cli._apply_flex_mode(synth_grid("fleet", 3, tmp_path), "delay8")
+    _, trace = schedule_min_srme(solve_expansion(grid), SRME2)
+    base = trace.checks[0].base
+    as_rows = solve_model(replace(base.model, problem=bounds_as_rows(base.model.problem)))
+    moved = np.argwhere(srme_dual(base).rates != srme_dual(as_rows).rates)
+    assert len(moved) > 0
+
+    def step2_emissions(result):
+        return srme_dual(result).details["step2_emissions"]
+
+    pinned, zone_ids, at_base = base.model.grid, grid.zone_ids(), step2_emissions(base)
+    for zi, hour in moved:
+        up, down = (step2_emissions(solve_derived(base, perturb_demand(
+            pinned, [zone_ids[zi]], SingleHour(zone_ids[zi], int(hour), mw)))) - at_base
+            for mw in (1.0, -1.0))
+        assert abs(up + down) > 1e-4, (zone_ids[zi], hour, up, -down)
 
 
 def test_srme2_step2_recovers_least_cost():

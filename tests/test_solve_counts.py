@@ -51,7 +51,7 @@ TUTORIAL_COUNTS = [
     (["schedule", "--signal", "srme2", "--flex", "scenario"], 3, 6, 1),
     (["schedule", "--signal", "srme1", "--flex", "window24"], 5, 7, 1),
     (["schedule", "--signal", "srme2", "--flex", "window24"], 5, 6, 1),
-    (["sweep", "--parallel", "1", "--spec", "bench"], 12, 12, 2),
+    (["sweep", "--parallel", "1", "--spec", "bench"], 6, 6, 1),
     (["sweep", "--parallel", "1", "--spec", "each-separately"], 4, 4, 1),
 ]
 

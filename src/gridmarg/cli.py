@@ -9,8 +9,6 @@ gridmarg.outputs, so identical inputs produce byte-identical data files.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import hashlib
 import itertools
 import json
 import logging
@@ -29,6 +27,14 @@ from .metrics import (ConsequentialReport, average_emission_rate, icev_compariso
 from .planner import DispatchResult, solve_expansion, solve_operational
 from .scenario_io import load_scenario
 from .scheduler import compare_signal
+
+try:  # CPython's own SHA-256 (_sha256 before 3.12); hashlib's would load OpenSSL's libcrypto
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
 
 log = logging.getLogger("gridmarg")
 
@@ -215,7 +221,7 @@ def _read_sweep_spec(path: str | None, zone_ids: list[str]) -> tuple[str, list[d
     axes.append(["all"] if zones == "all" else [[z] for z in zones])
     cells = [{"run_id": run_id, **dict(zip(CELL_KEYS, values))}
              for run_id, values in enumerate(itertools.product(*axes))]
-    return hashlib.sha256(raw).hexdigest(), cells
+    return sha256(raw).hexdigest(), cells
 
 
 def _run_sweep_cell(raw_grid: GridModel, cell: dict, like: DispatchResult | None = None,
@@ -296,6 +302,7 @@ def cmd_sweep(args) -> int:
 
     workers = min(args.parallel, len(chains))
     if workers > 1:
+        import concurrent.futures   # the pool's modules, loaded only where a pool runs
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_sweep_group, itertools.repeat(raw_grid), chains))
     else:

@@ -48,8 +48,10 @@ TIE_BREAK_EPS must not be lowered: at 1e-5 and 1e-6 the tie-break no longer
 decides the vertex, and cold and warm paths differ by up to 270 MW at 336 h.
 The duals can still depend on the basis where the optimum is dual
 degenerate; the tie-break settles only the primal side. The weights come
-from hashlib rather than numpy.random, whose import costs about 2 MB of
-resident memory.
+from CPython's builtin ``_sha3`` module rather than numpy.random, whose
+import costs about 2 MB of resident memory, or hashlib, whose OpenSSL
+backend costs 3.5 MB. An interpreter built without ``_sha3`` takes
+hashlib's SHAKE-128, which gives the same bytes.
 
 A canonical-basis solve (``solve(..., canonical_basis=True)``) also settles
 the duals: it ends at one optimal basis whatever its start. A basis is
@@ -102,6 +104,8 @@ loaded from its file instead of imported through ``scipy.optimize``.
 Importing a submodule runs every parent package's ``__init__``, and
 ``scipy.optimize``'s loads ``scipy.linalg``, the optimizers and about 250
 other modules: some 40% of the CLI's import time (``python -X importtime``).
+scipy's directory is found with ``importlib.util.find_spec``, which runs
+no ``__init__``: ``import scipy`` alone costs 1.3 MB and 11-15 ms.
 The extension is registered under its canonical name, so a later
 ``import scipy.optimize`` in the same process (tests, the benchmark's
 checks) reuses the module instead of loading it again. ``linprog``, which
@@ -119,9 +123,7 @@ and ``verify_kkt`` add their terms in scipy's order, so every HiGHS input
 and every result is the one the scipy.sparse version gave, bit for bit.
 ``LpProblem.A_eq`` and ``A_ub`` are ``scipy.sparse.csr_matrix`` views over
 the same arrays for readers outside the solve path (tests, the benchmark's
-checks and tracer); the first access imports scipy.sparse. A matrix with
-one more <=-row (SRME2's cost cap, ``with_extra_le_row``) extends its
-base's column-wise arrays instead of converting all its entries again.
+checks and tracer); the first access imports scipy.sparse.
 
 Nothing crosses into HiGHS element by element. The model goes in through
 the ``passModel`` overload that takes numpy buffers (float64 and int32,
@@ -158,7 +160,6 @@ arrays are read-only, so every caller it reaches can share it.
 
 from __future__ import annotations
 
-import hashlib
 import importlib.machinery
 import importlib.util
 import sys
@@ -168,20 +169,33 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import NumericalFailure
 
+try:  # CPython's own SHAKE-128; hashlib's would load OpenSSL's libcrypto
+    from _sha3 import shake_128
+except ImportError:  # an interpreter built without it
+    from hashlib import shake_128
+
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
+_NEEDS_SCIPY = ("gridmarg needs scipy>=1.17,<1.18: it solves through scipy's bundled HiGHS "
+                f"bindings ({_HIGHS_MODULE})")
 
 
-def _load_highs(directory: Path):
+def _load_highs(directory: Path | None = None):
     """Load scipy's HiGHS extension from ``directory`` as ``scipy.optimize._highspy._core``.
 
-    The module is registered in ``sys.modules`` under its canonical name, so
-    a later ``import scipy.optimize`` reuses it instead of loading the
-    extension again and registering its pybind11 types a second time.
+    By default the directory is scipy's own, found without running scipy's
+    package ``__init__``. The module is registered in ``sys.modules`` under
+    its canonical name, so a later ``import scipy.optimize`` reuses it
+    instead of loading the extension again and registering its pybind11
+    types a second time.
     """
+    if directory is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is None:
+            raise ImportError(f"{_NEEDS_SCIPY}, and scipy is not installed")
+        directory = Path(scipy_spec.submodule_search_locations[0]) / "optimize" / "_highspy"
     # PathFinder tries every extension suffix this interpreter accepts.
     spec = importlib.machinery.PathFinder.find_spec(_HIGHS_MODULE, [str(directory)])
     try:
@@ -189,16 +203,13 @@ def _load_highs(directory: Path):
             raise ImportError(f"no {_HIGHS_MODULE} extension in {directory}")
         module = importlib.util.module_from_spec(spec)
     except ImportError as exc:  # a private scipy module: its layout may change
-        raise ImportError(
-            "gridmarg needs scipy>=1.17,<1.18: it solves through scipy's bundled HiGHS "
-            f"bindings ({_HIGHS_MODULE}), which it could not load from {directory}") from exc
+        raise ImportError(f"{_NEEDS_SCIPY}, which it could not load from {directory}") from exc
     sys.modules[_HIGHS_MODULE] = module
     spec.loader.exec_module(module)
     return module
 
 
-_highs = (sys.modules.get(_HIGHS_MODULE)
-          or _load_highs(Path(scipy.__file__).parent / "optimize" / "_highspy"))
+_highs = sys.modules.get(_HIGHS_MODULE) or _load_highs()
 
 
 def __getattr__(name: str):
@@ -326,42 +337,6 @@ class LpMatrix:
         for arr in (start, rows, values):
             arr.flags.writeable = False
         return start, rows, values
-
-    def with_le_row(self, cols: np.ndarray, values: np.ndarray) -> LpMatrix:
-        """This matrix with one <=-row appended after its <=-rows: values in
-        the int32 columns cols, which ascend without repeats.
-
-        The new matrix's ``columns`` are this matrix's, with the row's entry
-        inserted in each of its columns after the column's <=-entries and
-        every equality row's index shifted by one. That is where the
-        conversion of the new rows puts them, so the arrays are the same,
-        made without sorting the matrix's entries again.
-        """
-        ub = self.rows_ub
-        num_ub, n = ub.shape
-        out = LpMatrix(self.rows_eq, CsrRows(
-            np.concatenate((ub.data, values)), np.concatenate((ub.indices, cols)),
-            np.append(ub.indptr, np.int32(ub.nnz + cols.shape[0])), n))
-        start, rows, vals = self.columns
-        has = np.zeros(n, dtype=np.int32)
-        has[cols] = 1
-        shift = np.zeros(n + 1, dtype=np.int32)   # new entries in the columns before each
-        np.cumsum(has, out=shift[1:])
-        entry_col = np.repeat(np.arange(n), np.diff(start))
-        is_eq = rows >= num_ub
-        old_at = np.arange(rows.shape[0]) + shift[entry_col] + (has[entry_col] & is_eq)
-        new_at = (start[cols] + shift[cols]
-                  + np.bincount(entry_col[~is_eq], minlength=n)[cols])
-        new_rows = np.empty(rows.shape[0] + cols.shape[0], dtype=np.int32)
-        new_vals = np.empty(new_rows.shape[0])
-        new_rows[old_at], new_vals[old_at] = rows + is_eq, vals
-        new_rows[new_at], new_vals[new_at] = num_ub, values
-        new_start = start + shift
-        for arr in (new_start, new_rows, new_vals):
-            arr.flags.writeable = False
-        # Seeds the cached property; a frozen dataclass refuses plain assignment.
-        object.__setattr__(out, "columns", (new_start, new_rows, new_vals))
-        return out
 
     @cached_property
     def A_eq(self) -> "scipy.sparse.csr_matrix":
@@ -621,9 +596,13 @@ def with_extra_le_row(problem: LpProblem, idx, coef, rhs: float,
         raise ValueError(f"row references a variable index outside 0..{n - 1}")
     _, cols, vals = _by_column(np.zeros(idx.size, dtype=np.int32), idx[0].astype(np.int32),
                                coef[0])
+    ub = problem.rows_ub
+    indptr = np.append(ub.indptr, np.int32(ub.nnz + cols.shape[0]))
+    rows_ub = CsrRows(np.concatenate((ub.data, vals)), np.concatenate((ub.indices, cols)),
+                      indptr, n)
     return LpProblem(
         c=problem.c if new_cost is None else np.asarray(new_cost, dtype=float),
-        matrix=problem.matrix.with_le_row(cols, vals),
+        matrix=LpMatrix(problem.rows_eq, rows_ub),
         b_eq=problem.b_eq,
         b_ub=np.append(problem.b_ub, float(rhs)),
         lb=problem.lb,
@@ -737,7 +716,7 @@ def _reduced_costs(problem: LpProblem, eq_duals: np.ndarray,
 def _uniform_weights(seed: bytes, n: int) -> np.ndarray:
     """The first n values of a stream uniform in [1, 2), 53 bits each, read
     from SHAKE-128 of seed. A longer stream starts with a shorter one."""
-    bits = np.frombuffer(hashlib.shake_128(seed).digest(8 * n), dtype="<u8")
+    bits = np.frombuffer(shake_128(seed).digest(8 * n), dtype="<u8")
     return 1.0 + (bits >> np.uint64(11)) * 2.0 ** -53
 
 

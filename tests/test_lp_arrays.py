@@ -4,7 +4,7 @@ lp.py keeps each constraint block as plain CSR arrays and never imports
 scipy.sparse on a solve. What it computes from them must equal what the
 scipy.sparse calls it replaced gave: the column-wise matrix HiGHS receives,
 the reduced costs, the products verify_kkt checks, and the row
-with_extra_le_row appends (with the column-wise arrays it extends). Random blocks include empty rows, blocks with no
+with_extra_le_row appends. Random blocks include empty rows, blocks with no
 rows and rows that name a column more than once.
 """
 
@@ -130,14 +130,12 @@ def test_extra_row_equals_scipys_vstack(problem, data):
     row = sp.csr_matrix((np.asarray(coef, dtype=float),
                          (np.zeros(length, dtype=int), np.asarray(idx, dtype=int))), shape=(1, n))
     want = sp.vstack([problem.A_ub, row], format="csr")
-    problem.matrix.columns   # cached first, as a solve of the problem does
     extended = with_extra_le_row(problem, idx, coef, 1.0)
     got = extended.A_ub
     assert got.shape == want.shape
     for name in ("data", "indices", "indptr"):
         assert_same_bits(getattr(got, name), getattr(want, name))
-    # The column-wise arrays, extended from the cached ones, are the ones a
-    # fresh conversion of the extended rows gives.
+    # The column-wise arrays are the ones a fresh conversion of the extended rows gives.
     fresh = LpMatrix(extended.rows_eq, extended.rows_ub).columns
     for ours, theirs in zip(extended.matrix.columns, fresh, strict=True):
         assert_same_bits(ours, theirs)

@@ -259,21 +259,12 @@ def test_srme2_solves_step_2_on_its_bases_lp_without_building_one(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["tutorial", "fleet_24h"])
-def test_srme2_step2_columns_extend_the_bases_without_converting_it(name, tmp_path,
-                                                                    monkeypatch):
+def test_srme2_step2_columns_equal_a_fresh_conversion(name, tmp_path, monkeypatch):
     grid = (load_scenario(TUTORIAL) if name == "tutorial"
             else synth_grid("fleet", 1, tmp_path, hours=24))
     base = operational_base(grid)
-    base.model.problem.matrix.columns   # cached, as base's own solve left it
-    sorted_sizes = []
-    real_by_column = lp._by_column
-    monkeypatch.setattr(lp, "_by_column",
-                        lambda rows, *args: sorted_sizes.append(rows.shape[0])
-                        or real_by_column(rows, *args))
     calls = spy_on_solves(monkeypatch)
     srme_dual(base)
-    # Only the cost-cap row's own entries were sorted.
-    assert sorted_sizes == [np.count_nonzero(base.model.problem.c)]
     step2 = calls[0].problem
     fresh = lp.LpMatrix(step2.rows_eq, step2.rows_ub).columns
     for ours, theirs in zip(step2.matrix.columns, fresh, strict=True):

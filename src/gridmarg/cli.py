@@ -24,7 +24,7 @@ from .errors import DegenerateDelta, GridmargError, InfeasibleModel, UnboundedMo
 from .grid import CostMultipliers, GridModel, resolve_scenario
 from .metrics import (ConsequentialReport, average_emission_rate, icev_comparison,
                       long_run_mer, short_run_rates)
-from .planner import DispatchResult, solve_expansion, solve_operational
+from .planner import DispatchResult, solve_derived, solve_expansion, solve_operational
 from .scenario_io import load_scenario
 from .scheduler import compare_signal
 
@@ -229,8 +229,8 @@ def _run_sweep_cell(raw_grid: GridModel, cell: dict, like: DispatchResult | None
     """One sweep cell: its outcome row, and its base result if that solved.
 
     base, if given, is the cell's base result, held from a cell that differs
-    only in target_zone; else like, if given, seeds the cell's base solve
-    (see _run_sweep_group).
+    only in target_zone; else the cell's base is solved from like, if
+    given (planner.solve_derived; see _run_sweep_group).
     """
     started = time.time()
     try:
@@ -241,7 +241,7 @@ def _run_sweep_cell(raw_grid: GridModel, cell: dict, like: DispatchResult | None
                                                            gas_price=cell["gas_price"]))
             grid = _apply_flex_mode(resolve_scenario(replace(raw_grid, config=cfg)),
                                     cell["flex"])
-            base = solve_expansion(grid, like)
+            base = solve_expansion(grid) if like is None else solve_derived(like, grid)
         report = long_run_mer(base, target_zones=cell["target_zone"])
         metrics = {
             "lr_mer_tco2_per_mwh": report.lr_mer,

@@ -21,7 +21,8 @@ Short-run rates hold installed capacity fixed:
 Long-run rates re-optimize capacity: two full expansion solves (base and
 EV-scaled) differenced over annual totals. The EV-scaled LP differs from the
 base only in the bounds of the EV charging columns, so its solve starts from
-the base solve's optimal basis.
+the base solve's optimal basis. That solve (ev_scaled) is also the
+scheduler's consequential check.
 
 Every estimator takes its base from the caller and reads the grid and the
 capacities from the model the base carries; each perturbed solve is
@@ -268,17 +269,12 @@ def consequential_report(base: DispatchResult, pert: DispatchResult,
     )
 
 
-def long_run_mer(base: DispatchResult, perturbation: ScaleEV | None = None,
-                 target_zones="all", sr_rates: EmissionRateSeries | None = None,
-                 aer_value: float | None = None) -> ConsequentialReport:
-    """LR-MER: two full capacity-expansion solves differenced over annual totals.
-
-    base is an expansion optimum, which the caller solved once for all its
-    perturbations. The EV-scaled solve of base's LP (planner.solve_derived)
-    is warm-started from its basis. A perturbation that moves no load (no
-    EV charging in the target zones) leaves base's own LP, so base stands
-    for it and the report raises DegenerateDelta. The report keeps the base
-    result (``report.base``) for callers that need more of it than the totals.
+def ev_scaled(base: DispatchResult, target_zones="all",
+              perturbation: ScaleEV | None = None) -> DispatchResult:
+    """base's LP with target_zones' EV charging scaled (by default by the
+    grid's perturbation_fraction), solved from base's basis. A perturbation
+    that moves no load (no EV charging in the zones) leaves base's own LP,
+    so base stands for it.
     """
     grid = base.model.grid
     if perturbation is None:
@@ -286,8 +282,21 @@ def long_run_mer(base: DispatchResult, perturbation: ScaleEV | None = None,
     pert_grid = perturb_demand(grid, target_zones, perturbation)
     moved = any(not np.array_equal(load.baseline_profile, scaled.baseline_profile)
                 for load, scaled in zip(grid.flexible_loads, pert_grid.flexible_loads))
-    pert = solve_derived(base, pert_grid) if moved else base
-    return consequential_report(base, pert, sr_rates=sr_rates, aer_value=aer_value)
+    return solve_derived(base, pert_grid) if moved else base
+
+
+def long_run_mer(base: DispatchResult, perturbation: ScaleEV | None = None,
+                 target_zones="all", sr_rates: EmissionRateSeries | None = None,
+                 aer_value: float | None = None) -> ConsequentialReport:
+    """LR-MER: two full capacity-expansion solves differenced over annual totals.
+
+    base is an expansion optimum, which the caller solved once for all its
+    perturbations, and ev_scaled solves the other. Where no load moved, the
+    report raises DegenerateDelta. The report keeps the base result
+    (``report.base``) for callers that need more of it than the totals.
+    """
+    return consequential_report(base, ev_scaled(base, target_zones, perturbation),
+                                sr_rates=sr_rates, aer_value=aer_value)
 
 
 def icev_comparison(report: ConsequentialReport, n_vehicles: float,

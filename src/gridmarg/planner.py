@@ -53,18 +53,20 @@ structure step reads (an entity, a profile, an efficiency or loss, a
 commitment, clean-share or emissions parameter, whether NSE or a CO2 cap is
 on) is not derived, and is built without ``like``.
 
-Every command's expansion solves go through ``solve_expansion``. Given no
-earlier result to start from, it starts a long horizon (over 2 *
-CRASH_HOURS) with something to build from a crash basis: it solves the
-expansion LP of the grid's first CRASH_HOURS (``grid.first_hours``,
-per-horizon costs scaled to match), then the full operational LP at those
-capacities, and starts the full expansion solve from that optimum. If
-either step is infeasible or unbounded, cannot be built, or breaks down
-numerically, the full solve starts cold. The cost tie-break makes the optimal
-vertex unique (see gridmarg.lp), so the start changes the simplex path and
-its time, not the answer: capacities, emissions and costs agree with a cold
-solve to round-off. Duals at a dual-degenerate optimum (``prices.csv``)
-can still depend on the basis reached.
+An expansion solve with no earlier result to start from goes through
+``solve_expansion``; one with such a result (a sweep cell after the first
+of its chain) is ``solve_derived`` from it. ``solve_expansion`` starts a
+long horizon (over 2 * CRASH_HOURS) with something to build from a crash
+basis: it solves the expansion LP of the grid's first CRASH_HOURS
+(``grid.first_hours``, per-horizon costs scaled to match), then the full
+operational LP at those capacities, and starts the full expansion solve
+from that optimum. If either step is infeasible or unbounded, cannot be
+built, or breaks down numerically, the full solve starts cold. The cost
+tie-break makes the optimal vertex unique (see gridmarg.lp), so the start
+changes the simplex path and its time, not the answer: capacities,
+emissions and costs agree with a cold solve to round-off. Duals at a
+dual-degenerate optimum (``prices.csv``) can still depend on the basis
+reached.
 """
 
 from __future__ import annotations
@@ -548,16 +550,11 @@ class DispatchResult:
 CRASH_HOURS = 48
 
 
-def solve_expansion(grid: GridModel, like: DispatchResult | None = None) -> DispatchResult:
-    """Build and solve grid's capacity-expansion LP.
-
-    like, an expansion result of a grid that grid is derived from (another
-    cell of a sweep group), lends its model's structure and starts the solve
-    from its solution. Without it, an LP with an investment column over more
-    than 2 * CRASH_HOURS hours starts from _crash_start's basis, else cold.
+def solve_expansion(grid: GridModel) -> DispatchResult:
+    """Build and solve grid's capacity-expansion LP with no earlier result to
+    start from: an LP with an investment column over more than 2 *
+    CRASH_HOURS hours starts from _crash_start's basis, else cold.
     """
-    if like is not None:
-        return solve_model(build_expansion_lp(grid, like=like.model), warm_start=like.solution)
     model = build_expansion_lp(grid)
     start = (_crash_start(model) if grid.horizon > 2 * CRASH_HOURS and grid.has_investment
              else None)

@@ -11,20 +11,17 @@ stability; the schedule delta norm is reported for diagnostics only.
 
 Every schedule is pinned once (pin_schedule) and every solve around it
 reads that one pinned grid from its check's base: the check scales it
-(planner.solve_derived), and the next pass's rates start from the base.
+(metrics.ev_scaled), and the next pass's rates start from the base.
 The loop keeps its checks by the pinned loads' profiles, so a pass that
 returns to an earlier schedule (a converged pass, a rigid one, a cycle)
 reads that schedule's check instead of solving it again.
 
 Final schedules are evaluated under full capacity expansion at base and
-EV-scaled levels, which is where structural (capacity) effects enter. A
-pinned schedule changes only the bounds of the charging columns, so an
-evaluation starts from the grid's expansion optimum where the grid has
-something to build. With nothing to build, a pinned expansion LP is the
-operational LP of the schedule's check, solved cold as the check solves it,
-so compare_signal decodes the loop's checks instead. With rigid charging the
-one schedule pins to the grid itself: the grid's optimum, decoded with the
-pinned grid's model, is the pinned one, and one evaluation serves both.
+EV-scaled levels, which is where structural (capacity) effects enter, by
+one rule keyed the same way: schedules with equal pinned profiles share one
+evaluation, and with nothing to build (where a pinned expansion LP is the
+operational LP of the schedule's check) a checked schedule's evaluation is
+its check, decoded.
 """
 
 from __future__ import annotations
@@ -37,11 +34,10 @@ import numpy as np
 from .errors import ScheduleMismatch
 from .flex import ChargingSchedule, ScheduleSource
 from .grid import GridModel
-from .metrics import (SRME1, SRME2, ConsequentialReport, consequential_report,
+from .metrics import (SRME1, SRME2, ConsequentialReport, consequential_report, ev_scaled,
                       flex_served_by_zone, long_run_mer, short_run_rates)
-from .planner import (DispatchResult, ScaleEV, build_expansion_lp, build_operational_lp,
-                      decode_solution, perturb_demand, solve_derived, solve_model,
-                      solve_operational)
+from .planner import (DispatchResult, build_expansion_lp, build_operational_lp,
+                      decode_solution, solve_model, solve_operational)
 from . import lp
 
 
@@ -118,17 +114,6 @@ def _profiles(grid: GridModel) -> tuple[bytes, ...]:
     return tuple(load.effective_baseline().tobytes() for load in grid.flexible_loads)
 
 
-def consequential_check(base: DispatchResult, fraction: float) -> ConsequentialCheck:
-    """Operational emissions delta from scaling a pinned grid's schedule by (1 + fraction).
-
-    base is the pinned grid's operational optimum, solved by the caller. The
-    scaled LP differs from base's only in the bounds of the charging
-    columns, so its solve starts from base's basis (planner.solve_derived).
-    """
-    return ConsequentialCheck(base, solve_derived(
-        base, perturb_demand(base.model.grid, "all", ScaleEV(fraction))))
-
-
 def schedule_min_srme(expansion: DispatchResult,
                       method: str = SRME1) -> tuple[ChargingSchedule, IterationTrace]:
     """Iteratively schedule flexible charging against frozen marginal-emission rates.
@@ -167,7 +152,7 @@ def schedule_min_srme(expansion: DispatchResult,
         if key not in checks:
             model = build_operational_lp(pinned, caps, like=start.model)
             base = decode_solution(model, start.solution) if rigid else solve_model(model)
-            checks[key] = consequential_check(base, cfg.perturbation_fraction)
+            checks[key] = ConsequentialCheck(base, ev_scaled(base))
         return checks[key]
 
     result = start
@@ -229,22 +214,31 @@ def _pin_requested(grid: GridModel, schedule: ChargingSchedule) -> GridModel:
     return pinned
 
 
-def evaluate_fixed_schedule(schedule: ChargingSchedule,
-                            expansion: DispatchResult) -> ConsequentialReport:
+def evaluate_fixed_schedule(schedule: ChargingSchedule, expansion: DispatchResult,
+                            checks: tuple[ConsequentialCheck, ...] = ()) -> ConsequentialReport:
     """Full capacity expansion at base and EV-scaled levels with charging pinned.
 
     expansion is a solve_expansion result; schedule is pinned to its grid.
-    The base solve starts from expansion's basis where the grid has
-    something to build, else cold, as the schedule's check solves the same
-    LP. A schedule that pins to the grid itself (with rigid charging, the
-    baseline) takes expansion's solution, decoded as the pinned grid's, as
-    its base. Raises ScheduleMismatch unless each load's scheduled energy
-    matches its baseline request to 1e-6 MWh.
+    With nothing to build, the pinned LPs are those of the schedule's check
+    if it is one of checks (the penalty loop's), solved from the same
+    starts, so that check's optima are decoded instead. Else the base solve
+    starts from expansion's basis where the grid has something to build,
+    else cold; a schedule that pins to the grid itself (with rigid
+    charging, the baseline) takes expansion's solution as its base. Raises
+    ScheduleMismatch unless each load's scheduled energy matches its
+    baseline request to 1e-6 MWh.
     """
     grid = expansion.model.grid
     pinned = _pin_requested(grid, schedule)
+    key = _profiles(pinned)
+    check = next((c for c in checks
+                  if not grid.has_investment and _profiles(c.base.model.grid) == key), None)
+    if check is not None:
+        base, pert = (decode_solution(build_expansion_lp(r.model.grid, like=r.model), r.solution)
+                      for r in (check.base, check.pert))
+        return consequential_report(base, pert)
     model = build_expansion_lp(pinned, like=expansion.model)
-    if grid.charging_is_rigid and _profiles(pinned) == _profiles(grid):
+    if grid.charging_is_rigid and key == _profiles(grid):
         base = decode_solution(model, expansion.solution)
     else:
         base = solve_model(model, warm_start=expansion.solution if grid.has_investment
@@ -252,40 +246,34 @@ def evaluate_fixed_schedule(schedule: ChargingSchedule,
     return long_run_mer(base)
 
 
-def _evaluation_from_check(grid: GridModel, schedule: ChargingSchedule,
-                           check: ConsequentialCheck) -> ConsequentialReport:
-    """evaluate_fixed_schedule's report on a grid with nothing to build, from
-    the schedule's check: its LPs are the evaluation's, from the same starts."""
-    _pin_requested(grid, schedule)  # its energy check; the pinned grids are the check's
-    return consequential_report(
-        *(decode_solution(build_expansion_lp(r.model.grid, like=r.model), r.solution)
-          for r in (check.base, check.pert)))
+def signal_schedule(expansion: DispatchResult,
+                    signal: str) -> tuple[ChargingSchedule, IterationTrace | None]:
+    """signal's ("cost", "srme1" or "srme2") schedule on expansion's grid, and
+    its penalty-loop trace (None for the cost signal: expansion's own)."""
+    if signal == "cost":
+        return schedule_from_result(expansion, ScheduleSource.COST_MIN), None
+    return schedule_min_srme(expansion, method=signal)
 
 
 def compare_signal(expansion: DispatchResult, signal: str) -> tuple[
         ChargingSchedule, IterationTrace | None, ConsequentialReport, ConsequentialReport]:
     """A charging signal's schedule, evaluated against the cost-minimizing one.
 
-    signal is "cost", "srme1" or "srme2"; expansion is a solve_expansion
-    result, whose schedule is the cost-minimizing one. Returns the signal's
-    schedule, its penalty-loop trace (None for the cost signal), and the
-    evaluations of the cost schedule and of the signal's schedule.
+    expansion is a solve_expansion result, whose schedule is the
+    cost-minimizing one. Returns signal_schedule's schedule and trace, and
+    the evaluations (evaluate_fixed_schedule, given the loop's checks) of
+    the cost schedule and of the signal's: equal pinned profiles share one.
     """
     grid = expansion.model.grid
-    cost_schedule = schedule_from_result(expansion, ScheduleSource.COST_MIN)
-    if signal == "cost":
-        report = evaluate_fixed_schedule(cost_schedule, expansion)
-        return cost_schedule, None, report, report
-    if grid.has_investment:
-        cost_report = evaluate_fixed_schedule(cost_schedule, expansion)
-        schedule, trace = schedule_min_srme(expansion, method=signal)
-        report = (cost_report if grid.charging_is_rigid
-                  else evaluate_fixed_schedule(schedule, expansion))
-        return schedule, trace, cost_report, report
-    # Nothing to build: the loop starts from expansion's own solution, so its
-    # first check is the cost schedule's.
-    schedule, trace = schedule_min_srme(expansion, method=signal)
-    first, last = trace.checks[0], trace.checks[-1]
-    cost_report = _evaluation_from_check(grid, cost_schedule, first)
-    report = cost_report if last is first else _evaluation_from_check(grid, schedule, last)
-    return schedule, trace, cost_report, report
+    schedule, trace = signal_schedule(expansion, signal)
+    checks = trace.checks if trace is not None else ()
+    reports: dict[tuple[bytes, ...], ConsequentialReport] = {}
+
+    def evaluate(s: ChargingSchedule) -> ConsequentialReport:
+        key = _profiles(_pin_requested(grid, s))
+        if key not in reports:
+            reports[key] = evaluate_fixed_schedule(s, expansion, checks)
+        return reports[key]
+
+    cost_report = evaluate(schedule_from_result(expansion, ScheduleSource.COST_MIN))
+    return schedule, trace, cost_report, evaluate(schedule)

@@ -701,12 +701,17 @@ def test_threads_env_sets_parallel_default(monkeypatch):
 
 
 def test_module_entry_point_subprocess(tmp_path):
+    import os
     import subprocess
     import sys
+    # The package is found from src/, installed or not (as pytest finds it).
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
     proc = subprocess.run(
         [sys.executable, "-m", "gridmarg.cli", "metrics", str(TUTORIAL),
          "--method", "aer", "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == pytest.approx(3048.0 / 3720.0, abs=1e-10)
 

@@ -10,7 +10,8 @@ from gridmarg.flex import ChargingSchedule, ScheduleSource
 from gridmarg.grid import FlexibleLoad, Generator, GridModel, ScenarioConfig, Zone
 from gridmarg.planner import (FixedCapacities, ScaleEV, build_expansion_lp,
                               build_operational_lp, perturb_demand, solve_expansion, solve_model)
-from gridmarg.scheduler import (PIN_SNAP_TOL, consequential_check, evaluate_fixed_schedule,
+from gridmarg.metrics import ev_scaled
+from gridmarg.scheduler import (PIN_SNAP_TOL, ConsequentialCheck, evaluate_fixed_schedule,
                                 pin_schedule, schedule_from_result, schedule_min_srme)
 
 from oracles import spy_on_solves
@@ -205,12 +206,18 @@ def test_emissions_signal_backfires_on_midday_solar_toy():
         54.0, rel=1e-6)
 
 
+def scaled_check(base) -> ConsequentialCheck:
+    """The penalty loop's check of base, a pinned grid's operational optimum:
+    the schedule scaled by 1.05 through LR-MER's re-solve."""
+    return ConsequentialCheck(base, ev_scaled(base, perturbation=ScaleEV(0.05)))
+
+
 def test_consequential_check_uses_pinned_operational_solves():
     grid = storage_coupled()
     caps = FixedCapacities()
     base = solve_model(build_expansion_lp(grid))
     pinned = pin_schedule(grid, base.flex_served)
-    delta = consequential_check(operational_base(pinned, caps), 0.05).delta
+    delta = scaled_check(operational_base(pinned, caps)).delta
     assert np.isfinite(delta)
     # Scaling the schedule by 1.05 grows served energy by 5%; emissions move
     # with it, so the check is strictly positive on this fossil-margin toy.
@@ -227,7 +234,7 @@ def test_consequential_check_scales_the_snapped_schedule():
         profile = load.baseline_profile.copy()
         profile[0] = value
         pinned = pin_schedule(grid, {load.id: profile})
-        checks.append(consequential_check(operational_base(pinned), 0.05).delta)
+        checks.append(scaled_check(operational_base(pinned)).delta)
     assert checks[0] == checks[1]
 
 
@@ -326,6 +333,33 @@ def test_a_pass_that_returns_to_a_schedule_reads_its_earlier_check(tmp_path):
     first, _, third = trace.records
     assert third.consequential_tco2 == first.consequential_tco2
     assert first.consequential_tco2 == pytest.approx(220.594810415, abs=1e-9)
+
+
+@pytest.mark.parametrize("which", ["tutorial", "fleet"])
+def test_evaluations_taken_from_checks_are_fresh_evaluations(which, tmp_path):
+    # With nothing to build, compare_signal takes each schedule's evaluation
+    # from the loop's check of it: a fresh evaluation solves the same LPs
+    # from the same starts, and must agree with it bit for bit. On the
+    # tutorial the signal keeps the cost schedule, and the two share one.
+    from test_lp import assert_same_bits
+    grid = _census_grid(which, "delay8", tmp_path)
+    assert not grid.has_investment
+    expansion = solve_expansion(grid)
+    schedule, trace, cost_report, report = scheduler.compare_signal(expansion, "srme1")
+    first, last = trace.checks[0], trace.checks[-1]
+    assert (last is first) == (report is cost_report) == (which == "tutorial")
+    cost_schedule = schedule_from_result(expansion, ScheduleSource.COST_MIN)
+    totals = ("base_total_emissions", "pert_total_emissions", "delta_demand_mwh", "lr_mer",
+              "base_total_cost", "pert_total_cost")
+    for s, got, check in ((cost_schedule, cost_report, first), (schedule, report, last)):
+        assert got.base.solution is check.base.solution
+        fresh = evaluate_fixed_schedule(s, expansion)
+        assert_same_bits(np.array([getattr(got, n) for n in totals]),
+                         np.array([getattr(fresh, n) for n in totals]))
+        assert got == fresh
+        for mine, theirs in ((got.base, fresh.base), (check.pert, ev_scaled(fresh.base))):
+            for name in ("x", "eq_duals", "ineq_duals", "reduced_costs"):
+                assert_same_bits(getattr(mine.solution, name), getattr(theirs.solution, name))
 
 
 # --- rigid charging at its rate cap ---------------------------------------------

@@ -142,3 +142,14 @@ def test_rigid_schedule_on_a_grid_to_build_makes_its_recorded_solves(solves, bui
     scenario = synth_scenario("expansion", 1, tmp_path)
     assert _count(solves, builds, tmp_path, scenario,
                   ["schedule", "--signal", "srme2", "--flex", "none"]) == (7, 8, 2)
+
+
+@pytest.mark.parametrize("which,counts", [("fleet", (3, 3, 1)), ("expansion", (5, 5, 2))])
+def test_cost_schedule_makes_its_recorded_solves(solves, builds, tmp_path, fleet, which, counts):
+    # The cost signal's one evaluation on each side of has_investment: with
+    # nothing to build (fleet) the pinned LPs are solved cold and scaled;
+    # with something to build (expansion) the base starts from the
+    # expansion optimum, which itself took a crash start.
+    scenario = fleet if which == "fleet" else synth_scenario("expansion", 1, tmp_path)
+    assert _count(solves, builds, tmp_path, scenario,
+                  ["schedule", "--signal", "cost", "--flex", "delay8"]) == counts

@@ -362,17 +362,11 @@ def apply_sensitivity(grid: GridModel, multipliers: CostMultipliers) -> GridMode
     multipliers.validate()
     gens = []
     for gen in grid.generators:
-        profile = None
-        if gen.capacity_factor_profile is not None:
-            profile = gen.capacity_factor_profile.copy()
         if gen.kind == VARIABLE_RENEWABLE:
-            gens.append(replace(gen, inv_cost_annual=gen.inv_cost_annual * multipliers.renewable_capex,
-                                capacity_factor_profile=profile))
+            gen = replace(gen, inv_cost_annual=gen.inv_cost_annual * multipliers.renewable_capex)
         elif gen.kind == THERMAL:
-            gens.append(replace(gen, fuel_price=gen.fuel_price * multipliers.gas_price,
-                                capacity_factor_profile=profile))
-        else:
-            gens.append(replace(gen, capacity_factor_profile=profile))
+            gen = replace(gen, fuel_price=gen.fuel_price * multipliers.gas_price)
+        gens.append(gen)
     return replace(grid, generators=tuple(gens))
 
 

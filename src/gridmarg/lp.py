@@ -140,8 +140,9 @@ once built. Problems of one shape share one LpMatrix: the planner assembles
 it for a command's first LP of a grid topology, and each build derived from
 that LP fills only its own costs, right-hand sides and bounds. The matrix's
 arrays are read-only, and its column-wise form is computed on first use,
-once per matrix rather than once per solve. A warm start only changes where the simplex starts, and
-with the tie-break, not the vertex it reaches.
+once per matrix rather than once per solve. A warm start only changes
+where the simplex starts, and with the tie-break, not the vertex it
+reaches.
 
 A sweep chains warm starts within each group of cells that share a
 flexibility mode: those cells build expansion LPs of one shape, so each
@@ -154,8 +155,8 @@ where the grid has something to build over more than 96 h, else cold.
 Every call of ``solve`` reaches the backend; nothing here remembers a
 solve. Where a command needs one result twice, the caller that solved it
 hands the decoded result on, and the result carries its model, so a
-perturbed re-solve starts from it (``planner.solve_derived``). Solution
-arrays are read-only, so every caller it reaches can share it.
+derived LP starts from it (``planner.solve_from``). Solution arrays are
+read-only, so every caller it reaches can share it.
 """
 
 from __future__ import annotations

@@ -53,6 +53,10 @@ structure step reads (an entity, a profile, an efficiency or loss, a
 commitment, clean-share or emissions parameter, whether NSE or a CO2 cap is
 on) is not derived, and is built without ``like``.
 
+A held optimum answers another LP by one exact rule (``solve_from``): it
+is decoded only where the LP is the held one (``same_lp``), else the LP is
+solved, so a layout change under two LPs gives a solve, never a wrong decode.
+
 An expansion solve with no earlier result to start from goes through
 ``solve_expansion``; one with such a result (a sweep cell after the first
 of its chain) is ``solve_derived`` from it. ``solve_expansion`` starts a
@@ -585,20 +589,15 @@ def _crash_start(model: ExpansionModel) -> lp.LpSolution | None:
 def solve_operational(expansion: DispatchResult) -> DispatchResult:
     """The operational optimum of expansion's grid at expansion's capacities.
 
-    expansion is a solve_expansion result. With nothing to build the
-    operational LP is the expansion LP, array for array, which
-    solve_expansion solved cold: its solution is decoded with the
-    operational model (and that model's cost offset) instead of solved again.
+    expansion is a solve_expansion result. Its operational LP is solved
+    cold, or is its own LP (nothing to build), whose optimum is decoded.
     """
-    model = build_operational_lp(expansion.model.grid, expansion.fixed_capacities(),
-                                 like=expansion.model)
-    if model.grid.has_investment:
-        return solve_model(model)
-    return decode_solution(model, expansion.solution)
+    return solve_from(expansion, build_operational_lp(
+        expansion.model.grid, expansion.fixed_capacities(), like=expansion.model), warm=False)
 
 
 def solve_derived(base: DispatchResult, grid: GridModel) -> DispatchResult:
-    """Solve base's LP rebuilt for grid, from base's solution.
+    """base's LP rebuilt for grid, solved from base (solve_from).
 
     grid is derived from base.model.grid (a demand perturbation, a scaled
     schedule), and the rebuilt LP fills base's structure and keeps its mode
@@ -607,7 +606,24 @@ def solve_derived(base: DispatchResult, grid: GridModel) -> DispatchResult:
     fixed = base.model.fixed
     model = (build_expansion_lp(grid, like=base.model) if fixed is None
              else build_operational_lp(grid, fixed, like=base.model))
-    return solve_model(model, warm_start=base.solution)
+    return solve_from(base, model)
+
+
+def same_lp(a: ExpansionModel, b: ExpansionModel) -> bool:
+    """Whether a and b are one LP: they share one LpMatrix object, and their
+    costs, right-hand sides and bounds are equal bit for bit."""
+    p, q = a.problem, b.problem
+    pairs = ((p.c, q.c), (p.b_eq, q.b_eq), (p.b_ub, q.b_ub), (p.lb, q.lb), (p.ub, q.ub))
+    return p.matrix is q.matrix and all(u.tobytes() == v.tobytes() for u, v in pairs)
+
+
+def solve_from(held: DispatchResult, model: ExpansionModel, warm: bool = True) -> DispatchResult:
+    """model's optimum: held's solution decoded with model where model is
+    held's LP (same_lp), else a solve of model from held's basis, or cold
+    where warm is False."""
+    if same_lp(model, held.model):
+        return decode_solution(model, held.solution)
+    return solve_model(model, warm_start=held.solution if warm else None)
 
 
 def solve_model(model: ExpansionModel, warm_start: lp.LpSolution | None = None) -> DispatchResult:

@@ -17,11 +17,10 @@ returns to an earlier schedule (a converged pass, a rigid one, a cycle)
 reads that schedule's check instead of solving it again.
 
 Final schedules are evaluated under full capacity expansion at base and
-EV-scaled levels, which is where structural (capacity) effects enter, by
-one rule keyed the same way: schedules with equal pinned profiles share one
-evaluation, and with nothing to build (where a pinned expansion LP is the
-operational LP of the schedule's check) a checked schedule's evaluation is
-its check, decoded.
+EV-scaled levels, which is where structural (capacity) effects enter;
+schedules with equal pinned profiles share one evaluation. Every pinned LP
+whose optimum is already held (the start's, a check's, the expansion's) is
+decoded by planner.solve_from's exact test, never by a grid property.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from .flex import ChargingSchedule, ScheduleSource
 from .grid import GridModel
 from .metrics import (SRME1, SRME2, ConsequentialReport, consequential_report, ev_scaled,
                       flex_served_by_zone, long_run_mer, short_run_rates)
-from .planner import (DispatchResult, build_expansion_lp, build_operational_lp,
-                      decode_solution, solve_model, solve_operational)
+from .planner import (DispatchResult, build_expansion_lp, build_operational_lp, same_lp,
+                      solve_from, solve_model, solve_operational)
 from . import lp
 
 
@@ -126,8 +125,9 @@ def schedule_min_srme(expansion: DispatchResult,
     from the pinned schedule of the previous pass (SRME1 perturbs only the
     zones with flexible load) and start from its check's base. With rigid
     charging a pass keeps the cost-minimizing schedule without that
-    re-solve. Stops when the consequential-emissions check moves by less
-    than the configured threshold, or after max_iterations (returned with
+    re-solve. Each check's base is solve_from the start (decoded, or solved
+    cold). Stops when the consequential-emissions check moves by less than
+    the configured threshold, or after max_iterations (returned with
     converged=False; not fatal).
     """
     method = method.upper()
@@ -140,8 +140,6 @@ def schedule_min_srme(expansion: DispatchResult,
     load_zones = [(load.id, zone_ids.index(load.zone_id)) for load in grid.flexible_loads]
     flex_zones = {load.zone_id for load in grid.flexible_loads}
     rate_zones = [z for z in zone_ids if z in flex_zones] or "all"
-    # No penalty can move a rigid schedule, and it pins to grid itself.
-    rigid = grid.charging_is_rigid
 
     start = solve_operational(expansion)  # B0: cost-minimizing flexible schedule
     checks: dict[tuple[bytes, ...], ConsequentialCheck] = {}
@@ -150,8 +148,8 @@ def schedule_min_srme(expansion: DispatchResult,
         pinned = pin_schedule(grid, result.flex_served)
         key = _profiles(pinned)
         if key not in checks:
-            model = build_operational_lp(pinned, caps, like=start.model)
-            base = decode_solution(model, start.solution) if rigid else solve_model(model)
+            base = solve_from(start, build_operational_lp(pinned, caps, like=start.model),
+                              warm=False)
             checks[key] = ConsequentialCheck(base, ev_scaled(base))
         return checks[key]
 
@@ -163,7 +161,7 @@ def schedule_min_srme(expansion: DispatchResult,
     converged = False
     for iteration in range(1, cfg.max_iterations + 1):
         rates = short_run_rates(method, check.base, rate_zones)
-        if rigid:
+        if grid.charging_is_rigid:   # no penalty can move a rigid schedule
             new_result = result
         else:
             c2 = model.problem.c.copy()
@@ -219,31 +217,20 @@ def evaluate_fixed_schedule(schedule: ChargingSchedule, expansion: DispatchResul
     """Full capacity expansion at base and EV-scaled levels with charging pinned.
 
     expansion is a solve_expansion result; schedule is pinned to its grid.
-    With nothing to build, the pinned LPs are those of the schedule's check
-    if it is one of checks (the penalty loop's), solved from the same
-    starts, so that check's optima are decoded instead. Else the base solve
-    starts from expansion's basis where the grid has something to build,
-    else cold; a schedule that pins to the grid itself (with rigid
-    charging, the baseline) takes expansion's solution as its base. Raises
-    ScheduleMismatch unless each load's scheduled energy matches its
-    baseline request to 1e-6 MWh.
+    Where the pinned LP is the base LP of one of checks (the penalty loop's;
+    planner.same_lp), that check's optima are decoded; else long_run_mer
+    runs on its base, solve_from expansion (warm where the grid has
+    something to build). Raises ScheduleMismatch unless each load's
+    scheduled energy matches its baseline request to 1e-6 MWh.
     """
     grid = expansion.model.grid
-    pinned = _pin_requested(grid, schedule)
-    key = _profiles(pinned)
-    check = next((c for c in checks
-                  if not grid.has_investment and _profiles(c.base.model.grid) == key), None)
+    model = build_expansion_lp(_pin_requested(grid, schedule), like=expansion.model)
+    check = next((c for c in checks if same_lp(model, c.base.model)), None)
     if check is not None:
-        base, pert = (decode_solution(build_expansion_lp(r.model.grid, like=r.model), r.solution)
-                      for r in (check.base, check.pert))
-        return consequential_report(base, pert)
-    model = build_expansion_lp(pinned, like=expansion.model)
-    if grid.charging_is_rigid and key == _profiles(grid):
-        base = decode_solution(model, expansion.solution)
-    else:
-        base = solve_model(model, warm_start=expansion.solution if grid.has_investment
-                           else None)
-    return long_run_mer(base)
+        pert = check.pert.model
+        return consequential_report(solve_from(check.base, model), solve_from(
+            check.pert, build_expansion_lp(pert.grid, like=pert)))
+    return long_run_mer(solve_from(expansion, model, warm=grid.has_investment))
 
 
 def signal_schedule(expansion: DispatchResult,

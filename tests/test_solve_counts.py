@@ -153,3 +153,18 @@ def test_cost_schedule_makes_its_recorded_solves(solves, builds, tmp_path, fleet
     scenario = fleet if which == "fleet" else synth_scenario("expansion", 1, tmp_path)
     assert _count(solves, builds, tmp_path, scenario,
                   ["schedule", "--signal", "cost", "--flex", "delay8"]) == counts
+
+
+@pytest.mark.parametrize("which,args,counts", [
+    ("fleet", ["solve", "--mode", "operational"], (1, 2, 1)),
+    ("expansion", ["solve", "--mode", "operational"], (4, 4, 2)),
+    ("expansion", ["metrics", "--method", "srme2"], (5, 4, 2)),
+], ids=["fleet-operational", "expansion-operational", "expansion-srme2"])
+def test_operational_lp_is_decoded_only_where_it_is_the_expansion_lp(solves, builds, tmp_path,
+                                                                     fleet, which, args, counts):
+    # With nothing to build (fleet) the operational LP is the expansion LP,
+    # and its optimum is decoded (planner.solve_from); with something to
+    # build it is another LP, and is solved cold after the expansion's three
+    # solves (two for its crash start). SRME2's step 2 adds one more.
+    scenario = fleet if which == "fleet" else synth_scenario("expansion", 1, tmp_path)
+    assert _count(solves, builds, tmp_path, scenario, args) == counts

@@ -225,6 +225,8 @@ class FlexibleLoad:
             raise ValidationError(f"flexible_load {self.id}: window hours must be nonnegative")
         if self.penetration_scale < 0:
             raise ValidationError(f"flexible_load {self.id}: penetration_scale must be nonnegative")
+        if self.max_charge_rate_mw is not None and self.max_charge_rate_mw < 0:
+            raise ValidationError(f"flexible_load {self.id}: max_charge_rate_mw must be nonnegative")
         if self.is_rigid:
             peak = float(np.max(self.effective_baseline(), initial=0.0))
             if self.effective_max_charge_rate() < peak - 1e-9:

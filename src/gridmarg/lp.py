@@ -135,12 +135,24 @@ handed back to ``setBasis`` unchanged for a warm start; ``col_status`` and
 read. A ``HighsBasis`` does not pickle, so neither does an optimal
 LpSolution: a sweep worker returns its outcome rows, never a solution.
 
-Every solve builds a fresh HiGHS instance, and an LpProblem is immutable
-once built. Problems of one shape share one LpMatrix: the planner assembles
-it for a command's first LP of a grid topology, and each build derived from
-that LP fills only its own costs, right-hand sides and bounds. The matrix's
-arrays are read-only, and its column-wise form is computed on first use,
-once per matrix rather than once per solve. A warm start only changes
+Every solve builds a fresh HiGHS instance and frees it before it returns.
+Nothing a solve returns is allocated while an instance is alive: ``x`` and
+the row duals are allocated before the first instance, the last one's
+values are copied into them, and the other arrays and the LpSolution are
+built once it is freed. glibc gives heap memory back to the kernel only
+from the top of the heap, so an array that outlives the solve, placed
+above the solver's working set (6-9 MB on the synthetic 168 h expansion
+grid), would likely keep that set resident (not traced inside glibc).
+Allocated in that order, a serial sweep chain on that grid holds 42.9 MB
+resident between solves instead of 50.0-50.4 MB, and its peak stays at
+52.8 MB instead of climbing to 55.4 MB.
+
+An LpProblem is immutable once built. Problems of one shape share one
+LpMatrix: the planner assembles it for a command's first LP of a grid
+topology, and each build derived from that LP fills only its own costs,
+right-hand sides and bounds. The matrix's arrays are read-only, and its
+column-wise form is computed on first use, once per matrix rather than
+once per solve. A warm start only changes
 where the simplex starts, and with the tie-break, not the vertex it
 reaches.
 
@@ -783,6 +795,10 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
     tilted[cols] += TIE_BREAK_EPS * tie_break_weights(problem.num_vars)[cols]
     start = (None if warm_start is None
              else _warm_basis(problem, warm_start, cap_row=canonical_basis))
+    # Allocated before any HiGHS instance, so that no instance's working set
+    # lies beneath what the solve returns (see the module docstring).
+    x = np.empty(problem.num_vars)
+    row_dual = np.empty(problem.num_ub + problem.num_eq)
     if canonical_basis:
         v = RHS_TIE_BREAK_EPS * rhs_tie_break_weights(problem.num_ub + problem.num_eq)
         b_ub = problem.b_ub + v[:problem.num_ub]
@@ -792,9 +808,10 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
         highs = _run(problem, tilted, start, strategy, b_ub=b_ub,
                      b_eq=problem.b_eq + v[problem.num_ub:])
         iterations = _iterations(highs)
-        # Each instance is dropped before the next is made: an instance keeps
-        # its solver's work arrays until it is freed, and two at once would
-        # set the command's peak memory.
+        # Each instance is dropped before the next is made, and the last one
+        # before the solution is built: an instance keeps its solver's work
+        # arrays until it is freed, and two at once would set the command's
+        # peak memory.
         if not _optimal(highs):
             del highs
             highs = _run(problem, tilted, start, strategy)
@@ -820,8 +837,10 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
         raise NumericalFailure(f"LP backend ended with status {highs.modelStatusToString(status)}")
 
     solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    row_dual = np.array(solution.row_dual)
+    x[:] = solution.col_value
+    row_dual[:] = solution.row_dual
+    basis = highs.getBasis()
+    del solution, highs
     mu = row_dual[problem.num_ub:]
     gamma = -row_dual[:problem.num_ub]
     arrays = dict(
@@ -834,7 +853,7 @@ def solve(problem: LpProblem, warm_start: LpSolution | None = None, *,
     for arr in arrays.values():
         arr.flags.writeable = False
     return LpSolution(status=SolveStatus.OPTIMAL, objective_value=float(problem.c @ x),
-                      iterations=iterations, basis=highs.getBasis(), **arrays)
+                      iterations=iterations, basis=basis, **arrays)
 
 
 @dataclass(frozen=True)

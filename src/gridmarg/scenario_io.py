@@ -63,11 +63,12 @@ def read_series(path: Path) -> np.ndarray:
     if not path.exists():
         raise MissingSeries(f"series file not found: {path}")
     with open(path, newline="") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0].replace(" ", "") != "hour,value":
+        # Numbered as in the file, blank lines included, so errors name the file's own line.
+        lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or lines[0][1].replace(" ", "") != "hour,value":
         raise ParseError(f"{path}: expected header 'hour,value'")
     values: dict[int, float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'hour,value', got {line!r}")

@@ -46,6 +46,7 @@ def test_validation_passes_on_good_grid():
     (lambda g: g["bad_clean_share"], "clean_share_min"),
     (lambda g: g["thermal_no_heat_rate"], "heat_rate"),
     (lambda g: g["cf_out_of_range"], "capacity_factor_profile"),
+    (lambda g: g["windowed_negative_rate"], "flexible_load ev: max_charge_rate_mw"),
 ])
 def test_validation_names_entity_and_field(mutate, message):
     horizon = 24
@@ -64,6 +65,13 @@ def test_validation_names_entity_and_field(mutate, message):
             zones=(Zone(id="Z", demand=np.zeros(horizon)),),
             generators=(Generator(id="g", zone_id="Z", kind="variable_renewable",
                                   capacity_factor_profile=np.full(horizon, 1.2)),),
+            config=ScenarioConfig(horizon_hours=horizon)),
+        # flex.check_window_feasible rejects it too, but only once a command solves.
+        "windowed_negative_rate": GridModel(
+            zones=(Zone(id="Z", demand=np.zeros(horizon)),),
+            flexible_loads=(FlexibleLoad(id="ev", zone_id="Z",
+                                         baseline_profile=np.full(horizon, 1.0),
+                                         max_delay_hours=4, max_charge_rate_mw=-1.0),),
             config=ScenarioConfig(horizon_hours=horizon)),
     }
     with pytest.raises(ValidationError, match=message):

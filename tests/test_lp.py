@@ -381,8 +381,18 @@ def test_commands_convert_no_model_or_basis_element_by_element(command, backend_
     assert counts == {"_status_codes": 0, "HighsLp": 0}
 
 
-def test_solution_arrays_are_read_only():
-    sol = solve(merit_order_problem())
+def _cost_capped_solve():
+    # SRME2's step-2 shape: cap the cost at its optimum, minimize x2, from the base's basis.
+    base = merit_order_problem()
+    capped = with_extra_le_row(base, [0, 1], [1.0, 2.0], 1.0, new_cost=np.array([0.0, 1.0]))
+    return solve(capped, warm_start=solve(base), canonical_basis=True)
+
+
+@pytest.mark.parametrize("solved", [lambda: solve(merit_order_problem()), _cost_capped_solve],
+                         ids=["plain", "canonical_basis"])
+def test_solution_arrays_are_read_only(solved):
+    sol = solved()
+    assert sol.status is SolveStatus.OPTIMAL
     for name in ("x", "eq_duals", "ineq_duals", "reduced_costs", "col_status", "row_status"):
         arr = getattr(sol, name)
         with pytest.raises(ValueError, match="read-only"):

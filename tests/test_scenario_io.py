@@ -91,6 +91,10 @@ def test_series_rejects_non_finite_values_with_file_and_line(tmp_path):
         bad.write_text(f"hour,value\n0,1.0\n1,{token}\n")
         with pytest.raises(ParseError, match=r"s\.csv:3: value must be finite"):
             read_series(bad)
+    # A blank line still counts: the error names the file's own line.
+    bad.write_text("hour,value\n\n0,1.0\n1,nan\n")
+    with pytest.raises(ParseError, match=r"s\.csv:4: value must be finite"):
+        read_series(bad)
 
 
 @pytest.mark.parametrize("section, field, token", [

@@ -142,19 +142,16 @@ values are copied into them, and the other arrays and the LpSolution are
 built once it is freed. glibc gives heap memory back to the kernel only
 from the top of the heap, so an array that outlives the solve, placed
 above the solver's working set (6-9 MB on the synthetic 168 h expansion
-grid), would likely keep that set resident (not traced inside glibc).
-Allocated in that order, a serial sweep chain on that grid holds 42.9 MB
-resident between solves instead of 50.0-50.4 MB, and its peak stays at
-52.8 MB instead of climbing to 55.4 MB.
+grid), would likely keep that set resident and let a chain's peak climb
+solve by solve (README, "Solver hand-off", has the measurements).
 
 An LpProblem is immutable once built. Problems of one shape share one
 LpMatrix: the planner assembles it for a command's first LP of a grid
 topology, and each build derived from that LP fills only its own costs,
 right-hand sides and bounds. The matrix's arrays are read-only, and its
 column-wise form is computed on first use, once per matrix rather than
-once per solve. A warm start only changes
-where the simplex starts, and with the tie-break, not the vertex it
-reaches.
+once per solve. A warm start only changes where the simplex starts, and
+with the tie-break, not the vertex it reaches.
 
 A sweep chains warm starts within each group of cells that share a
 flexibility mode: those cells build expansion LPs of one shape, so each

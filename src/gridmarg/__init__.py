@@ -3,8 +3,8 @@ for flexible EV charging (average, short-run marginal, long-run marginal)."""
 
 from .errors import (CostCapInfeasible, DegenerateDelta, GridmargError, InfeasibleModel,
                      InfeasiblePerturbation, InfeasibleWindow, MissingCapacity, MissingSeries,
-                     ModelBuildError, NumericalFailure, ParseError, ScheduleMismatch,
-                     UnboundedModel, UnknownZone, ValidationError, ZeroDemand)
+                     NumericalFailure, ParseError, ScheduleMismatch, UnboundedModel,
+                     UnknownZone, ValidationError, ZeroDemand)
 from .flex import ChargingSchedule, FlexWindow, ScheduleSource
 from .grid import (CostMultipliers, FlexibleLoad, Generator, GridModel, ScenarioConfig,
                    StorageUnit, TransmissionLine, Zone, annualized_capital_cost,

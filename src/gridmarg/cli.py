@@ -224,24 +224,23 @@ def _read_sweep_spec(path: str | None, zone_ids: list[str]) -> tuple[str, list[d
     return sha256(raw).hexdigest(), cells
 
 
-def _run_sweep_cell(raw_grid: GridModel, cell: dict, like: DispatchResult | None = None,
-                    base: DispatchResult | None = None) -> tuple[dict, DispatchResult | None]:
+def _run_sweep_cell(raw_grid: GridModel, cell: dict,
+                    like: DispatchResult | None = None) -> tuple[dict, DispatchResult | None]:
     """One sweep cell: its outcome row, and its base result if that solved.
 
-    base, if given, is the cell's base result, held from a cell that differs
-    only in target_zone; else the cell's base is solved from like, if
-    given (planner.solve_derived; see _run_sweep_group).
+    The cell's base is derived from like, if given (planner.solve_derived,
+    which decodes like's optimum where the cell's base LP is like's; see
+    _run_sweep_group), else solved on its own.
     """
     started = time.time()
+    base = None
     try:
-        if base is None:
-            cfg = replace(raw_grid.config,
-                          ev_penetration_multiplier=cell["ev_multiplier"],
-                          cost_multipliers=CostMultipliers(renewable_capex=cell["renewable_capex"],
-                                                           gas_price=cell["gas_price"]))
-            grid = _apply_flex_mode(resolve_scenario(replace(raw_grid, config=cfg)),
-                                    cell["flex"])
-            base = solve_expansion(grid) if like is None else solve_derived(like, grid)
+        cfg = replace(raw_grid.config,
+                      ev_penetration_multiplier=cell["ev_multiplier"],
+                      cost_multipliers=CostMultipliers(renewable_capex=cell["renewable_capex"],
+                                                       gas_price=cell["gas_price"]))
+        grid = _apply_flex_mode(resolve_scenario(replace(raw_grid, config=cfg)), cell["flex"])
+        base = solve_expansion(grid) if like is None else solve_derived(like, grid)
         report = long_run_mer(base, target_zones=cell["target_zone"])
         metrics = {
             "lr_mer_tco2_per_mwh": report.lr_mer,
@@ -266,17 +265,17 @@ def _run_sweep_group(raw_grid: GridModel, cells: list[dict]) -> list[dict]:
     of the last cell before it that succeeded, and its solve starts from
     that result's solution; the first cell's base has neither (see
     planner.solve_expansion). Cells that differ only in target_zone have
-    one base LP, and the cells after the first take its result as it is.
-    Which solves start from which basis depends on the spec alone, never on
-    the worker count.
+    one base LP, so a cell after the first of them derives its base from
+    their held base result instead, and solve_derived decodes that
+    result's optimum (planner.solve_from). Which solves start from which
+    basis depends on the spec alone, never on the worker count.
     """
     outcomes, like, held = [], None, (None, None)
     for cell in cells:
         key = tuple(cell[k] for k in CELL_KEYS if k != "target_zone")
         # Looked up by name at call time, so a wrapper bound to the module
         # attribute (the benchmark's tracer) sees every cell.
-        outcome, base = _run_sweep_cell(raw_grid, cell, like,
-                                        held[1] if held[0] == key else None)
+        outcome, base = _run_sweep_cell(raw_grid, cell, held[1] if held[0] == key else like)
         outcomes.append(outcome)
         if base is not None:
             held = key, base

@@ -51,10 +51,6 @@ class MissingSeries(GridmargError):
 
 # --- model building ---
 
-class ModelBuildError(GridmargError):
-    """GridModel cannot be translated into an LP (e.g. profile length mismatch)."""
-
-
 class MissingCapacity(GridmargError):
     """Operational model requested without capacities for every buildable entity."""
 

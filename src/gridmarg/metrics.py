@@ -272,17 +272,15 @@ def consequential_report(base: DispatchResult, pert: DispatchResult,
 def ev_scaled(base: DispatchResult, target_zones="all",
               perturbation: ScaleEV | None = None) -> DispatchResult:
     """base's LP with target_zones' EV charging scaled (by default by the
-    grid's perturbation_fraction), solved from base's basis. A perturbation
-    that moves no load (no EV charging in the zones) leaves base's own LP,
-    so base stands for it.
+    grid's perturbation_fraction), solved from base's basis
+    (planner.solve_derived). A perturbation that moves no load (no EV
+    charging in the zones) rebuilds base's own LP, so base's optimum is
+    decoded (planner.solve_from) and nothing is solved.
     """
     grid = base.model.grid
     if perturbation is None:
         perturbation = ScaleEV(grid.config.perturbation_fraction)
-    pert_grid = perturb_demand(grid, target_zones, perturbation)
-    moved = any(not np.array_equal(load.baseline_profile, scaled.baseline_profile)
-                for load, scaled in zip(grid.flexible_loads, pert_grid.flexible_loads))
-    return solve_derived(base, pert_grid) if moved else base
+    return solve_derived(base, perturb_demand(grid, target_zones, perturbation))
 
 
 def long_run_mer(base: DispatchResult, perturbation: ScaleEV | None = None,
@@ -291,9 +289,10 @@ def long_run_mer(base: DispatchResult, perturbation: ScaleEV | None = None,
     """LR-MER: two full capacity-expansion solves differenced over annual totals.
 
     base is an expansion optimum, which the caller solved once for all its
-    perturbations, and ev_scaled solves the other. Where no load moved, the
-    report raises DegenerateDelta. The report keeps the base result
-    (``report.base``) for callers that need more of it than the totals.
+    perturbations, and ev_scaled solves the other. Where no load moved,
+    ev_scaled decodes base's optimum and the report raises DegenerateDelta.
+    The report keeps the base result (``report.base``) for callers that
+    need more of it than the totals.
     """
     return consequential_report(base, ev_scaled(base, target_zones, perturbation),
                                 sr_rates=sr_rates, aer_value=aer_value)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from gridmarg import cli, lp, planner, scheduler
 from gridmarg.cli import main
-from gridmarg.errors import InfeasibleWindow, MissingCapacity, ModelBuildError, UnknownZone
+from gridmarg.errors import InfeasibleWindow, MissingCapacity, UnknownZone, ValidationError
 from gridmarg.flex import FlexWindow, check_window_feasible
 from gridmarg.grid import CostMultipliers, resolve_scenario
 from gridmarg.planner import (FixedCapacities, ScaleEV, SingleHour, UniformAll,
@@ -327,7 +327,7 @@ ERROR_CASES = {
     # name: (like's grid, failing grid, fixed capacities, error, message)
     "negative_pinned_profile": (
         lambda g: pin_schedule(g, {l.id: l.effective_baseline() for l in g.flexible_loads}),
-        _negative_pin, None, ModelBuildError, "baseline_profile must be nonnegative"),
+        _negative_pin, None, ValidationError, "baseline_profile must be nonnegative"),
     "infeasible_window": (
         lambda g: g, lambda g: changed(g, "flexible_loads", "ev_A", max_charge_rate_mw=0.5),
         None, InfeasibleWindow, "cannot meet the cumulative floor"),
@@ -390,7 +390,7 @@ CLI_ERRORS = {
     # name: (argv before --out, scenario, monkeypatch setup, logged error)
     "negative_pinned_profile": (["schedule", "{}", "--signal", "cost", "--flex", "none"],
                                 lambda tmp: str(TUTORIAL), _negative_cost_schedule,
-                                "ModelBuildError"),
+                                "ValidationError"),
     "infeasible_window": (["metrics", "{}", "--method", "lrmer"], _tight_rate_scenario, None,
                           "InfeasibleWindow"),
     "missing_capacity": (["metrics", "{}", "--method", "srme1"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridmarg.errors import (InfeasibleModel, MissingCapacity, ModelBuildError, UnknownZone)
+from gridmarg.errors import (InfeasibleModel, MissingCapacity, UnknownZone, ValidationError)
 from gridmarg.flex import FlexWindow, cumulative_bounds
 from gridmarg.grid import FlexibleLoad, Generator, GridModel, ScenarioConfig, Zone
 from gridmarg.planner import (FixedCapacities, ScaleEV, SingleHour, UniformAll,
@@ -81,11 +81,11 @@ def test_missing_capacity_rejected():
         build_operational_lp(grid, FixedCapacities())
 
 
-def test_profile_length_mismatch_is_model_build_error():
+def test_profile_length_mismatch_is_validation_error():
     grid = single_bus()
     bad = GridModel(zones=(Zone(id="Z", demand=np.full(10, 5.0)),),
                     generators=grid.generators, config=grid.config)
-    with pytest.raises(ModelBuildError, match="demand series"):
+    with pytest.raises(ValidationError, match="demand series"):
         build_expansion_lp(bad)
 
 

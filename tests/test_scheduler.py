@@ -5,7 +5,7 @@ import pytest
 
 from gridmarg import scheduler
 from gridmarg.cli import main
-from gridmarg.errors import ModelBuildError, ScheduleMismatch
+from gridmarg.errors import ScheduleMismatch, ValidationError
 from gridmarg.flex import ChargingSchedule, ScheduleSource
 from gridmarg.grid import FlexibleLoad, Generator, GridModel, ScenarioConfig, Zone
 from gridmarg.planner import (FixedCapacities, ScaleEV, build_expansion_lp,
@@ -263,7 +263,7 @@ def test_pin_schedule_snaps_round_off_and_rejects_real_negatives():
     profile = load.baseline_profile.copy()
     profile[0] = -2.0 * PIN_SNAP_TOL
     pinned = pin_schedule(grid, {load.id: profile})
-    with pytest.raises(ModelBuildError, match="nonnegative"):
+    with pytest.raises(ValidationError, match="nonnegative"):
         build_operational_lp(pinned, FixedCapacities())
 
 

@@ -37,7 +37,7 @@ TUTORIAL_COUNTS = [
     (["metrics", "--method", "srme1"], 3, 4, 1),
     (["metrics", "--method", "srme2"], 2, 2, 1),
     (["metrics", "--method", "lrmer"], 2, 2, 1),
-    (["metrics", "--method", "lrmer", "--zone", "each-separately"], 2, 2, 1),
+    (["metrics", "--method", "lrmer", "--zone", "each-separately"], 2, 3, 1),
     (["metrics", "--method", "lrmer", "--zone", "B"], 2, 2, 1),
     (["metrics", "--method", "srme1", "--zone", "each-separately"], 3, 4, 1),
     (["schedule", "--signal", "cost", "--flex", "none"], 2, 3, 1),
@@ -52,7 +52,7 @@ TUTORIAL_COUNTS = [
     (["schedule", "--signal", "srme1", "--flex", "window24"], 5, 7, 1),
     (["schedule", "--signal", "srme2", "--flex", "window24"], 5, 6, 1),
     (["sweep", "--parallel", "1", "--spec", "bench"], 6, 6, 1),
-    (["sweep", "--parallel", "1", "--spec", "each-separately"], 4, 4, 1),
+    (["sweep", "--parallel", "1", "--spec", "each-separately"], 4, 8, 1),
 ]
 
 # The benchmark's sweep spec, and one that targets each zone on its own.
@@ -168,3 +168,17 @@ def test_operational_lp_is_decoded_only_where_it_is_the_expansion_lp(solves, bui
     # solves (two for its crash start). SRME2's step 2 adds one more.
     scenario = fleet if which == "fleet" else synth_scenario("expansion", 1, tmp_path)
     assert _count(solves, builds, tmp_path, scenario, args) == counts
+
+
+@pytest.mark.parametrize("args,count", [
+    (["metrics", "--method", "lrmer", "--zone", "each-separately"], 3),
+    (["sweep", "--parallel", "1", "--spec", "each-separately"], 8),
+], ids=["lrmer-each-separately", "sweep-each-separately"])
+def test_held_optima_are_reused_only_through_same_lp(solves, builds, tmp_path, monkeypatch,
+                                                     args, count):
+    # A zone without EV charging rebuilds its base's LP, and so does a sweep
+    # cell whose base a cell differing only in target_zone holds. Each is
+    # decoded only because planner.same_lp finds it to be the held LP: with
+    # the rule refusing every match, each is solved instead.
+    monkeypatch.setattr(planner, "same_lp", lambda a, b: False)
+    assert _count(solves, builds, tmp_path, TUTORIAL, args)[0] == count
